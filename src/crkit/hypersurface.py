@@ -68,7 +68,7 @@ class Hypersurface:
     from_defining for the exact identities.
     """
 
-    __slots__ = ("n", "rho", "phi", "normal", "provenance")
+    __slots__ = ("n", "rho", "phi", "normal", "provenance", "_phibar")
 
     def __init__(self, n, rho, phi, normal, provenance):
         object.__setattr__(self, "n", n)
@@ -76,6 +76,7 @@ class Hypersurface:
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "normal", normal)
         object.__setattr__(self, "provenance", tuple(provenance))
+        object.__setattr__(self, "_phibar", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Hypersurface is immutable")
@@ -86,7 +87,10 @@ class Hypersurface:
 
     @property
     def phibar(self) -> TruncatedSeries:
-        return self.phi.conjugate()
+        """phi with conjugated coefficients, computed on first access."""
+        if self._phibar is None:
+            object.__setattr__(self, "_phibar", self.phi.conjugate())
+        return self._phibar
 
     def __eq__(self, other):
         if not isinstance(other, Hypersurface):

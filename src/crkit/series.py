@@ -109,6 +109,19 @@ class TruncatedSeries:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "_terms", data)
 
+    @classmethod
+    def _trusted(cls, nvars: int, order: int, data: dict) -> "TruncatedSeries":
+        """Wrap a dict the kernel built itself, without re-validating it.
+
+        The caller guarantees what ``__init__`` checks: exponent tuples of
+        arity ``nvars`` and total degree <= ``order``, nonzero coefficients.
+        """
+        series = object.__new__(cls)
+        object.__setattr__(series, "nvars", nvars)
+        object.__setattr__(series, "order", order)
+        object.__setattr__(series, "_terms", data)
+        return series
+
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
@@ -247,7 +260,9 @@ class TruncatedSeries:
                     break
                 e = add_exponents(e1, e2)
                 out[e] = out.get(e, ZERO) + c1 * c2
-        return TruncatedSeries(self.nvars, order, out)
+        return TruncatedSeries._trusted(
+            self.nvars, order, {e: c for e, c in out.items() if c}
+        )
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussRational)):
@@ -459,6 +474,11 @@ def compose(outer: TruncatedSeries, vmap: SeriesMap) -> TruncatedSeries:
     coefficients would depend on input coefficients beyond the truncation,
     and the result could not be guaranteed exact. The result order is the
     minimum of both orders.
+
+    A slot holding a plain variable only shifts exponents, and a slot
+    holding zero only drops the outer terms that use it. The other slots
+    are expanded through cached powers, multiplied once per distinct
+    exponent pattern on those slots.
     """
     if vmap.target_nvars != outer.nvars:
         raise ValueError(
@@ -468,8 +488,21 @@ def compose(outer: TruncatedSeries, vmap: SeriesMap) -> TruncatedSeries:
         raise ValueError("composition requires an origin-preserving map")
     order = min(outer.order, vmap.order)
     src = vmap.source_nvars
+    zero_slots, plain_slots, general_slots = [], [], []
+    for i, component in enumerate(vmap.components):
+        terms = component._terms
+        if not terms:
+            zero_slots.append(i)
+            continue
+        if len(terms) == 1:
+            (e, c), = terms.items()
+            if sum(e) == 1 and c == ONE:
+                plain_slots.append((i, e.index(1)))
+                continue
+        general_slots.append(i)
+
     one = TruncatedSeries.constant(ONE, src, order)
-    powers: list[list[TruncatedSeries]] = [[one] for _ in range(outer.nvars)]
+    powers = {i: [one] for i in general_slots}
 
     def power(i: int, k: int) -> TruncatedSeries:
         cache = powers[i]
@@ -477,25 +510,38 @@ def compose(outer: TruncatedSeries, vmap: SeriesMap) -> TruncatedSeries:
             cache.append(cache[-1] * vmap.components[i].truncate(order))
         return cache[k]
 
+    products: dict[tuple[int, ...], list] = {}
     out: dict[tuple[int, ...], GaussRational] = {}
     for exponents, coeff in outer.sorted_terms():
-        if sum(exponents) > order:
+        if sum(exponents) > order or any(exponents[i] for i in zero_slots):
             continue
-        product = None
-        for i, k in enumerate(exponents):
-            if k == 0:
-                continue
-            factor = power(i, k)
-            product = factor if product is None else product * factor
+        key = tuple(exponents[i] for i in general_slots)
+        product = products.get(key)
         if product is None:
-            product = one
-        for e, c in product._terms.items():
+            series = None
+            for i, k in zip(general_slots, key):
+                if k:
+                    factor = power(i, k)
+                    series = factor if series is None else series * factor
+            if series is None:
+                series = one
+            product = [(e, sum(e), c) for e, c in series._terms.items()]
+            products[key] = product
+        shift = [0] * src
+        for i, j in plain_slots:
+            shift[j] += exponents[i]
+        room = order - sum(shift)
+        for e, degree, c in product:
+            if degree > room:
+                continue
+            if room < order:  # some plain slot is used
+                e = add_exponents(e, shift)
             value = out.get(e, ZERO) + coeff * c
             if value.is_zero():
                 out.pop(e, None)
             else:
                 out[e] = value
-    return TruncatedSeries(src, order, out)
+    return TruncatedSeries._trusted(src, order, out)
 
 
 # ---------------------------------------------------------------------------

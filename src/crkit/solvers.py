@@ -3,24 +3,50 @@
 Three operations live here: solving one scalar equation for one variable
 (implicit function), inverting an origin-preserving map with invertible
 linear part, and extending a truncated solution of a square polynomial
-system degree by degree.
+system. All three solve the same problem: find Y(x) with Y(0) = 0 and
+F(x, Y(x)) = 0, where J0, the Jacobian of F in the unknowns y at the
+origin, is invertible. ``newton_extend`` first shifts y = y0 + u, where
+y0 is the constant part of the given solution, to reach that form.
+
+The solve is online, one homogeneous degree at a time. Write F as
+sum over beta of F_beta(x) y^beta. The degree-d part of F(x, Y) is
+J0 Y_d + R_d, where R_d uses only Y_1 .. Y_{d-1}: a power product Y^beta
+with |beta| >= 2 starts in degree |beta|, so its degree-d part involves Y
+only below degree d. Hence Y_d = -J0^-1 R_d. The degree-graded parts of
+every power product F needs are kept and extended as each degree
+settles, so each homogeneous product is formed exactly once.
+
+The construction is not its own proof. Every solver substitutes its
+result back into the equations at full order, by one composition per
+equation, and raises unless the residual vanishes. That back-substitution
+is the exactness certificate.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+
 from . import linalg
 from .rational import ONE, ZERO
-from .series import SeriesMap, TruncatedSeries, compose, unit_exponent
+from .series import (
+    SeriesMap,
+    TruncatedSeries,
+    add_exponents,
+    compose,
+    grlex_key,
+    unit_exponent,
+)
 
 
 def implicit_solve(rho: TruncatedSeries, var: int) -> TruncatedSeries:
     """Solve rho = 0 for the variable at index ``var``.
 
-    Requires rho(0) = 0 and a nonzero linear coefficient on the solved
+    Requires rho(0) = 0 and a nonzero linear coefficient c on the solved
     variable. Returns the unique series S in the remaining variables, in
     their original order, with S(0) = 0 and rho(..., S, ...) = 0 through
-    degree rho.order. Each fixed-point pass below is exact one degree
-    further than the last, so rho.order passes settle every coefficient.
+    degree rho.order. Each degree d of S is settled once, as -R_d / c, and
+    the result is certified by substituting it back into rho.
     """
     m = rho.nvars
     if not 0 <= var < m:
@@ -35,35 +61,26 @@ def implicit_solve(rho: TruncatedSeries, var: int) -> TruncatedSeries:
             "the solved variable must appear with a nonzero linear coefficient"
         )
     order = rho.order
-    inv_c = ONE / c
+    equation = _group(rho.terms.items(), lambda e: (e[:var] + e[var + 1 :], (e[var],)))
+    online = _OnlineSolve([equation], 1, order)
+    inv_c = [[ONE / c]]
+    for degree in range(1, order + 1):
+        online.settle(degree, inv_c)
+    solution = TruncatedSeries(m - 1, order, online.terms(0))
 
-    def substitution(current: TruncatedSeries) -> SeriesMap:
-        components = []
-        for i in range(m):
-            if i == var:
-                components.append(current)
-            else:
-                position = i if i < var else i - 1
-                components.append(TruncatedSeries.variable(m - 1, order, position))
-        return SeriesMap(components)
-
-    solution = TruncatedSeries.zero(m - 1, order)
-    for _ in range(order):
-        residual = compose(rho, substitution(solution))
-        if residual.is_zero():
-            break
-        solution = solution - residual.scale(inv_c)
-    final = compose(rho, substitution(solution))
-    if not final.is_zero():
-        raise AssertionError("implicit solve failed to converge; this is a bug")
+    components = [TruncatedSeries.variable(m - 1, order, i) for i in range(m - 1)]
+    components.insert(var, solution)
+    if not compose(rho, SeriesMap(components)).is_zero():
+        raise AssertionError("implicit solve failed its back-substitution; this is a bug")
     return solution
 
 
 def invert_map(fmap: SeriesMap) -> SeriesMap:
     """Compositional inverse of an origin-preserving map, to fmap.order.
 
-    The linear part must be invertible. Verified by back-substitution
-    before returning.
+    The linear part A must be invertible. The inverse g solves
+    f(g(x)) - x = 0, settled one degree at a time as g_d = -A^-1 R_d, and
+    is certified by checking f(g) = id through the full order.
     """
     n = fmap.source_nvars
     if fmap.target_nvars != n:
@@ -73,66 +90,24 @@ def invert_map(fmap: SeriesMap) -> SeriesMap:
     order = fmap.order
     if order < 1:
         raise ValueError("inversion needs order >= 1")
-    matrix = fmap.linear_matrix()
     try:
-        inv = linalg.inverse(matrix)
+        inv = linalg.inverse(fmap.linear_matrix())
     except ValueError:
         raise ValueError("linear part is singular, map is not invertible") from None
 
-    def linear_combination(coeffs, series_list):
-        total = TruncatedSeries.zero(n, order)
-        for coeff, series in zip(coeffs, series_list):
-            if not coeff.is_zero():
-                total = total + series.scale(coeff)
-        return total
-
-    variables = [TruncatedSeries.variable(n, order, j) for j in range(n)]
-    linear_parts = [linear_combination(matrix[i], variables) for i in range(n)]
-    tail = [fmap.components[i] - linear_parts[i] for i in range(n)]
-
-    current = SeriesMap(linear_combination(inv[i], variables) for i in range(n))
-    for _ in range(order):
-        shifted = [compose(t, current) for t in tail]
-        adjusted = [variables[j] - shifted[j] for j in range(n)]
-        current = SeriesMap(linear_combination(inv[i], adjusted) for i in range(n))
-    check = fmap.compose(current)
-    if check != SeriesMap.identity(n, order):
-        raise AssertionError("map inversion failed to converge; this is a bug")
-    return current
-
-
-def _poly_substitute(
-    series: TruncatedSeries, nparams: int, values: SeriesMap, out_order: int
-) -> TruncatedSeries:
-    """Substitute values for the trailing variables of ``series``.
-
-    The first ``nparams`` variables stay as themselves; the stored terms of
-    ``series`` are taken as an exact polynomial, which is what makes the
-    substitution safe even though the values may have nonzero constant
-    terms.
-    """
-    q = nparams
-    total = TruncatedSeries.zero(q, out_order)
-    caches: list[list[TruncatedSeries]] = [
-        [TruncatedSeries.constant(ONE, q, out_order)] for _ in range(values.target_nvars)
-    ]
-
-    def power(j: int, k: int) -> TruncatedSeries:
-        cache = caches[j]
-        while len(cache) <= k:
-            cache.append(cache[-1] * values.components[j].truncate(out_order))
-        return cache[k]
-
-    for exponents, coeff in series.sorted_terms():
-        xpart, ypart = exponents[:q], exponents[q:]
-        if sum(xpart) > out_order:
-            continue
-        term = TruncatedSeries.monomial(q, out_order, xpart, coeff)
-        for j, k in enumerate(ypart):
-            if k:
-                term = term * power(j, k)
-        total = total + term
-    return total
+    origin = (0,) * n
+    equations = []
+    for i, component in enumerate(fmap.components):
+        equation = _group(component.terms.items(), lambda e: (origin, e))
+        equation[origin] = {1: {unit_exponent(n, i): -ONE}}
+        equations.append(equation)
+    online = _OnlineSolve(equations, n, order)
+    for degree in range(1, order + 1):
+        online.settle(degree, inv)
+    inverse = SeriesMap(TruncatedSeries(n, order, online.terms(j)) for j in range(n))
+    if fmap.compose(inverse) != SeriesMap.identity(n, order):
+        raise AssertionError("map inversion failed its back-substitution; this is a bug")
+    return inverse
 
 
 def newton_extend(system: SeriesMap, solution: SeriesMap, target_order: int) -> SeriesMap:
@@ -143,11 +118,12 @@ def newton_extend(system: SeriesMap, solution: SeriesMap, target_order: int) -> 
     must satisfy the system through degree solution.order. The stored
     terms of ``system`` are treated as an exact polynomial description.
 
-    The extension is computed degree by degree: at each new degree the
-    unknown homogeneous coefficients enter linearly through the Jacobian
-    in y at the origin, and each monomial's r-by-r system is solved by
-    exact Gaussian elimination. Output is independent of how the degrees
-    are scheduled, extending to 4 and then 6 equals extending to 6.
+    The system is first shifted to y = y0 + u, with y0 the constant part
+    of ``solution``, by exact binomial expansion. Then each new degree of u
+    enters linearly through the Jacobian in y at the origin and is settled
+    once, as u_d = -J0^-1 R_d. The extension is certified by substituting
+    it back into the shifted system. Output is independent of how the
+    degrees are scheduled: extending to 4 and then 6 equals extending to 6.
     """
     r = system.target_nvars
     q = system.source_nvars - r
@@ -161,61 +137,253 @@ def newton_extend(system: SeriesMap, solution: SeriesMap, target_order: int) -> 
     if target_order < solution.order:
         raise ValueError("target order is below the solution's current order")
 
-    residuals = [
-        _poly_substitute(c, q, solution, solution.order) for c in system.components
+    given = solution.order
+    y0 = [c.constant_term() for c in solution.components]
+    equations = [
+        _shift(_group(c.terms.items(), lambda e: (e[:q], e[q:])), y0)
+        for c in system.components
     ]
-    defect = next((res for res in residuals if not res.is_zero()), None)
+    known = [_homogeneous_parts(c, given) for c in solution.components]
+    online = _OnlineSolve(equations, r, target_order, known)
+    defect = next((res for res in online.residuals_through(given) if res), None)
     if defect is not None:
         raise ValueError(
             "input does not solve the system through its stated order, first "
-            f"defect at {defect.least_term()[0]}"
+            f"defect at {min(defect, key=grlex_key)}"
         )
 
-    partials = [
-        [system.components[i].derive(q + j) for j in range(r)] for i in range(r)
+    units = [unit_exponent(r, j) for j in range(r)]
+    origin = (0,) * q
+    j0 = [
+        [eq.get(unit, {}).get(0, {}).get(origin, ZERO) for unit in units]
+        for eq in equations
     ]
-    along = [
-        [_poly_substitute(partials[i][j], q, solution, solution.order) for j in range(r)]
-        for i in range(r)
-    ]
-    det = _series_det(along)
-    if det.is_zero():
-        raise ValueError(
-            "Jacobian determinant vanishes along the solution at every degree "
-            f"through {solution.order}; the system is degenerate there"
-        )
-    origin = [ZERO] * q + [c.constant_term() for c in solution.components]
-    j0 = [[partials[i][j].evaluate(origin) for j in range(r)] for i in range(r)]
     if linalg.determinant(j0).is_zero():
+        # J0 is the constant term of the Jacobian determinant along the
+        # solution; name which of the two ways the extension is undetermined
+        partials = [_derive_unknown(eq, j) for eq in equations for j in range(r)]
+        along = _OnlineSolve(partials, r, given, known).residuals_through(given)
+        matrix = [
+            [TruncatedSeries(q, given, along[i * r + j]) for j in range(r)] for i in range(r)
+        ]
+        if _series_det(matrix).is_zero():
+            raise ValueError(
+                "Jacobian determinant vanishes along the solution at every degree "
+                f"through {given}; the system is degenerate there"
+            )
         raise ValueError(
             "Jacobian is singular at the origin along the solution; the "
             "degree-by-degree extension is not uniquely determined"
         )
     j0_inv = linalg.inverse(j0)
+    for degree in range(given + 1, target_order + 1):
+        online.settle(degree, j0_inv)
 
-    current = [dict(c.terms) for c in solution.components]
-    for degree in range(solution.order + 1, target_order + 1):
-        padded = SeriesMap(
-            TruncatedSeries(q, degree, terms) for terms in current
+    if target_order > given:
+        increments = [TruncatedSeries(q, target_order, online.terms(j)) for j in range(r)]
+        substitution = SeriesMap(
+            [TruncatedSeries.variable(q, target_order, p) for p in range(q)] + increments
         )
-        residuals = [_poly_substitute(c, q, padded, degree) for c in system.components]
-        monomials = sorted(
-            {
-                e
-                for res in residuals
-                for e in res.terms
-                if sum(e) == degree
+        for eq in equations:
+            if not compose(_as_series(eq, q, r, target_order), substitution).is_zero():
+                raise AssertionError(
+                    "Newton extension failed its back-substitution; this is a bug"
+                )
+    return SeriesMap(
+        TruncatedSeries(q, target_order, {(0,) * q: y0[j], **online.terms(j)})
+        for j in range(r)
+    )
+
+
+# ---------------------------------------------------------------------------
+# the online core
+
+
+def _group(items, split) -> dict:
+    """Group terms as {beta: {x-degree: {x exponents: coefficient}}}.
+
+    ``split`` maps a term's exponent tuple to its exponents in the
+    parameters x and its exponents beta in the unknowns.
+    """
+    groups: dict = {}
+    for exponents, coeff in items:
+        alpha, beta = split(exponents)
+        groups.setdefault(beta, {}).setdefault(sum(alpha), {})[alpha] = coeff
+    return groups
+
+
+def _shift(groups: dict, y0) -> dict:
+    """Regroup F(x, y) as F(x, y0 + u), exactly, by binomial expansion."""
+    if not any(y0):
+        return groups
+    out: dict = {}
+    for beta, by_degree in groups.items():
+        # unknowns with y0_j = 0 keep their exponent
+        ranges = [range(b + 1) if c else (b,) for b, c in zip(beta, y0)]
+        for gamma in itertools.product(*ranges):
+            factor = ONE
+            for b, g, c in zip(beta, gamma, y0):
+                if b > g:
+                    factor = factor * c ** (b - g) * math.comb(b, g)
+            target = out.setdefault(gamma, {})
+            for degree, coeffs in by_degree.items():
+                bucket = target.setdefault(degree, {})
+                for alpha, coeff in coeffs.items():
+                    bucket[alpha] = bucket.get(alpha, ZERO) + factor * coeff
+    return {
+        gamma: kept
+        for gamma, by_degree in out.items()
+        if (kept := {d: nz for d, part in by_degree.items() if (nz := _nonzero(part))})
+    }
+
+
+def _derive_unknown(groups: dict, j: int) -> dict:
+    """The grouped partial derivative in the unknown y_j."""
+    out = {}
+    for beta, by_degree in groups.items():
+        k = beta[j]
+        if k:
+            lowered = beta[:j] + (k - 1,) + beta[j + 1 :]
+            out[lowered] = {
+                d: {alpha: c * k for alpha, c in part.items()} for d, part in by_degree.items()
             }
-        )
-        for e in monomials:
-            rhs = [-res.coefficient(e) for res in residuals]
-            for i in range(r):
+    return out
+
+
+def _as_series(groups: dict, q: int, r: int, order: int) -> TruncatedSeries:
+    """The grouped polynomial as a series over (x, y), at ``order`` or at
+    its top degree if that is higher."""
+    terms = {
+        alpha + beta: c
+        for beta, by_degree in groups.items()
+        for part in by_degree.values()
+        for alpha, c in part.items()
+    }
+    top = max((sum(e) for e in terms), default=0)
+    return TruncatedSeries(q + r, max(order, top), terms)
+
+
+def _homogeneous_parts(series: TruncatedSeries, order: int) -> list[dict]:
+    """Parts of degrees 1..order of ``series``, one dict per degree."""
+    parts = [{} for _ in range(order)]
+    for e, c in series.terms.items():
+        degree = sum(e)
+        if 1 <= degree <= order:
+            parts[degree - 1][e] = c
+    return parts
+
+
+def _nonzero(part: dict) -> dict:
+    return {e: c for e, c in part.items() if c}
+
+
+def _mul_into(acc: dict, left: dict, right: dict) -> None:
+    """Add the product of two homogeneous parts into ``acc``."""
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            e = add_exponents(e1, e2)
+            acc[e] = acc.get(e, ZERO) + c1 * c2
+
+
+class _OnlineSolve:
+    """Y(x) for F(x, Y(x)) = 0, settled one homogeneous degree at a time.
+
+    ``equations`` holds each F_i grouped by ``_group``: a term x^alpha y^beta
+    sits under its exponent beta in the r unknowns, then under |alpha|.
+    ``known`` optionally fixes Y_1 .. Y_s, one list of homogeneous parts
+    per unknown. The degree-d parts of each needed power product Y^beta,
+    |beta| >= 2, are formed as Y^(beta - e_j) Y_j, so the set of products
+    kept is closed under that step even where F skips powers.
+
+    ``residual(d)`` must be called for every degree from 2 on, in
+    increasing order, once each; ``settle(d, ...)`` calls it.
+    """
+
+    def __init__(self, equations, nunknowns: int, order: int, known=None):
+        self.equations = equations
+        if known is None:
+            known = [[] for _ in range(nunknowns)]
+        self.parts = [[{}] + list(k) for k in known]
+        # reach[beta]: the highest degree of Y^beta that some residual uses
+        reach: dict = {}
+        for groups in equations:
+            for beta, by_degree in groups.items():
+                top = order - min(by_degree)
+                if sum(beta) >= 2 and top >= sum(beta):
+                    reach[beta] = max(reach.get(beta, 0), top)
+        for size in range(max(map(sum, reach), default=0), 2, -1):
+            for beta in [b for b in reach if sum(b) == size]:
+                parent, _ = _lower(beta)
+                reach[parent] = max(reach.get(parent, 0), reach[beta] - 1)
+        self.reach = reach
+        self.powers = {beta: [{}] * sum(beta) for beta in reach}
+
+    def _power(self, beta):
+        """Graded parts of Y^beta: Y_j itself, a kept power product, or
+        nothing for a power that starts above the order."""
+        if sum(beta) == 1:
+            return self.parts[beta.index(1)]
+        return self.powers.get(beta, ())
+
+    def residual(self, degree: int) -> list[dict]:
+        """Degree-``degree`` part of each F_i(x, Y) from the parts of Y known
+        so far: R_d while Y_d is open, the full residual once it is known."""
+        for beta, top in self.reach.items():
+            if sum(beta) <= degree <= top:
+                parent, j = _lower(beta)
+                lower, last = self._power(parent), self.parts[j]
+                acc: dict = {}
+                for d in range(sum(parent), degree):
+                    _mul_into(acc, lower[d], last[degree - d])
+                self.powers[beta].append(_nonzero(acc))
+        out = []
+        for groups in self.equations:
+            acc = {}
+            for beta, by_degree in groups.items():
+                if not any(beta):
+                    for e, c in by_degree.get(degree, {}).items():
+                        acc[e] = acc.get(e, ZERO) + c
+                    continue
+                graded = self._power(beta)
+                for d, coeffs in by_degree.items():
+                    # parts below degree |beta| are empty; Y_d is missing while open
+                    if 0 <= degree - d < len(graded):
+                        _mul_into(acc, coeffs, graded[degree - d])
+            out.append(_nonzero(acc))
+        return out
+
+    def residuals_through(self, top: int) -> list[dict]:
+        """Each F_i(x, Y) through degree ``top``, for Y known that far."""
+        totals = [{} for _ in self.equations]
+        for degree in range(top + 1):
+            for total, part in zip(totals, self.residual(degree)):
+                total.update(part)
+        return totals
+
+    def settle(self, degree: int, j0_inv) -> None:
+        """Fix Y_d = -J0^-1 R_d."""
+        rhs = self.residual(degree)
+        monomials = sorted({e for part in rhs for e in part})
+        for j, row in enumerate(j0_inv):
+            part = {}
+            for e in monomials:
                 value = ZERO
-                for j in range(r):
-                    value = value + j0_inv[i][j] * rhs[j]
-                if not value.is_zero():
-                    current[i][e] = value
-    return SeriesMap(TruncatedSeries(q, target_order, terms) for terms in current)
+                for coeff, res in zip(row, rhs):
+                    if coeff and e in res:
+                        value = value - coeff * res[e]
+                if value:
+                    part[e] = value
+            self.parts[j].append(part)
+
+    def terms(self, j: int) -> dict:
+        """Every settled term of Y_j."""
+        return {e: c for part in self.parts[j] for e, c in part.items()}
+
+
+def _lower(beta: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """beta - e_j for the last unknown j that beta uses, and that j."""
+    j = max(k for k, b in enumerate(beta) if b)
+    return beta[:j] + (beta[j] - 1,) + beta[j + 1 :], j
 
 
 def _series_det(matrix: list[list[TruncatedSeries]]) -> TruncatedSeries:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from crkit.corpus import sphere, sphere_dilation
+from crkit.corpus import sphere, sphere_dilation, write_corpus
 from crkit.documents import (
     DocumentError,
     FORMAT_VERSION,
@@ -19,6 +19,7 @@ from crkit.reflection import FormalMap, build_reflection_report
 from crkit.series import SeriesMap, TruncatedSeries
 
 GOLDEN = Path(__file__).parent / "golden" / "crkit-series-1"
+CORPUS = Path(__file__).parent.parent / "corpus"
 
 
 def golden_text(name):
@@ -281,3 +282,10 @@ def test_report_kind_rejected_on_parse():
 
 def test_empty_document_rejected():
     assert collect_problems("")
+
+
+def test_write_corpus_reproduces_shipped_corpus(tmp_path):
+    written = sorted(Path(p).name for p in write_corpus(tmp_path))
+    assert written == sorted(p.name for p in CORPUS.glob("*.crkit"))
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (CORPUS / name).read_bytes(), name

@@ -124,6 +124,36 @@ def test_chain_rule(s, inner):
         assert lhs == rhs.truncate(lhs.order)
 
 
+@st.composite
+def slot_maps(draw, nslots=3, order=4):
+    """A map over (x1, x2, t) mixing plain-variable, zero and general slots,
+    and the same map with every plain slot written as x + t and every zero
+    slot as t^2, which compose must expand as general series."""
+    t = TruncatedSeries.variable(3, order, 2)
+    fast, general = [], []
+    for _ in range(nslots):
+        kind = draw(st.sampled_from(["plain", "zero", "general"]))
+        if kind == "plain":
+            x = TruncatedSeries.variable(3, order, draw(st.sampled_from([0, 1])))
+            fast.append(x)
+            general.append(x + t)
+        elif kind == "zero":
+            fast.append(TruncatedSeries.zero(3, order))
+            general.append(t * t)
+        else:
+            g = draw(series(nvars=2, order=order, min_degree=1)).remap_vars(3, [0, 1])
+            fast.append(g)
+            general.append(g)
+    return SeriesMap(fast), SeriesMap(general)
+
+
+@given(series(nvars=3), slot_maps())
+def test_compose_plain_and_zero_slots_match_general_expansion(s, maps):
+    # setting t = 0 after substituting recovers the plain and zero slots
+    fast, general = maps
+    assert compose(s, fast) == compose(s, general).set_vars_to_zero([2])
+
+
 @settings(max_examples=40)
 @given(invertible_maps())
 def test_inverse_round_trip(fmap):

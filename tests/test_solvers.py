@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from crkit import corpus
 from crkit.documents import serialize
+from crkit import linalg
 from crkit.rational import GaussRational, I, ONE
-from crkit.series import SeriesMap, TruncatedSeries, compose
+from crkit.series import SeriesMap, TruncatedSeries, compose, unit_exponent
 from crkit.solvers import implicit_solve, invert_map, newton_extend
 
 N = 8
@@ -283,3 +285,226 @@ def test_newton_extend_two_equations():
     assert y1.coefficient((1,)) == ONE
     assert y2.coefficient((2,)) == ONE
     assert y2.coefficient((3,)) == ONE  # from y1*y2 = x*x^2
+
+
+# ---------------------------------------------------------------------------
+# regression against reference fixed-point solvers
+#
+# Each reference below runs the plain fixed-point iteration: substitute the
+# current approximation at full order, correct by the inverse linear part,
+# repeat. Every pass is exact one degree further, so enough passes reach
+# the unique solution the degree-by-degree solvers must reproduce.
+
+
+def linear_combination(coeffs, series_list):
+    total = TruncatedSeries.zero(series_list[0].nvars, series_list[0].order)
+    for coeff, series in zip(coeffs, series_list):
+        total = total + series.scale(coeff)
+    return total
+
+
+def reference_implicit_solve(rho, var):
+    m, order = rho.nvars, rho.order
+    inv_c = ONE / rho.coefficient(unit_exponent(m, var))
+    solution = TruncatedSeries.zero(m - 1, order)
+    for _ in range(order):
+        components = [V(m - 1, i, order) for i in range(m - 1)]
+        components.insert(var, solution)
+        residual = compose(rho, SeriesMap(components))
+        solution = solution - residual.scale(inv_c)
+    return solution
+
+
+def reference_invert_map(fmap):
+    n, order = fmap.source_nvars, fmap.order
+    inv = linalg.inverse(fmap.linear_matrix())
+    variables = [V(n, j, order) for j in range(n)]
+    linear = [linear_combination(row, variables) for row in fmap.linear_matrix()]
+    tail = [c - part for c, part in zip(fmap.components, linear)]
+    current = SeriesMap(linear_combination(row, variables) for row in inv)
+    for _ in range(order):
+        adjusted = [x - compose(t, current) for x, t in zip(variables, tail)]
+        current = SeriesMap(linear_combination(row, adjusted) for row in inv)
+    return current
+
+
+def substitute_polynomial(series, q, values, order):
+    """series(x, values(x)) through ``order``, the stored terms read as a
+    polynomial; the values may have nonzero constant terms."""
+    total = TruncatedSeries.zero(q, order)
+    for exponents, coeff in series.terms.items():
+        if sum(exponents[:q]) > order:
+            continue
+        term = TruncatedSeries.monomial(q, order, exponents[:q], coeff)
+        for value, k in zip(values, exponents[q:]):
+            term = term * value.truncate(order) ** k
+        total = total + term
+    return total
+
+
+def reference_newton_extend(system, solution, target):
+    r = system.target_nvars
+    q = system.source_nvars - r
+    y0 = [c.constant_term() for c in solution.components]
+    origin = [GaussRational(0)] * q + y0
+    j0 = [[c.derive(q + j).evaluate(origin) for j in range(r)] for c in system.components]
+    inv = linalg.inverse(j0)
+    current = [
+        TruncatedSeries(q, target, dict(c.terms)) for c in solution.components
+    ]
+    for _ in range(target + 1):
+        residuals = [substitute_polynomial(c, q, current, target) for c in system.components]
+        current = [
+            y - linear_combination(row, residuals) for y, row in zip(current, inv)
+        ]
+    return SeriesMap(current)
+
+
+def place(template, var):
+    """Move the last variable of ``template`` to index ``var``."""
+    m = template.nvars
+    positions = [i if i < var else i + 1 for i in range(m - 1)] + [var]
+    return template.remap_vars(m, positions)
+
+
+def gapped_template(order=7):
+    # over (x1, x2, y): y appears only as y and y^3, also mixed with x
+    return TruncatedSeries(
+        3,
+        order,
+        [
+            ((0, 0, 1), GaussRational(2, -1)),
+            ((0, 0, 3), GaussRational(Fraction(1, 3))),
+            ((1, 0, 3), GaussRational(0, 1)),
+            ((1, 1, 0), GaussRational(-1)),
+            ((0, 2, 0), GaussRational(Fraction(1, 2), 1)),
+            ((2, 1, 0), GaussRational(3)),
+        ],
+    )
+
+
+@pytest.mark.parametrize("var", [0, 1, 2])
+def test_implicit_solve_matches_reference_with_gapped_powers(var):
+    rho = place(gapped_template(), var)
+    got = implicit_solve(rho, var)
+    assert got == reference_implicit_solve(rho, var)
+    assert len(got.terms) > 2  # the y^3 terms feed back at every degree
+
+
+@pytest.mark.parametrize("var", [0, 1, 2, 3])
+def test_implicit_solve_matches_reference_at_every_index(var):
+    # a dense-ish equation over four variables, solved at each index
+    template = TruncatedSeries(
+        4,
+        6,
+        [
+            ((0, 0, 0, 1), GaussRational(-1, 2)),
+            ((1, 0, 0, 0), GaussRational(1)),
+            ((0, 1, 0, 1), GaussRational(0, -1)),
+            ((0, 0, 0, 2), GaussRational(Fraction(2, 3))),
+            ((1, 0, 1, 2), GaussRational(1, 1)),
+            ((0, 2, 1, 0), GaussRational(-2)),
+            ((0, 0, 0, 4), GaussRational(Fraction(1, 5))),
+        ],
+    )
+    rho = place(template, var)
+    assert implicit_solve(rho, var) == reference_implicit_solve(rho, var)
+
+
+@pytest.mark.parametrize("name", ["sphere", "levi_flat", "perturbed_sphere", "degenerate_quadric"])
+def test_implicit_solve_matches_reference_on_corpus(name):
+    surface = corpus.HYPERSURFACES[name]()
+    var = surface.n - 1
+    got = implicit_solve(surface.rho, var)
+    assert got == reference_implicit_solve(surface.rho, var)
+
+
+def test_implicit_solve_polynomial_solutions_stay_polynomial(sphere, levi_flat):
+    # the graphs are w2 + 2i z1 w1 and w2: nothing appears beyond degree 2
+    assert implicit_solve(sphere.rho, 1).valuation() == 1
+    assert max(sum(e) for e in implicit_solve(sphere.rho, 1).terms) == 2
+    assert dict(implicit_solve(levi_flat.rho, 1).terms) == {(0, 0, 1): ONE}
+
+
+def test_invert_map_n3_full_linear_part_matches_reference():
+    order = 5
+    x, y, z = (V(3, i, order) for i in range(3))
+    fmap = SeriesMap(
+        [
+            x + y.scale(2) - z + (x * y).scale(GaussRational(0, 1)) + z ** 3,
+            x.scale(-1) + y + z.scale(3) + (y * y).scale(GaussRational(Fraction(1, 2))),
+            x.scale(2) + y.scale(GaussRational(1, 1)) + z + x * z * y - x ** 2,
+        ]
+    )
+    assert not linalg.determinant(fmap.linear_matrix()).is_zero()
+    inv = invert_map(fmap)
+    assert inv == reference_invert_map(fmap)
+    ident = SeriesMap.identity(3, order)
+    assert fmap.compose(inv) == ident
+    assert inv.compose(fmap) == ident
+
+
+def shifted_pair_system(order=8):
+    # over (x, y1, y2): y1^2 - 1 - x - x y2 and y2^2 + y1 - 2 - x y1^2,
+    # solved by y(0) = (1, 1) with Jacobian [[2, 0], [1, 2]] there
+    return SeriesMap(
+        [
+            TruncatedSeries(
+                3,
+                order,
+                [
+                    ((0, 2, 0), ONE),
+                    ((0, 0, 0), GaussRational(-1)),
+                    ((1, 0, 0), GaussRational(-1)),
+                    ((1, 0, 1), GaussRational(-1)),
+                ],
+            ),
+            TruncatedSeries(
+                3,
+                order,
+                [
+                    ((0, 0, 2), ONE),
+                    ((0, 1, 0), ONE),
+                    ((0, 0, 0), GaussRational(-2)),
+                    ((1, 2, 0), GaussRational(0, -1)),
+                ],
+            ),
+        ]
+    )
+
+
+def test_newton_extend_nonzero_constants_two_unknowns_matches_reference():
+    system = shifted_pair_system()
+    seed = SeriesMap([TruncatedSeries(1, 0, [((0,), ONE)])] * 2)
+    extended = newton_extend(system, seed, 6)
+    assert extended == reference_newton_extend(system, seed, 6)
+    for component in system.components:
+        assert substitute_polynomial(component, 1, extended.components, 6).is_zero()
+    # scheduling the degrees differently gives the same series
+    assert newton_extend(system, newton_extend(system, seed, 3), 6) == extended
+
+
+def test_newton_extend_reports_defect_in_shifted_system():
+    system = shifted_pair_system()
+    bad = SeriesMap(
+        [TruncatedSeries(1, 1, [((0,), ONE), ((1,), ONE)]), TruncatedSeries(1, 1, [((0,), ONE)])]
+    )
+    with pytest.raises(ValueError, match=r"first defect at \(1,\)"):
+        newton_extend(system, bad, 4)
+
+
+@pytest.mark.parametrize("target", [3, 9])
+def test_newton_extend_power_above_target_matches_reference(target):
+    # y - x - y^5: the y^5 term only starts to matter past degree 4
+    system = SeriesMap(
+        [
+            TruncatedSeries(
+                2,
+                5,
+                [((0, 1), ONE), ((1, 0), GaussRational(-1)), ((0, 5), GaussRational(-1))],
+            )
+        ]
+    )
+    seed = SeriesMap([TruncatedSeries(1, 1, [((1,), ONE)])])
+    expected = reference_newton_extend(system, seed, target)
+    assert newton_extend(system, seed, target) == expected
