@@ -36,7 +36,7 @@ from .series import SeriesMap, TruncatedSeries, grlex_key
 FORMAT_VERSION = "crkit-series/1"
 
 _KINDS = ("series", "map", "hypersurface")
-_GROUP_RE = re.compile(r"([A-Za-z_]+):([0-9]+)\Z")
+_GROUP_RE = re.compile(r"([A-Za-z_]+):([1-9][0-9]*)\Z")
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +242,12 @@ def _parse_vars(reader: _Reader):
     for piece in value.split(" "):
         match = _GROUP_RE.fullmatch(piece)
         if match is None:
-            reader.report(f"variable group {piece!r} is not name:arity")
+            reader.report(
+                f"variable group {piece!r} is not name:arity with a canonical positive arity"
+            )
             continue
         name, arity = match.group(1), int(match.group(2))
-        if name in seen or name == "i" or arity < 1:
+        if name in seen or name == "i":
             reader.report(f"bad variable group {piece!r}")
             continue
         seen.add(name)

@@ -1,154 +1,128 @@
 """Exact dense linear algebra over Gaussian rationals.
 
-Matrices are lists of lists of GaussRational. Everything here is plain
-fraction-free-of-surprises Gaussian elimination with the first nonzero
-pivot, so results are deterministic.
+Matrices are lists of lists of GaussRational. One forward Gaussian
+elimination, taking the first nonzero pivot in each column and reducing
+only the rows below it, underlies the rank, the determinant and the
+inverse, so every result is exact and every pivot choice deterministic.
+The determinant of a matrix of series, by cofactor expansion, lives here
+too.
 """
 
 from __future__ import annotations
 
 from .rational import GaussRational, ONE, ZERO
+from .series import TruncatedSeries
 
 
-def _copy(matrix):
-    return [list(row) for row in matrix]
+def _eliminate(matrix):
+    """Row echelon form of ``matrix`` by forward elimination.
+
+    Returns (rows, order, pivot_cols, sign): the echelon rows, the original
+    index of each of them, the pivot column of each leading row, and the
+    sign of the row permutation. Elimination stops once every row holds a
+    pivot.
+    """
+    rows = [list(row) for row in matrix]
+    order = list(range(len(rows)))
+    ncols = len(rows[0]) if rows else 0
+    pivot_cols: list[int] = []
+    sign = 1
+    r = 0
+    for col in range(ncols):
+        if r == len(rows):
+            break
+        pivot = next((i for i in range(r, len(rows)) if not rows[i][col].is_zero()), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            order[r], order[pivot] = order[pivot], order[r]
+            sign = -sign
+        head = rows[r]
+        inv = ONE / head[col]
+        for row in rows[r + 1 :]:
+            if row[col].is_zero():
+                continue
+            factor = row[col] * inv
+            for j in range(col, ncols):
+                row[j] = row[j] - factor * head[j]
+        pivot_cols.append(col)
+        r += 1
+    return rows, order, pivot_cols, sign
+
+
+def _require_square(matrix, what: str) -> int:
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError(f"{what} needs a square matrix")
+    return n
 
 
 def rank_and_pivots(matrix) -> tuple[int, list[int], list[int]]:
     """Rank plus the row and column indices where pivots were found."""
-    if not matrix:
-        return 0, [], []
-    work = _copy(matrix)
-    nrows, ncols = len(work), len(work[0])
-    pivot_rows: list[int] = []
-    pivot_cols: list[int] = []
-    row_order = list(range(nrows))
-    r = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if not work[i][col].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        row_order[r], row_order[pivot] = row_order[pivot], row_order[r]
-        inv = ONE / work[r][col]
-        for i in range(r + 1, nrows):
-            if work[i][col].is_zero():
-                continue
-            factor = work[i][col] * inv
-            for j in range(col, ncols):
-                work[i][j] = work[i][j] - factor * work[r][j]
-        pivot_rows.append(row_order[r])
-        pivot_cols.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return r, sorted(pivot_rows), pivot_cols
+    _, order, pivot_cols, _ = _eliminate(matrix)
+    rank = len(pivot_cols)
+    return rank, sorted(order[:rank]), pivot_cols
 
 
 def determinant(matrix) -> GaussRational:
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return ONE
-    work = _copy(matrix)
-    det = ONE
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if not work[i][col].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            return ZERO
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det = det * work[col][col]
-        inv = ONE / work[col][col]
-        for i in range(col + 1, n):
-            if work[i][col].is_zero():
-                continue
-            factor = work[i][col] * inv
-            for j in range(col, n):
-                work[i][j] = work[i][j] - factor * work[col][j]
+    n = _require_square(matrix, "determinant")
+    rows, _, pivot_cols, sign = _eliminate(matrix)
+    if len(pivot_cols) < n:
+        return ZERO
+    det = ONE if sign > 0 else -ONE
+    for i in range(n):
+        det = det * rows[i][i]
     return det
 
 
 def inverse(matrix) -> list[list[GaussRational]]:
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("inverse needs a square matrix")
-    work = _copy(matrix)
-    out = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if not work[i][col].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            out[col], out[pivot] = out[pivot], out[col]
-        inv = ONE / work[col][col]
-        work[col] = [v * inv for v in work[col]]
-        out[col] = [v * inv for v in out[col]]
-        for i in range(n):
-            if i == col or work[i][col].is_zero():
-                continue
-            factor = work[i][col]
-            work[i] = [a - factor * b for a, b in zip(work[i], work[col])]
-            out[i] = [a - factor * b for a, b in zip(out[i], out[col])]
+    """Inverse by elimination on [A | I] and back-substitution."""
+    n = _require_square(matrix, "inverse")
+    augmented = [
+        list(row) + [ONE if i == j else ZERO for j in range(n)]
+        for i, row in enumerate(matrix)
+    ]
+    rows, _, pivot_cols, _ = _eliminate(augmented)
+    if pivot_cols != list(range(n)):
+        raise ValueError("matrix is singular")
+    out: list = [None] * n
+    for i in reversed(range(n)):
+        row = rows[i]
+        acc = row[n:]
+        for k in range(i + 1, n):
+            if not row[k].is_zero():
+                acc = [a - row[k] * b for a, b in zip(acc, out[k])]
+        inv = ONE / row[i]
+        out[i] = [a * inv for a in acc]
     return out
 
 
-def solve(matrix, rhs) -> tuple[str, list[GaussRational] | None]:
-    """Solve matrix @ x = rhs exactly.
+def _series_det(matrix: list[list[TruncatedSeries]]) -> TruncatedSeries:
+    """Determinant of a square matrix of series, by cofactor expansion."""
+    n = len(matrix)
+    if n == 0:
+        raise ValueError("empty matrix")
+    if n == 1:
+        return matrix[0][0]
 
-    Returns one of ("unique", x), ("inconsistent", None) or
-    ("underdetermined", None).
-    """
-    if not matrix:
-        status = "unique" if all(v.is_zero() for v in rhs) else "inconsistent"
-        return (status, []) if status == "unique" else (status, None)
-    nrows, ncols = len(matrix), len(matrix[0])
-    if len(rhs) != nrows:
-        raise ValueError("right-hand side length mismatch")
-    work = [list(row) + [value] for row, value in zip(matrix, rhs)]
-    pivot_cols: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if not work[i][col].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = ONE / work[r][col]
-        work[r] = [v * inv for v in work[r]]
-        for i in range(nrows):
-            if i == r or work[i][col].is_zero():
-                continue
-            factor = work[i][col]
-            work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
-        pivot_cols.append(col)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if not work[i][ncols].is_zero():
-            return "inconsistent", None
-    if r < ncols:
-        return "underdetermined", None
-    x = [ZERO] * ncols
-    for row, col in enumerate(pivot_cols):
-        x[col] = work[row][ncols]
-    return "unique", x
+    def minor_det(row: int, cols: tuple[int, ...]) -> TruncatedSeries:
+        if len(cols) == 1:
+            return matrix[row][cols[0]]
+        total = None
+        sign = 1
+        for k, col in enumerate(cols):
+            entry = matrix[row][col]
+            if not entry.is_zero():
+                rest = cols[:k] + cols[k + 1 :]
+                piece = entry * minor_det(row + 1, rest)
+                if sign < 0:
+                    piece = -piece
+                total = piece if total is None else total + piece
+            sign = -sign
+        if total is None:
+            example = matrix[row][cols[0]]
+            return TruncatedSeries.zero(example.nvars, example.order)
+        return total
+
+    return minor_det(0, tuple(range(n)))

@@ -30,8 +30,8 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .errors import ParseError
-from .rational import GaussRational, I, ONE
-from .series import TruncatedSeries, add_exponents
+from .rational import I, ONE
+from .series import TruncatedSeries
 
 
 class TruncationWarning(UserWarning):
@@ -310,79 +310,52 @@ class _Parser:
 # ---------------------------------------------------------------------------
 # exact polynomial evaluation
 
-def _padd(a, b):
-    out = dict(a)
-    for exponents, coeff in b.items():
-        total = out.get(exponents)
-        total = coeff if total is None else total + coeff
-        if total.is_zero():
-            out.pop(exponents, None)
-        else:
-            out[exponents] = total
-    return out
-
-
-def _pmul(a, b):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = add_exponents(ea, eb)
-            product = ca * cb
-            total = out.get(key)
-            total = product if total is None else total + product
-            if total.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = total
-    return out
-
-
-def _pscale(a, factor: GaussRational):
-    if factor.is_zero():
-        return {}
-    return {e: c * factor for e, c in a.items()}
-
-
-def _evaluate(node, nvars: int):
-    zero_key = (0,) * nvars
-    if isinstance(node, RationalLit):
-        value = GaussRational(node.value)
-        return {zero_key: value} if not value.is_zero() else {}
-    if isinstance(node, ImaginaryUnit):
-        return {zero_key: I}
+def _degree_bound(node) -> int:
+    """An upper bound on the degree of ``node`` and of every subexpression."""
     if isinstance(node, VarRef):
-        key = tuple(1 if i == node.slot else 0 for i in range(nvars))
-        return {key: ONE}
+        return 1
     if isinstance(node, Negate):
-        return _pscale(_evaluate(node.child, nvars), GaussRational(-1))
-    if isinstance(node, Sum):
-        return _padd(_evaluate(node.left, nvars), _evaluate(node.right, nvars))
-    if isinstance(node, Difference):
-        right = _pscale(_evaluate(node.right, nvars), GaussRational(-1))
-        return _padd(_evaluate(node.left, nvars), right)
+        return _degree_bound(node.child)
+    if isinstance(node, Power):
+        child = _degree_bound(node.child)
+        return max(child, child * node.exponent)
     if isinstance(node, Product):
-        return _pmul(_evaluate(node.left, nvars), _evaluate(node.right, nvars))
+        return _degree_bound(node.left) + _degree_bound(node.right)
+    if isinstance(node, (Sum, Difference, Quotient)):
+        return max(_degree_bound(node.left), _degree_bound(node.right))
+    return 0
+
+
+def _evaluate(node, nvars: int, order: int) -> TruncatedSeries:
+    """Expand ``node`` at an ``order`` no subexpression exceeds, so exactly."""
+    if isinstance(node, RationalLit):
+        return TruncatedSeries.constant(node.value, nvars, order)
+    if isinstance(node, ImaginaryUnit):
+        return TruncatedSeries.constant(I, nvars, order)
+    if isinstance(node, VarRef):
+        return TruncatedSeries.variable(nvars, order, node.slot)
+    if isinstance(node, Negate):
+        return -_evaluate(node.child, nvars, order)
+    if isinstance(node, Power):
+        return _evaluate(node.child, nvars, order) ** node.exponent
+    if isinstance(node, Sum):
+        return _evaluate(node.left, nvars, order) + _evaluate(node.right, nvars, order)
+    if isinstance(node, Product):
+        return _evaluate(node.left, nvars, order) * _evaluate(node.right, nvars, order)
+    # a difference or a quotient expands its right operand first, which
+    # decides which of two bad divisors is reported
+    right = _evaluate(node.right, nvars, order)
+    if isinstance(node, Difference):
+        return _evaluate(node.left, nvars, order) - right
     if isinstance(node, Quotient):
-        divisor = _evaluate(node.right, nvars)
-        if len(divisor) != 1 or zero_key not in divisor:
+        divisor = right.constant_term()
+        if len(right.terms) != 1 or divisor.is_zero():
             raise ParseError(
                 "division is only defined by a nonzero constant",
                 node.line,
                 node.column,
             )
-        inverse = ONE / divisor[zero_key]
-        return _pscale(_evaluate(node.left, nvars), inverse)
-    if isinstance(node, Power):
-        result = {zero_key: ONE}
-        square = _evaluate(node.child, nvars)
-        k = node.exponent
-        while k:
-            if k & 1:
-                result = _pmul(result, square)
-            k >>= 1
-            if k:
-                square = _pmul(square, square)
-        return result
+        return _evaluate(node.left, nvars, order).scale(ONE / divisor)
     raise AssertionError(f"unhandled node {node!r}")
 
 
@@ -404,7 +377,7 @@ def parse_expr(text: str, variables: Declaration, order: int) -> TruncatedSeries
     if tokens[0].kind == "end":
         raise ParseError("empty expression", tokens[0].line, tokens[0].column)
     ast = _Parser(tokens, layout).parse()
-    poly = _evaluate(ast, layout.nvars)
+    poly = _evaluate(ast, layout.nvars, _degree_bound(ast)).terms
     kept = [(e, c) for e, c in poly.items() if sum(e) <= order]
     dropped = len(poly) - len(kept)
     if dropped:

@@ -19,7 +19,7 @@ from itertools import combinations
 from . import linalg
 from .rational import GaussRational
 from .series import SeriesMap, TruncatedSeries
-from .solvers import _series_det
+from .linalg import _series_det
 
 DEFAULT_SEED = 1729
 DEFAULT_TRIALS = 5

@@ -273,8 +273,13 @@ class TruncatedSeries:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("only nonnegative integer powers are defined")
         result = TruncatedSeries.constant(ONE, self.nvars, self.order)
-        for _ in range(exponent):
-            result = result * self
+        square = self
+        while exponent:
+            if exponent & 1:
+                result = result * square
+            exponent >>= 1
+            if exponent:
+                square = square * square
         return result
 
     def truncate(self, order: int) -> "TruncatedSeries":

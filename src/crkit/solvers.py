@@ -28,6 +28,7 @@ import itertools
 import math
 
 from . import linalg
+from .linalg import _series_det
 from .rational import ONE, ZERO
 from .series import (
     SeriesMap,
@@ -158,7 +159,9 @@ def newton_extend(system: SeriesMap, solution: SeriesMap, target_order: int) -> 
         [eq.get(unit, {}).get(0, {}).get(origin, ZERO) for unit in units]
         for eq in equations
     ]
-    if linalg.determinant(j0).is_zero():
+    try:
+        j0_inv = linalg.inverse(j0)
+    except ValueError:
         # J0 is the constant term of the Jacobian determinant along the
         # solution; name which of the two ways the extension is undetermined
         partials = [_derive_unknown(eq, j) for eq in equations for j in range(r)]
@@ -170,12 +173,11 @@ def newton_extend(system: SeriesMap, solution: SeriesMap, target_order: int) -> 
             raise ValueError(
                 "Jacobian determinant vanishes along the solution at every degree "
                 f"through {given}; the system is degenerate there"
-            )
+            ) from None
         raise ValueError(
             "Jacobian is singular at the origin along the solution; the "
             "degree-by-degree extension is not uniquely determined"
-        )
-    j0_inv = linalg.inverse(j0)
+        ) from None
     for degree in range(given + 1, target_order + 1):
         online.settle(degree, j0_inv)
 
@@ -384,33 +386,3 @@ def _lower(beta: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """beta - e_j for the last unknown j that beta uses, and that j."""
     j = max(k for k, b in enumerate(beta) if b)
     return beta[:j] + (beta[j] - 1,) + beta[j + 1 :], j
-
-
-def _series_det(matrix: list[list[TruncatedSeries]]) -> TruncatedSeries:
-    """Determinant of a square matrix of series, by cofactor expansion."""
-    n = len(matrix)
-    if n == 0:
-        raise ValueError("empty matrix")
-    if n == 1:
-        return matrix[0][0]
-
-    def minor_det(row: int, cols: tuple[int, ...]) -> TruncatedSeries:
-        if len(cols) == 1:
-            return matrix[row][cols[0]]
-        total = None
-        sign = 1
-        for k, col in enumerate(cols):
-            entry = matrix[row][col]
-            if not entry.is_zero():
-                rest = cols[:k] + cols[k + 1 :]
-                piece = entry * minor_det(row + 1, rest)
-                if sign < 0:
-                    piece = -piece
-                total = piece if total is None else total + piece
-            sign = -sign
-        if total is None:
-            example = matrix[row][cols[0]]
-            return TruncatedSeries.zero(example.nvars, example.order)
-        return total
-
-    return minor_det(0, tuple(range(n)))

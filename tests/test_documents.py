@@ -184,6 +184,22 @@ def test_non_canonical_integers_rejected():
     assert "canonical" in collect_problems(text)
 
 
+@pytest.mark.parametrize("arity", ["01", "0"])
+def test_non_canonical_arity_rejected(arity):
+    # z:01 would read as z:1 and serialize back as z:1, so two byte strings
+    # would name one value
+    text = (
+        FORMAT_VERSION + "\n"
+        "kind series\n"
+        f"vars z:{arity}\n"
+        "order 2\n"
+        "terms 1\n"
+        "term 1 1/1 0/1\n"
+        "end\n"
+    )
+    assert f"z:{arity}" in collect_problems(text)
+
+
 def test_sign_on_denominator_rejected():
     text = (
         FORMAT_VERSION + "\n"

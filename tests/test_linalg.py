@@ -1,9 +1,12 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
-from crkit.linalg import determinant, inverse, rank_and_pivots, solve
-from crkit.rational import GaussRational, I, ONE
+from crkit.linalg import _series_det, determinant, inverse, rank_and_pivots
+from crkit.rational import GaussRational, I, ONE, ZERO
+from crkit.series import TruncatedSeries
 
 
 def G(re, im=0):
@@ -49,34 +52,65 @@ def test_inverse():
         inverse([[G(1), G(2)], [G(2), G(4)]])
 
 
-def test_solve_unique():
-    matrix = [[G(2), G(1)], [G(1), G(-1)]]
-    status, x = solve(matrix, [G(5), G(1)])
-    assert status == "unique"
-    assert x == [G(2), G(1)]
+
+# ---------------------------------------------------------------------------
+# the elimination core against cofactor expansion, on matrices with many
+# zeros so that singular and rank-deficient cases are common
+
+small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+entries = st.one_of(st.just(ZERO), st.builds(GaussRational, small, small))
 
 
-def test_solve_inconsistent():
-    matrix = [[G(1), G(1)], [G(2), G(2)]]
-    status, x = solve(matrix, [G(1), G(3)])
-    assert status == "inconsistent"
-    assert x is None
+@st.composite
+def matrices(draw, square=False):
+    nrows = draw(st.integers(1, 4))
+    ncols = nrows if square else draw(st.integers(1, 4))
+    return [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
 
 
-def test_solve_underdetermined():
-    matrix = [[G(1), G(1)], [G(2), G(2)]]
-    status, x = solve(matrix, [G(1), G(2)])
-    assert status == "underdetermined"
-    assert x is None
+def minor(matrix, rows, cols) -> GaussRational:
+    """Determinant of a submatrix by cofactor expansion over constant series."""
+    return _series_det(
+        [[TruncatedSeries.constant(matrix[i][j], 1, 0) for j in cols] for i in rows]
+    ).constant_term()
 
 
-def test_complex_solve_round_trip():
-    matrix = [[I, G(1)], [G(1), I]]
-    rhs = [G(3, 1), G(1, 3)]
-    status, x = solve(matrix, rhs)
-    assert status == "unique"
-    for row, b in zip(matrix, rhs):
-        total = GaussRational(0)
-        for a, xi in zip(row, x):
-            total = total + a * xi
-        assert total == b
+@given(matrices(square=True))
+def test_determinant_matches_cofactor_expansion(matrix):
+    n = len(matrix)
+    assert determinant(matrix) == minor(matrix, range(n), range(n))
+
+
+@given(matrices(square=True))
+def test_inverse_is_a_left_inverse_or_singular(matrix):
+    n = len(matrix)
+    if determinant(matrix).is_zero():
+        with pytest.raises(ValueError, match="^matrix is singular$"):
+            inverse(matrix)
+        return
+    inv = inverse(matrix)
+    for i in range(n):
+        for j in range(n):
+            total = ZERO
+            for k in range(n):
+                total = total + inv[i][k] * matrix[k][j]
+            assert total == (ONE if i == j else ZERO)
+
+
+@given(matrices())
+def test_rank_is_the_largest_nonzero_minor(matrix):
+    nrows, ncols = len(matrix), len(matrix[0])
+    rank, rows, cols = rank_and_pivots(matrix)
+    largest = max(
+        (
+            k
+            for k in range(1, min(nrows, ncols) + 1)
+            for r in combinations(range(nrows), k)
+            for c in combinations(range(ncols), k)
+            if not minor(matrix, r, c).is_zero()
+        ),
+        default=0,
+    )
+    assert rank == largest == len(rows) == len(cols)
+    if rank:
+        assert not minor(matrix, rows, cols).is_zero()

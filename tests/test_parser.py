@@ -47,6 +47,20 @@ def test_no_warning_when_everything_fits():
     assert not caught
 
 
+def test_truncation_warning_counts_terms_of_the_exact_expansion():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        series = parse_expr("(z1 + z2)^3", "z:2", 2)
+    assert series.is_zero()
+    assert [str(w.message) for w in caught] == ["4 term(s) above order 2 were dropped"]
+    # the cubes cancel before truncation, so nothing above order 2 is lost
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        series = parse_expr("(z1 + 1)^3 - z1^3", "z:1", 2)
+    assert not caught
+    assert series == parse_expr("3*z1^2 + 3*z1 + 1", "z:1", 2)
+
+
 def test_undeclared_identifier():
     with pytest.raises(ParseError, match="undeclared identifier 'q'"):
         parse_expr("z1 + q", "z:2,w:2", 4)
