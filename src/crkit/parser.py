@@ -368,6 +368,9 @@ def parse_expr(text: str, variables: Declaration, order: int) -> TruncatedSeries
     ``variables`` is "z:2,w:2" or ((name, arity), ...); slots are laid out
     group by group in declaration order. The expansion is exact; terms of
     total degree above ``order`` raise a TruncationWarning and are dropped.
+    The warning counts the dropped terms exactly, so the whole expression
+    is expanded first: the work follows the expression's full degree, not
+    ``order``.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")

@@ -20,6 +20,18 @@ class GaussRational:
         self.re = Fraction(re)
         self.im = Fraction(im)
 
+    @classmethod
+    def _trusted(cls, re: Fraction, im: Fraction) -> "GaussRational":
+        """Wrap parts that are already Fractions, without re-wrapping them.
+
+        Every arithmetic result is built here: Fraction arithmetic returns
+        reduced Fractions, so ``__init__``'s coercion would only copy them.
+        """
+        value = object.__new__(cls)
+        value.re = re
+        value.im = im
+        return value
+
     @staticmethod
     def coerce(value) -> "GaussRational":
         if isinstance(value, GaussRational):
@@ -48,23 +60,23 @@ class GaussRational:
 
     def __add__(self, other):
         other = GaussRational.coerce(other)
-        return GaussRational(self.re + other.re, self.im + other.im)
+        return GaussRational._trusted(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussRational(-self.re, -self.im)
+        return GaussRational._trusted(-self.re, -self.im)
 
     def __sub__(self, other):
         other = GaussRational.coerce(other)
-        return GaussRational(self.re - other.re, self.im - other.im)
+        return GaussRational._trusted(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         return GaussRational.coerce(other) - self
 
     def __mul__(self, other):
         other = GaussRational.coerce(other)
-        return GaussRational(
+        return GaussRational._trusted(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
@@ -76,7 +88,7 @@ class GaussRational:
         d = other.re * other.re + other.im * other.im
         if not d:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussRational(
+        return GaussRational._trusted(
             (self.re * other.re + self.im * other.im) / d,
             (self.im * other.re - self.re * other.im) / d,
         )
@@ -98,7 +110,7 @@ class GaussRational:
         return result
 
     def conjugate(self) -> "GaussRational":
-        return GaussRational(self.re, -self.im)
+        return GaussRational._trusted(self.re, -self.im)
 
     def modulus_float(self) -> float:
         """Float absolute value, for diagnostics only."""

@@ -55,9 +55,13 @@ def exp_of(series: TruncatedSeries) -> TruncatedSeries:
 
 
 class FormalMap:
-    """An origin-preserving formal map between two hypersurface germs."""
+    """An origin-preserving formal map between two hypersurface germs.
 
-    __slots__ = ("f", "source", "target")
+    Instances are immutable, so the mapping check at its default order and
+    the reflection series are computed once, on first request, and kept.
+    """
+
+    __slots__ = ("f", "source", "target", "_verdict", "_reflection")
 
     def __init__(self, f: SeriesMap, source: Hypersurface, target: Hypersurface):
         if source.n != target.n:
@@ -72,6 +76,8 @@ class FormalMap:
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
+        object.__setattr__(self, "_verdict", None)
+        object.__setattr__(self, "_reflection", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FormalMap is immutable")
@@ -119,16 +125,28 @@ def check_maps_into(fm: FormalMap, order: int | None = None) -> MapVerdict:
     """Does f send the source into the target, through the given order?
 
     Defaults to the largest order the inputs guarantee. Asking beyond that
-    is an error rather than a silently weaker check.
+    is an error rather than a silently weaker check. The verdict at that
+    default order is computed once per map and then reused.
     """
-    n = fm.n
     cap = fm.guaranteed_order()
-    if order is None:
-        order = cap
-    elif order > cap:
+    if order is None or order == cap:
+        if fm._verdict is None:
+            object.__setattr__(fm, "_verdict", _check_maps_into(fm, cap))
+        return fm._verdict
+    if order > cap:
         raise ValueError(f"inputs only guarantee order {cap}, not {order}")
-    elif order < 0:
+    if order < 0:
         raise ValueError("order must be nonnegative")
+    return _check_maps_into(fm, order)
+
+
+def _mapping_verdict(fm: FormalMap) -> MapVerdict:
+    """The default-order mapping check, kept on the map once computed."""
+    return fm._verdict if fm._verdict is not None else check_maps_into(fm)
+
+
+def _check_maps_into(fm: FormalMap, order: int) -> MapVerdict:
+    n = fm.n
     m = 2 * n - 1
     common = min(fm.f.order, fm.source.order)
     # w_n := source graph, substituted into the conjugated map components
@@ -158,15 +176,23 @@ def reflection_function(fm: FormalMap) -> TruncatedSeries:
 
     A series over (z_1..z_n, lambda_1..lambda_{n-1}); its coefficients in
     lambda are the composed family whose growth is studied below. Two maps
-    that agree as maps give byte-identical reflection series.
+    that agree as maps give byte-identical reflection series. The series is
+    computed once per map and then reused.
     """
-    n = fm.n
-    m = 2 * n - 1
-    common = min(fm.f.order, fm.target.order)
-    components = [
-        c.remap_vars(m, range(n)).truncate(common) for c in fm.f.components
-    ] + [TruncatedSeries.variable(m, common, n + k) for k in range(n - 1)]
-    return compose(fm.target.phibar, SeriesMap(components))
+    if fm._reflection is None:
+        n = fm.n
+        m = 2 * n - 1
+        common = min(fm.f.order, fm.target.order)
+        components = [
+            c.remap_vars(m, range(n)).truncate(common) for c in fm.f.components
+        ] + [TruncatedSeries.variable(m, common, n + k) for k in range(n - 1)]
+        object.__setattr__(fm, "_reflection", compose(fm.target.phibar, SeriesMap(components)))
+    return fm._reflection
+
+
+def _reflection(fm: FormalMap) -> TruncatedSeries:
+    """The reflection series, kept on the map once computed."""
+    return fm._reflection if fm._reflection is not None else reflection_function(fm)
 
 
 def reflection_at_lambda_zero(fm: FormalMap) -> TruncatedSeries:
@@ -176,7 +202,7 @@ def reflection_at_lambda_zero(fm: FormalMap) -> TruncatedSeries:
     component of f.
     """
     n = fm.n
-    r = reflection_function(fm)
+    r = _reflection(fm)
     family = r.coefficient_family(range(n, 2 * n - 1))
     zero = (0,) * (n - 1)
     return family.get(zero, TruncatedSeries.zero(n, r.order))
@@ -203,7 +229,7 @@ def reflection_on_segre(
         gamma = (0,) * n
     if len(gamma) != n or any(g < 0 for g in gamma):
         raise ValueError(f"gamma must be {n} nonnegative integers")
-    r = reflection_function(fm)
+    r = _reflection(fm)
     weight = sum(gamma)
     if weight > r.order:
         raise ValueError(
@@ -269,8 +295,7 @@ def segre_reflection_identity(fm: FormalMap, *, seed: int = DEFAULT_SEED) -> Seg
     certified rank; these are re-verified here and raise PrerequisiteError
     when absent.
     """
-    verdict = check_maps_into(fm)
-    if not verdict.passed:
+    if not _mapping_verdict(fm).passed:
         raise PrerequisiteError(
             "mapping check failed; the identity is only meaningful for maps "
             "that send the source into the target"
@@ -286,7 +311,7 @@ def segre_reflection_identity(fm: FormalMap, *, seed: int = DEFAULT_SEED) -> Seg
     m = n - 1
     src = 3 * m
     triple = segre_maps(fm.source)
-    r = reflection_function(fm)
+    r = _reflection(fm)
     v2bar = triple.v2.conjugate()  # read its source as (xi, eta)
     fbar = fm.f.conjugate()
     along = [compose(c, v2bar) for c in fbar.components]
@@ -503,7 +528,7 @@ class ReflectionReport:
 def build_reflection_report(
     fm: FormalMap, cutoff: int | None = None, radius: Fraction = Fraction(1, 2)
 ) -> ReflectionReport:
-    r = reflection_function(fm)
+    r = _reflection(fm)
     family = u_family(fm, cutoff)
     top = max(sum(alpha) for alpha, _ in family)
     return ReflectionReport(

@@ -15,6 +15,7 @@ order, which makes serialization and reporting bit-reproducible.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Sequence
@@ -66,6 +67,90 @@ def _fixed_degree(nvars, degree):
     for first in range(degree + 1):
         for rest in _fixed_degree(nvars - 1, degree - first):
             yield (first,) + rest
+
+
+# ---------------------------------------------------------------------------
+# the product kernel
+
+
+_FRACTION_ZERO = Fraction(0)
+
+
+def _numerators(items, weights):
+    """Read coefficients once as Gaussian-integer numerators.
+
+    Returns (den, rows, is_complex): ``den`` is the lcm of every Fraction
+    denominator, and each row (degree, key, a, b) stands for the term
+    (a + b i) / den x^e, sorted by degree. ``key`` packs the exponent
+    tuple e into one integer with the given place values, so adding two
+    keys adds the tuples as long as no entry reaches the base.
+    """
+    items = list(items)
+    den = math.lcm(*[c.re.denominator for _, c in items], *[c.im.denominator for _, c in items])
+    rows = []
+    is_complex = False
+    for e, c in items:
+        re, im = c.re, c.im
+        b = 0
+        if im:
+            b = im.numerator * (den // im.denominator)
+            is_complex = True
+        rows.append((sum(e), sum(map(operator.mul, e, weights)), re.numerator * (den // re.denominator), b))
+    rows.sort(key=operator.itemgetter(0))
+    return den, rows, is_complex
+
+
+def _sum_of_products(pairs, nvars: int, order: int) -> dict:
+    """The sum of left * right over ``pairs``, through total degree ``order``.
+
+    Each operand is an iterable of (exponents, GaussRational) items over
+    ``nvars`` variables. Coefficients are read once as Gaussian-integer
+    numerators, all products are accumulated as plain ints over one common
+    denominator, and each nonzero sum becomes one reduced GaussRational.
+    Returns {exponents: coefficient} without zero coefficients.
+    """
+    base = order + 1
+    weights = [base**i for i in range(nvars)]
+    packed = [(_numerators(left, weights), _numerators(right, weights)) for left, right in pairs]
+    den = math.lcm(*[dl * dr for (dl, _, _), (dr, _, _) in packed])
+    re_acc: dict[int, int] = {}  # holds every key reached, in first-reached order
+    im_acc: dict[int, int] = {}
+    re_get, im_get = re_acc.get, im_acc.get
+    for (dl, left, _), (dr, right, right_complex) in packed:
+        scale = den // (dl * dr)
+        for d1, k1, a1, b1 in left:
+            room = order - d1
+            if room < 0:
+                break
+            a1 *= scale
+            b1 *= scale
+            if b1 or right_complex:
+                for d2, k2, a2, b2 in right:
+                    if d2 > room:
+                        break
+                    k = k1 + k2
+                    re_acc[k] = re_get(k, 0) + a1 * a2 - b1 * b2
+                    im_acc[k] = im_get(k, 0) + a1 * b2 + b1 * a2
+            else:  # both factors real
+                for d2, k2, a2, _ in right:
+                    if d2 > room:
+                        break
+                    k = k1 + k2
+                    re_acc[k] = re_get(k, 0) + a1 * a2
+    trusted = GaussRational._trusted
+    out = {}
+    for k, a in re_acc.items():
+        b = im_get(k, 0)
+        if a or b:
+            e = []
+            for _ in range(nvars):
+                k, digit = divmod(k, base)
+                e.append(digit)
+            out[tuple(e)] = trusted(
+                Fraction(a, den) if a else _FRACTION_ZERO,
+                Fraction(b, den) if b else _FRACTION_ZERO,
+            )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -248,21 +333,8 @@ class TruncatedSeries:
             return NotImplemented
         self._compatible(other)
         order = min(self.order, other.order)
-        left = sorted(self._terms.items(), key=lambda kv: sum(kv[0]))
-        right = sorted(other._terms.items(), key=lambda kv: sum(kv[0]))
-        out = {}
-        for e1, c1 in left:
-            d1 = sum(e1)
-            if d1 > order:
-                break
-            for e2, c2 in right:
-                if d1 + sum(e2) > order:
-                    break
-                e = add_exponents(e1, e2)
-                out[e] = out.get(e, ZERO) + c1 * c2
-        return TruncatedSeries._trusted(
-            self.nvars, order, {e: c for e, c in out.items() if c}
-        )
+        product = _sum_of_products([(self._terms.items(), other._terms.items())], self.nvars, order)
+        return TruncatedSeries._trusted(self.nvars, order, product)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussRational)):
@@ -320,12 +392,15 @@ class TruncatedSeries:
         values = [GaussRational.coerce(p) for p in point]
         if len(values) != self.nvars:
             raise ValueError("point arity mismatch")
+        powers = [[ONE] for _ in values]  # powers[i][k] = values[i]**k, grown on demand
         total = ZERO
         for exponents, coeff in self._terms.items():
             factor = coeff
-            for value, e in zip(values, exponents):
+            for value, cache, e in zip(values, powers, exponents):
                 if e:
-                    factor = factor * value**e
+                    while len(cache) <= e:
+                        cache.append(cache[-1] * value)
+                    factor = factor * cache[e]
             total = total + factor
         return total
 
@@ -483,7 +558,8 @@ def compose(outer: TruncatedSeries, vmap: SeriesMap) -> TruncatedSeries:
     A slot holding a plain variable only shifts exponents, and a slot
     holding zero only drops the outer terms that use it. The other slots
     are expanded through cached powers, multiplied once per distinct
-    exponent pattern on those slots.
+    exponent pattern on those slots. The outer terms sharing a pattern are
+    summed against its product in one pass of the product kernel.
     """
     if vmap.target_nvars != outer.nvars:
         raise ValueError(
@@ -515,38 +591,26 @@ def compose(outer: TruncatedSeries, vmap: SeriesMap) -> TruncatedSeries:
             cache.append(cache[-1] * vmap.components[i].truncate(order))
         return cache[k]
 
-    products: dict[tuple[int, ...], list] = {}
-    out: dict[tuple[int, ...], GaussRational] = {}
+    # outer terms grouped by their exponents on the general slots; each
+    # group is one sum of monomials in the plain slots' variables
+    groups: dict[tuple[int, ...], list] = {}
     for exponents, coeff in outer.sorted_terms():
         if sum(exponents) > order or any(exponents[i] for i in zero_slots):
             continue
-        key = tuple(exponents[i] for i in general_slots)
-        product = products.get(key)
-        if product is None:
-            series = None
-            for i, k in zip(general_slots, key):
-                if k:
-                    factor = power(i, k)
-                    series = factor if series is None else series * factor
-            if series is None:
-                series = one
-            product = [(e, sum(e), c) for e, c in series._terms.items()]
-            products[key] = product
         shift = [0] * src
         for i, j in plain_slots:
             shift[j] += exponents[i]
-        room = order - sum(shift)
-        for e, degree, c in product:
-            if degree > room:
-                continue
-            if room < order:  # some plain slot is used
-                e = add_exponents(e, shift)
-            value = out.get(e, ZERO) + coeff * c
-            if value.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = value
-    return TruncatedSeries._trusted(src, order, out)
+        key = tuple(exponents[i] for i in general_slots)
+        groups.setdefault(key, []).append((tuple(shift), coeff))
+    pairs = []
+    for key, shifted in groups.items():
+        series = one
+        for i, k in zip(general_slots, key):
+            if k:
+                factor = power(i, k)
+                series = factor if series is one else series * factor
+        pairs.append((shifted, series._terms.items()))
+    return TruncatedSeries._trusted(src, order, _sum_of_products(pairs, src, order))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .rational import ONE, ZERO
 from .series import (
     SeriesMap,
     TruncatedSeries,
-    add_exponents,
+    _sum_of_products,
     compose,
     grlex_key,
     unit_exponent,
@@ -63,7 +63,7 @@ def implicit_solve(rho: TruncatedSeries, var: int) -> TruncatedSeries:
         )
     order = rho.order
     equation = _group(rho.terms.items(), lambda e: (e[:var] + e[var + 1 :], (e[var],)))
-    online = _OnlineSolve([equation], 1, order)
+    online = _OnlineSolve([equation], m - 1, 1, order)
     inv_c = [[ONE / c]]
     for degree in range(1, order + 1):
         online.settle(degree, inv_c)
@@ -102,7 +102,7 @@ def invert_map(fmap: SeriesMap) -> SeriesMap:
         equation = _group(component.terms.items(), lambda e: (origin, e))
         equation[origin] = {1: {unit_exponent(n, i): -ONE}}
         equations.append(equation)
-    online = _OnlineSolve(equations, n, order)
+    online = _OnlineSolve(equations, n, n, order)
     for degree in range(1, order + 1):
         online.settle(degree, inv)
     inverse = SeriesMap(TruncatedSeries(n, order, online.terms(j)) for j in range(n))
@@ -145,7 +145,7 @@ def newton_extend(system: SeriesMap, solution: SeriesMap, target_order: int) -> 
         for c in system.components
     ]
     known = [_homogeneous_parts(c, given) for c in solution.components]
-    online = _OnlineSolve(equations, r, target_order, known)
+    online = _OnlineSolve(equations, q, r, target_order, known)
     defect = next((res for res in online.residuals_through(given) if res), None)
     if defect is not None:
         raise ValueError(
@@ -165,7 +165,7 @@ def newton_extend(system: SeriesMap, solution: SeriesMap, target_order: int) -> 
         # J0 is the constant term of the Jacobian determinant along the
         # solution; name which of the two ways the extension is undetermined
         partials = [_derive_unknown(eq, j) for eq in equations for j in range(r)]
-        along = _OnlineSolve(partials, r, given, known).residuals_through(given)
+        along = _OnlineSolve(partials, q, r, given, known).residuals_through(given)
         matrix = [
             [TruncatedSeries(q, given, along[i * r + j]) for j in range(r)] for i in range(r)
         ]
@@ -279,30 +279,27 @@ def _nonzero(part: dict) -> dict:
     return {e: c for e, c in part.items() if c}
 
 
-def _mul_into(acc: dict, left: dict, right: dict) -> None:
-    """Add the product of two homogeneous parts into ``acc``."""
-    for e1, c1 in left.items():
-        for e2, c2 in right.items():
-            e = add_exponents(e1, e2)
-            acc[e] = acc.get(e, ZERO) + c1 * c2
-
-
 class _OnlineSolve:
     """Y(x) for F(x, Y(x)) = 0, settled one homogeneous degree at a time.
 
     ``equations`` holds each F_i grouped by ``_group``: a term x^alpha y^beta
-    sits under its exponent beta in the r unknowns, then under |alpha|.
+    sits under its exponent beta in the r unknowns, then under |alpha|,
+    with alpha over the ``nparams`` parameters x.
     ``known`` optionally fixes Y_1 .. Y_s, one list of homogeneous parts
     per unknown. The degree-d parts of each needed power product Y^beta,
     |beta| >= 2, are formed as Y^(beta - e_j) Y_j, so the set of products
-    kept is closed under that step even where F skips powers.
+    kept is closed under that step even where F skips powers. Each
+    degree-d part, of a power product or of a residual, is one sum of
+    products in the series product kernel.
 
     ``residual(d)`` must be called for every degree from 2 on, in
     increasing order, once each; ``settle(d, ...)`` calls it.
     """
 
-    def __init__(self, equations, nunknowns: int, order: int, known=None):
+    def __init__(self, equations, nparams: int, nunknowns: int, order: int, known=None):
         self.equations = equations
+        self.nparams = nparams
+        self.origin = (0,) * nparams
         if known is None:
             known = [[] for _ in range(nunknowns)]
         self.parts = [[{}] + list(k) for k in known]
@@ -334,24 +331,24 @@ class _OnlineSolve:
             if sum(beta) <= degree <= top:
                 parent, j = _lower(beta)
                 lower, last = self._power(parent), self.parts[j]
-                acc: dict = {}
-                for d in range(sum(parent), degree):
-                    _mul_into(acc, lower[d], last[degree - d])
-                self.powers[beta].append(_nonzero(acc))
+                pairs = [
+                    (lower[d].items(), last[degree - d].items())
+                    for d in range(sum(parent), degree)
+                ]
+                self.powers[beta].append(_sum_of_products(pairs, self.nparams, degree))
         out = []
         for groups in self.equations:
-            acc = {}
+            pairs = []
             for beta, by_degree in groups.items():
                 if not any(beta):
-                    for e, c in by_degree.get(degree, {}).items():
-                        acc[e] = acc.get(e, ZERO) + c
+                    pairs.append((by_degree.get(degree, {}).items(), ((self.origin, ONE),)))
                     continue
                 graded = self._power(beta)
                 for d, coeffs in by_degree.items():
                     # parts below degree |beta| are empty; Y_d is missing while open
                     if 0 <= degree - d < len(graded):
-                        _mul_into(acc, coeffs, graded[degree - d])
-            out.append(_nonzero(acc))
+                        pairs.append((coeffs.items(), graded[degree - d].items()))
+            out.append(_sum_of_products(pairs, self.nparams, degree))
         return out
 
     def residuals_through(self, top: int) -> list[dict]:
@@ -365,17 +362,9 @@ class _OnlineSolve:
     def settle(self, degree: int, j0_inv) -> None:
         """Fix Y_d = -J0^-1 R_d."""
         rhs = self.residual(degree)
-        monomials = sorted({e for part in rhs for e in part})
-        for j, row in enumerate(j0_inv):
-            part = {}
-            for e in monomials:
-                value = ZERO
-                for coeff, res in zip(row, rhs):
-                    if coeff and e in res:
-                        value = value - coeff * res[e]
-                if value:
-                    part[e] = value
-            self.parts[j].append(part)
+        for parts, row in zip(self.parts, j0_inv):
+            pairs = [(((self.origin, -coeff),), res.items()) for coeff, res in zip(row, rhs) if coeff]
+            parts.append(_sum_of_products(pairs, self.nparams, degree))
 
     def terms(self, j: int) -> dict:
         """Every settled term of Y_j."""

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from crkit.documents import parse_document, serialize
 from crkit.rational import GaussRational, ONE, ZERO
 from crkit.series import SeriesMap, TruncatedSeries, compose, multi_indices
-from crkit.solvers import invert_map
+from crkit.solvers import implicit_solve, invert_map
 
 
 small_fractions = st.fractions(
@@ -195,3 +195,175 @@ def test_document_round_trip(s):
     parsed = parse_document(text)
     assert parsed == s
     assert serialize(parsed) == text
+
+
+# ---------------------------------------------------------------------------
+# the product kernel against a plain Fraction convolution
+#
+# Series are compared with reference terms {exponents: (re, im)} computed
+# with Fraction arithmetic alone, so a wrong common denominator, a lost
+# imaginary part or a stored zero shows up as a coefficient mismatch.
+
+FRACTION_ZERO = (Fraction(0), Fraction(0))
+
+
+def ref_terms(s):
+    return {e: (c.re, c.im) for e, c in s.terms.items()}
+
+
+def ref_mul(a, b, order):
+    """Product of two reference term dicts through total degree ``order``."""
+    out = {}
+    for e1, (r1, i1) in a.items():
+        for e2, (r2, i2) in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if sum(e) > order:
+                continue
+            r, i = out.get(e, FRACTION_ZERO)
+            out[e] = (r + r1 * r2 - i1 * i2, i + r1 * i2 + i1 * r2)
+    return {e: v for e, v in out.items() if v != FRACTION_ZERO}
+
+
+def ref_add(a, b, scale=(Fraction(1), Fraction(0))):
+    """a + scale * b, as reference term dicts."""
+    sr, si = scale
+    out = dict(a)
+    for e, (r, i) in b.items():
+        ar, ai = out.get(e, FRACTION_ZERO)
+        out[e] = (ar + sr * r - si * i, ai + sr * i + si * r)
+    return {e: v for e, v in out.items() if v != FRACTION_ZERO}
+
+
+def ref_compose(outer, components, src, order):
+    """Substitute reference component dicts for the variables of ``outer``."""
+    out = {}
+    for e, coeff in outer.items():
+        if sum(e) > order:
+            continue
+        term = {(0,) * src: (Fraction(1), Fraction(0))}
+        for component, k in zip(components, e):
+            for _ in range(k):
+                term = ref_mul(term, component, order)
+        out = ref_add(out, term, coeff)
+    return out
+
+
+def assert_matches(s, reference):
+    assert set(s.terms) == set(reference)
+    for e, c in s.terms.items():
+        assert type(c.re) is Fraction and type(c.im) is Fraction
+        assert (c.re, c.im) == reference[e]
+        assert (repr(c.re), repr(c.im)) == tuple(map(repr, reference[e]))
+
+
+# unrelated denominators, so operands rarely share one
+kernel_parts = st.builds(
+    Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 5, 7, 9, 11, 12, 13, 25, 49])
+)
+kernel_coefficients = st.one_of(
+    st.builds(GaussRational, kernel_parts),
+    st.builds(lambda im: GaussRational(0, im), kernel_parts),
+    st.builds(GaussRational, kernel_parts, kernel_parts),
+)
+
+
+@st.composite
+def kernel_series(draw, nvars, order, min_degree=0):
+    indices = [e for e in multi_indices(nvars, order) if sum(e) >= min_degree]
+    chosen = draw(st.lists(st.sampled_from(indices), max_size=8, unique=True)) if indices else []
+    return TruncatedSeries(nvars, order, {e: draw(kernel_coefficients) for e in chosen})
+
+
+@st.composite
+def kernel_operands(draw):
+    nvars = draw(st.integers(0, 3))
+    return (
+        draw(kernel_series(nvars, draw(st.integers(0, 5)))),
+        draw(kernel_series(nvars, draw(st.integers(0, 5)))),
+    )
+
+
+@given(kernel_operands())
+def test_kernel_mul_matches_fraction_convolution(operands):
+    a, b = operands
+    product = a * b
+    assert product.order == min(a.order, b.order)
+    assert_matches(product, ref_mul(ref_terms(a), ref_terms(b), product.order))
+
+
+@given(kernel_operands())
+def test_kernel_mul_drops_cancelled_sums(operands):
+    # (u + v)(u - v): every cross term u_i v_j cancels against u_j v_i
+    u, v = operands
+    product = (u + v) * (u - v)
+    assert all(not c.is_zero() for c in product.terms.values())
+    expected = ref_add(
+        ref_mul(ref_terms(u), ref_terms(u), product.order),
+        ref_mul(ref_terms(v), ref_terms(v), product.order),
+        (Fraction(-1), Fraction(0)),
+    )
+    assert_matches(product, expected)
+
+
+@st.composite
+def kernel_compositions(draw):
+    targets = draw(st.integers(1, 3))
+    src = draw(st.integers(0, 2))
+    outer = draw(kernel_series(targets, draw(st.integers(0, 5))))
+    order = draw(st.integers(0, 5))
+    kinds = draw(st.lists(st.sampled_from(["plain", "zero", "general"]), min_size=targets,
+                          max_size=targets))
+    components = []
+    for kind in kinds:
+        if kind == "plain" and src and order:
+            components.append(TruncatedSeries.variable(src, order, draw(st.integers(0, src - 1))))
+        elif kind == "general":
+            components.append(draw(kernel_series(src, order, min_degree=1)))
+        else:
+            components.append(TruncatedSeries.zero(src, order))
+    return outer, SeriesMap(components)
+
+
+@given(kernel_compositions())
+def test_kernel_compose_matches_fraction_expansion(case):
+    outer, vmap = case
+    result = compose(outer, vmap)
+    assert result.order == min(outer.order, vmap.order)
+    expected = ref_compose(
+        ref_terms(outer), [ref_terms(c) for c in vmap.components], vmap.source_nvars, result.order
+    )
+    assert_matches(result, expected)
+
+
+@st.composite
+def implicit_equations(draw):
+    m = draw(st.integers(2, 3))
+    order = draw(st.integers(1, 5))
+    var = draw(st.integers(0, m - 1))
+    linear = TruncatedSeries.variable(m, order, var).scale(
+        draw(kernel_coefficients.filter(lambda q: not q.is_zero()))
+    )
+    return linear + draw(kernel_series(m, order, min_degree=1)).set_vars_to_zero([var]) + draw(
+        kernel_series(m, order, min_degree=2)
+    ), var
+
+
+@settings(max_examples=60)
+@given(implicit_equations())
+def test_kernel_implicit_solve_matches_fixed_point(case):
+    rho, var = case
+    m, order = rho.nvars, rho.order
+    c = rho.coefficient(tuple(1 if i == var else 0 for i in range(m)))
+    norm = c.re * c.re + c.im * c.im
+    inverse = (c.re / norm, -c.im / norm)
+    # S <- S - rho(x, S) / c gains one exact degree per step
+    variables = [
+        {tuple(1 if j == i else 0 for j in range(m - 1)): (Fraction(1), Fraction(0))}
+        for i in range(m - 1)
+    ]
+    reference = {}
+    for _ in range(order):
+        components = variables[:var] + [reference] + variables[var:]
+        residual = ref_compose(ref_terms(rho), components, m - 1, order)
+        reference = ref_add(reference, residual, (-inverse[0], -inverse[1]))
+    assert_matches(implicit_solve(rho, var), reference)

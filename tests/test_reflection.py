@@ -200,6 +200,21 @@ def test_reflection_identical_across_shears(shear_map, shear_map_double):
     assert reflection_function(shear_map) == reflection_function(shear_map_double)
 
 
+def test_default_check_and_reflection_series_are_kept_on_the_map(shear, quadric):
+    fm = FormalMap(shear, quadric, quadric)
+    verdict = check_maps_into(fm)
+    assert check_maps_into(fm) is verdict
+    assert check_maps_into(fm, order=fm.guaranteed_order()) is verdict
+    assert check_maps_into(fm, order=2) is not verdict
+    series = reflection_function(fm)
+    assert reflection_function(fm) is series
+    assert build_reflection_report(fm).reflection is series
+    # a new map over the same data computes its own, equal, results
+    other = FormalMap(shear, quadric, quadric)
+    assert reflection_function(other) is not series
+    assert reflection_function(other) == series
+
+
 def test_lambda_zero_slice_recovers_last_component(dil, rot, shear_map):
     for fm in (dil, rot, shear_map):
         slice_ = reflection_at_lambda_zero(fm)
