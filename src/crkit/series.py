@@ -95,7 +95,8 @@ def _numerators(items, weights):
         if im:
             b = im.numerator * (den // im.denominator)
             is_complex = True
-        rows.append((sum(e), sum(map(operator.mul, e, weights)), re.numerator * (den // re.denominator), b))
+        a = re.numerator * (den // re.denominator)
+        rows.append((sum(e), sum(map(operator.mul, e, weights)), a, b))
     rows.sort(key=operator.itemgetter(0))
     return den, rows, is_complex
 

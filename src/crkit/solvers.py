@@ -363,7 +363,9 @@ class _OnlineSolve:
         """Fix Y_d = -J0^-1 R_d."""
         rhs = self.residual(degree)
         for parts, row in zip(self.parts, j0_inv):
-            pairs = [(((self.origin, -coeff),), res.items()) for coeff, res in zip(row, rhs) if coeff]
+            pairs = [
+                (((self.origin, -coeff),), res.items()) for coeff, res in zip(row, rhs) if coeff
+            ]
             parts.append(_sum_of_products(pairs, self.nparams, degree))
 
     def terms(self, j: int) -> dict:
