@@ -7,9 +7,11 @@ Four subcommands drive the library against canonical documents:
     crkit check-map -s <M> -t <M'> -f <F> does F send M into M'?
     crkit reflect -s <M> -t <M'> -f <F> -o <dir>   reflection artifacts
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 unreadable or
-inconsistent input. Geometric findings (non-minimal, positive degeneracy,
-not normal) are reported, not treated as failures. All output is
+Exit codes: 0 all checks passed; 1 a check failed, which includes a
+failed geometric check on a document that parses (say, a defining series
+that is not real); 2 an unreadable file, a malformed document or a bad
+flag. Geometric findings (non-minimal, positive degeneracy, not normal)
+are reported, not treated as failures. All output is
 deterministic for a fixed configuration; the doc format is golden-file
 stable.
 """

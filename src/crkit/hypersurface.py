@@ -105,12 +105,21 @@ class Hypersurface:
         return f"Hypersurface(n={self.n}, order={self.order}, {tag})"
 
     def truncate(self, order: int) -> "Hypersurface":
+        """The same germ at a lower order. The graph is truncated, not
+        solved again: the truncated graph solves the truncated defining
+        series, so only the normal flag is decided anew."""
         if order == self.order:
             return self
-        return from_defining(
-            self.rho.truncate(order),
+        rho = self.rho.truncate(order)
+        if order < 2:
+            raise GeometryError("defining series needs order >= 2")
+        phi = self.phi.truncate(order)
+        return Hypersurface(
             self.n,
-            provenance=self.provenance + (f"truncated to order {order}",),
+            rho,
+            phi,
+            _is_normal(phi, self.n),
+            self.provenance + (f"truncated to order {order}",),
         )
 
 
@@ -148,21 +157,24 @@ def from_defining(rho: TruncatedSeries, n: int, provenance=("defining series",))
         )
     solved = implicit_solve(rho, n - 1)
     # solved is over (z_1..z_{n-1}, w_1..w_n); rearrange to (w, z')
-    positions = [n + i for i in range(n - 1)] + list(range(n))
-    phi = solved.remap_vars(2 * n - 1, positions)
+    slots = [*range(n, 2 * n - 1), *range(n)]
+    phi = compose(solved, SeriesMap.from_slots(2 * n - 1, rho.order, slots))
     residual = graph_residual(phi, n)
     if not residual.is_zero():
         raise GeometryError(
             "graph identity failed, the defining series is inconsistent: "
             f"first residual term {residual.least_term()}"
         )
-    axis = TruncatedSeries.monomial(2 * n - 1, phi.order, unit_exponent(2 * n - 1, n - 1))
-    zp = list(range(n, 2 * n - 1))
-    wp = list(range(n - 1))
-    normal = (
-        phi.set_vars_to_zero(zp) == axis and phi.set_vars_to_zero(wp) == axis
-    )
-    return Hypersurface(n, rho, phi, normal, provenance)
+    return Hypersurface(n, rho, phi, _is_normal(phi, n), provenance)
+
+
+def _is_normal(phi: TruncatedSeries, n: int) -> bool:
+    """phi(w', w_n, 0) = w_n and phi(0, w_n, z') = w_n, exactly at order."""
+    m, order = 2 * n - 1, phi.order
+    axis = TruncatedSeries.monomial(m, order, unit_exponent(m, n - 1))
+    zp_zero = SeriesMap.from_slots(m, order, [*range(n), *[None] * (n - 1)])
+    wp_zero = SeriesMap.from_slots(m, order, [*[None] * (n - 1), *range(n - 1, m)])
+    return compose(phi, zp_zero) == axis and compose(phi, wp_zero) == axis
 
 
 def graph_residual(phi: TruncatedSeries, n: int) -> TruncatedSeries:
@@ -173,15 +185,8 @@ def graph_residual(phi: TruncatedSeries, n: int) -> TruncatedSeries:
     genuine real hypersurface. The residual is exact to phi.order.
     """
     m = 2 * n - 1
-    order = phi.order
     phibar = phi.conjugate()  # slots read as (z, w') here, same arity
-    components = []
-    for j in range(n - 1):
-        components.append(TruncatedSeries.variable(m, order, n + j))
-    components.append(phibar)
-    for k in range(n - 1):
-        components.append(TruncatedSeries.variable(m, order, k))
-    inner = SeriesMap(components)
+    inner = SeriesMap.from_slots(m, phi.order, [*range(n, m), phibar, *range(n - 1)])
     lhs = compose(phi, inner)
     return lhs - TruncatedSeries.variable(m, lhs.order, n - 1)
 
@@ -202,47 +207,27 @@ def normalize(H: Hypersurface) -> tuple[Hypersurface, SeriesMap]:
     n, order = H.n, H.order
     if H.normal:
         return H, SeriesMap.identity(n, order)
+    # p = phi(0, z_n, z') over (z, w)
+    big = 2 * n
+    p = compose(H.phi, SeriesMap.from_slots(big, order, [*[None] * (n - 1), n - 1, *range(n - 1)]))
     # psi over (z'_1..z'_{n-1}, z_n, y): phi(0, y, z') - z_n
     m = n + 1
-    components = []
-    for j in range(n - 1):
-        components.append(TruncatedSeries.zero(m, order))
-    components.append(TruncatedSeries.variable(m, order, n))
-    for k in range(n - 1):
-        components.append(TruncatedSeries.variable(m, order, k))
-    psi = compose(H.phi, SeriesMap(components)) - TruncatedSeries.variable(
-        m, order, n - 1
-    )
+    relabel = SeriesMap.from_slots(m, order, [*range(n - 1), n, *[None] * n])
+    psi = compose(p, relabel) - TruncatedSeries.variable(m, order, n - 1)
     if psi.coefficient(unit_exponent(m, n)).is_zero():
         raise GeometryError(
             "cannot establish normal coordinates: graph series has a "
             "degenerate linear part in the graph variable"
         )
     t = implicit_solve(psi, n)  # over (z'_1..z'_{n-1}, z_n), preserves origin
-    change = SeriesMap(
-        [TruncatedSeries.variable(n, order, i) for i in range(n - 1)] + [t]
-    )
+    change = SeriesMap.from_slots(n, order, [*range(n - 1), t])
     if linalg.determinant(change.linear_matrix()).is_zero():
         raise AssertionError("normalizing change lost invertibility; this is a bug")
 
-    # substitute z_n := phi(0, z_n, z') and its conjugate on the w side
-    big = 2 * n
-    fill = []
-    for j in range(n - 1):
-        fill.append(TruncatedSeries.zero(big, order))
-    fill.append(TruncatedSeries.variable(big, order, n - 1))
-    for k in range(n - 1):
-        fill.append(TruncatedSeries.variable(big, order, k))
-    p = compose(H.phi, SeriesMap(fill))
-    swap = list(range(n, 2 * n)) + list(range(n))
-    pbar = p.conjugate().remap_vars(big, swap)
-    outer = (
-        [TruncatedSeries.variable(big, order, i) for i in range(n - 1)]
-        + [p]
-        + [TruncatedSeries.variable(big, order, n + i) for i in range(n - 1)]
-        + [pbar]
-    )
-    rho2 = compose(H.rho, SeriesMap(outer))
+    # substitute z_n := p and its conjugate, read on the w side, for w_n
+    pbar = compose(p.conjugate(), SeriesMap.from_slots(big, order, [*range(n, big), *range(n)]))
+    outer = SeriesMap.from_slots(big, order, [*range(n - 1), p, *range(n, big - 1), pbar])
+    rho2 = compose(H.rho, outer)
     H2 = from_defining(
         rho2, n, provenance=H.provenance + ("normalized by graph substitution",)
     )
@@ -279,40 +264,19 @@ def segre_maps(H: Hypersurface) -> SegreTriple:
     m = n - 1
     phi, phibar = H.phi, H.phibar
 
-    v1 = SeriesMap(
-        [TruncatedSeries.variable(m, order, i) for i in range(m)]
-        + [TruncatedSeries.zero(m, order)]
-    )
+    v1 = SeriesMap.from_slots(m, order, [*range(m), None])
 
     # v2 over (z', xi)
     src2 = 2 * m
-    fill2 = (
-        [TruncatedSeries.variable(src2, order, m + j) for j in range(m)]
-        + [TruncatedSeries.zero(src2, order)]
-        + [TruncatedSeries.variable(src2, order, k) for k in range(m)]
-    )
-    v2_last = compose(phi, SeriesMap(fill2))
-    v2 = SeriesMap(
-        [TruncatedSeries.variable(src2, order, i) for i in range(m)] + [v2_last]
-    )
+    v2_last = compose(phi, SeriesMap.from_slots(src2, order, [*range(m, src2), None, *range(m)]))
+    v2 = SeriesMap.from_slots(src2, order, [*range(m), v2_last])
 
     # v3 over (z', xi, eta)
     src3 = 3 * m
-    fill_inner = (
-        [TruncatedSeries.variable(src3, order, 2 * m + j) for j in range(m)]
-        + [TruncatedSeries.zero(src3, order)]
-        + [TruncatedSeries.variable(src3, order, m + k) for k in range(m)]
-    )
-    inner = compose(phibar, SeriesMap(fill_inner))
-    fill_outer = (
-        [TruncatedSeries.variable(src3, order, m + j) for j in range(m)]
-        + [inner]
-        + [TruncatedSeries.variable(src3, order, k) for k in range(m)]
-    )
-    v3_last = compose(phi, SeriesMap(fill_outer))
-    v3 = SeriesMap(
-        [TruncatedSeries.variable(src3, order, i) for i in range(m)] + [v3_last]
-    )
+    xi = range(m, 2 * m)
+    inner = compose(phibar, SeriesMap.from_slots(src3, order, [*range(2 * m, src3), None, *xi]))
+    v3_last = compose(phi, SeriesMap.from_slots(src3, order, [*xi, inner, *range(m)]))
+    v3 = SeriesMap.from_slots(src3, order, [*range(m), v3_last])
     return SegreTriple(n, v1, v2, v3)
 
 
@@ -320,15 +284,9 @@ def segre_closure_residual(triple: SegreTriple) -> SeriesMap:
     """v3(eta, xi, eta) - v1(eta), componentwise; zero for a genuine triple."""
     m = triple.n - 1
     order = triple.v3.order
-    diagonal = SeriesMap(
-        [TruncatedSeries.variable(2 * m, order, i) for i in range(2 * m)]
-        + [TruncatedSeries.variable(2 * m, order, i) for i in range(m)]
-    )
-    folded = triple.v3.compose(diagonal)
+    folded = triple.v3.compose(SeriesMap.from_slots(2 * m, order, [*range(2 * m), *range(m)]))
     # v1 read over (eta, xi): embed its source into the first m slots
-    lifted = SeriesMap(
-        c.remap_vars(2 * m, list(range(m))) for c in triple.v1.components
-    )
+    lifted = triple.v1.compose(SeriesMap.from_slots(2 * m, triple.v1.order, range(m)))
     return SeriesMap(
         a - b for a, b in zip(folded.components, lifted.components)
     )

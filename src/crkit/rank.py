@@ -67,7 +67,6 @@ def matrix_generic_rank(
     matrix: list[list[TruncatedSeries]],
     *,
     seed: int = DEFAULT_SEED,
-    trials: int = DEFAULT_TRIALS,
     minor_budget: int = DEFAULT_MINOR_BUDGET,
     prefer_least: bool = False,
 ) -> RankResult:
@@ -85,7 +84,7 @@ def matrix_generic_rank(
     rng = random.Random(seed)
     best = 0
     hint = None
-    for _ in range(trials):
+    for _ in range(DEFAULT_TRIALS):
         point = sample_point(rng, nvars)
         values = [[matrix[i][j].evaluate(point) for j in live_cols] for i in live_rows]
         r, pivot_rows, pivot_cols = linalg.rank_and_pivots(values)
@@ -159,13 +158,7 @@ def _try_minor(matrix, rows, cols, budget):
     return det if not det.is_zero() else None
 
 
-def generic_rank(
-    fmap: SeriesMap,
-    *,
-    seed: int = DEFAULT_SEED,
-    trials: int = DEFAULT_TRIALS,
-    minor_budget: int = DEFAULT_MINOR_BUDGET,
-) -> RankResult:
+def generic_rank(fmap: SeriesMap, *, seed: int = DEFAULT_SEED) -> RankResult:
     """Generic rank of the Jacobian of a map.
 
     Differentiation costs one order, so the map must carry order >= 1 for
@@ -173,6 +166,4 @@ def generic_rank(
     """
     if fmap.order < 1:
         raise ValueError("generic rank needs a map of order >= 1")
-    return matrix_generic_rank(
-        fmap.jacobian(), seed=seed, trials=trials, minor_budget=minor_budget
-    )
+    return matrix_generic_rank(fmap.jacobian(), seed=seed)

@@ -150,13 +150,9 @@ def _check_maps_into(fm: FormalMap, order: int) -> MapVerdict:
     m = 2 * n - 1
     common = min(fm.f.order, fm.source.order)
     # w_n := source graph, substituted into the conjugated map components
-    wmap = SeriesMap(
-        [TruncatedSeries.variable(m, fm.source.order, n + j) for j in range(n - 1)]
-        + [fm.source.phibar]
-    )
-    fbar = fm.f.conjugate()
-    tail = [compose(c, wmap).truncate(common) for c in fbar.components]
-    head = [c.remap_vars(m, range(n)).truncate(common) for c in fm.f.components]
+    wmap = SeriesMap.from_slots(m, fm.source.order, [*range(n, m), fm.source.phibar])
+    head = fm.f.compose(SeriesMap.from_slots(m, common, range(n))).components
+    tail = fm.f.conjugate().compose(wmap).components
     substitution = SeriesMap(head + tail)
     residual = compose(fm.target.rho, substitution).truncate(order)
     return MapVerdict(
@@ -183,10 +179,9 @@ def reflection_function(fm: FormalMap) -> TruncatedSeries:
         n = fm.n
         m = 2 * n - 1
         common = min(fm.f.order, fm.target.order)
-        components = [
-            c.remap_vars(m, range(n)).truncate(common) for c in fm.f.components
-        ] + [TruncatedSeries.variable(m, common, n + k) for k in range(n - 1)]
-        object.__setattr__(fm, "_reflection", compose(fm.target.phibar, SeriesMap(components)))
+        lifted = fm.f.compose(SeriesMap.from_slots(m, common, range(n))).components
+        substitution = SeriesMap.from_slots(m, common, [*lifted, *range(n, m)])
+        object.__setattr__(fm, "_reflection", compose(fm.target.phibar, substitution))
     return fm._reflection
 
 
@@ -240,11 +235,7 @@ def reflection_on_segre(
             r = r.derive(index)
     # restrict z := (zp, 0), keep lambda
     src = 2 * (n - 1)
-    restriction = SeriesMap(
-        [TruncatedSeries.variable(src, r.order, i) for i in range(n - 1)]
-        + [TruncatedSeries.zero(src, r.order)]
-        + [TruncatedSeries.variable(src, r.order, n - 1 + k) for k in range(n - 1)]
-    )
+    restriction = SeriesMap.from_slots(src, r.order, [*range(n - 1), None, *range(n - 1, src)])
     restricted = compose(r, restriction)
     cap = restricted.order if cutoff is None else min(cutoff, restricted.order)
     family = restricted.coefficient_family(range(n - 1, 2 * (n - 1)))
@@ -312,15 +303,10 @@ def segre_reflection_identity(fm: FormalMap, *, seed: int = DEFAULT_SEED) -> Seg
     src = 3 * m
     triple = segre_maps(fm.source)
     r = _reflection(fm)
-    v2bar = triple.v2.conjugate()  # read its source as (xi, eta)
-    fbar = fm.f.conjugate()
-    along = [compose(c, v2bar) for c in fbar.components]
-    lifted = [s.remap_vars(src, range(m, 3 * m)) for s in along]
-    common = min(r.order, triple.v3.order, lifted[0].order)
-    arguments = [c.truncate(common) for c in triple.v3.components] + [
-        s.truncate(common) for s in lifted[:m]
-    ]
-    lhs = compose(r, SeriesMap(arguments))
+    along = fm.f.conjugate().compose(triple.v2.conjugate())  # over (xi, eta)
+    lifted = along.compose(SeriesMap.from_slots(src, along.order, range(m, src))).components
+    common = min(r.order, triple.v3.order, along.order)
+    lhs = compose(r, SeriesMap.from_slots(src, common, [*triple.v3.components, *lifted[:m]]))
     rhs = lifted[n - 1].truncate(lhs.order)
     residual = lhs - rhs
     return SegreIdentityVerdict(
@@ -439,12 +425,10 @@ def partial_convergence(
         raise GeometryError(
             "witness family lost rank when assembled; this is a bug"
         )
-    gf = SeriesMap(compose(c, fm.f) for c in g.components)
-    generators = tuple(
-        g.components[i].remap_vars(2 * n, range(n, 2 * n))
-        - gf.components[i].remap_vars(2 * n, range(n)).truncate(common)
-        for i in range(len(ordered))
-    )
+    gf = g.compose(fm.f)
+    on_om = g.compose(SeriesMap.from_slots(2 * n, common, range(n, 2 * n)))
+    on_z = gf.compose(SeriesMap.from_slots(2 * n, common, range(n)))
+    generators = tuple(a - b for a, b in zip(on_om.components, on_z.components))
     return PartialConvergenceResult(
         degeneracy=deg,
         witnesses_ordered=tuple(ordered),
@@ -488,10 +472,7 @@ def formal_containment(
     """
     n = f.source_nvars
     p = f.target_nvars
-    graph = SeriesMap(
-        [TruncatedSeries.variable(n, f.order, i) for i in range(n)]
-        + list(f.components)
-    )
+    graph = SeriesMap.from_slots(n, f.order, [*range(n), *f.components])
     residuals = []
     for b in generators:
         if b.nvars != n + p:

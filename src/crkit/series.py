@@ -410,37 +410,6 @@ class TruncatedSeries:
 
     # -- variable bookkeeping
 
-    def remap_vars(self, new_nvars: int, positions: Sequence[int]) -> "TruncatedSeries":
-        """Send variable i to slot positions[i] of a new variable list.
-
-        Pure exponent reshuffling, no arithmetic, so the order is unchanged.
-        ``positions`` must be injective.
-        """
-        positions = list(positions)
-        if len(positions) != self.nvars:
-            raise ValueError("positions must name a slot for every variable")
-        if len(set(positions)) != len(positions):
-            raise ValueError("positions must be injective")
-        if any(not 0 <= p < new_nvars for p in positions):
-            raise ValueError("target slot out of range")
-        out = {}
-        for exponents, coeff in self._terms.items():
-            e = [0] * new_nvars
-            for i, k in enumerate(exponents):
-                e[positions[i]] = k
-            out[tuple(e)] = coeff
-        return TruncatedSeries(new_nvars, self.order, out)
-
-    def set_vars_to_zero(self, indices: Iterable[int]) -> "TruncatedSeries":
-        """Substitute 0 for the named variables, keeping the ambient arity."""
-        indices = set(indices)
-        kept = {
-            e: c
-            for e, c in self._terms.items()
-            if all(e[i] == 0 for i in indices)
-        }
-        return TruncatedSeries(self.nvars, self.order, kept)
-
     def coefficient_family(self, group: Sequence[int]) -> dict:
         """Collect coefficients with respect to the variable group ``group``.
 
@@ -487,7 +456,23 @@ class SeriesMap:
 
     @classmethod
     def identity(cls, nvars: int, order: int) -> "SeriesMap":
-        return cls(TruncatedSeries.variable(nvars, order, i) for i in range(nvars))
+        return cls.from_slots(nvars, order, range(nvars))
+
+    @classmethod
+    def from_slots(cls, nvars: int, order: int, slots) -> "SeriesMap":
+        """A map over ``nvars`` source variables at ``order``, one slot per
+        component: a source-variable index (that variable; zero at order 0),
+        None for zero, or a series, which is truncated to ``order``."""
+        components = []
+        for slot in slots:
+            if slot is None:
+                components.append(TruncatedSeries._trusted(nvars, order, {}))
+            elif isinstance(slot, int):
+                terms = {unit_exponent(nvars, slot): ONE} if order else {}
+                components.append(TruncatedSeries._trusted(nvars, order, terms))
+            else:
+                components.append(slot.truncate(order))
+        return cls(components)
 
     @property
     def source_nvars(self) -> int:
@@ -556,11 +541,14 @@ def compose(outer: TruncatedSeries, vmap: SeriesMap) -> TruncatedSeries:
     and the result could not be guaranteed exact. The result order is the
     minimum of both orders.
 
-    A slot holding a plain variable only shifts exponents, and a slot
-    holding zero only drops the outer terms that use it. The other slots
-    are expanded through cached powers, multiplied once per distinct
-    exponent pattern on those slots. The outer terms sharing a pattern are
-    summed against its product in one pass of the product kernel.
+    This is the one substitution routine: relabels and restrictions are
+    compositions with maps written by ``SeriesMap.from_slots``. A slot
+    holding a plain variable only shifts exponents, and a slot holding
+    zero only drops the outer terms that use it; a map with no other slot
+    is applied by that shift alone. The other slots are expanded through
+    cached powers, multiplied once per distinct exponent pattern on those
+    slots. The outer terms sharing a pattern are summed against its
+    product in one pass of the product kernel.
     """
     if vmap.target_nvars != outer.nvars:
         raise ValueError(
@@ -582,6 +570,32 @@ def compose(outer: TruncatedSeries, vmap: SeriesMap) -> TruncatedSeries:
                 plain_slots.append((i, e.index(1)))
                 continue
         general_slots.append(i)
+
+    if not general_slots:
+        # a relabel: shift the exponents; two slots naming the same variable
+        # make terms coincide, and their coefficients are summed
+        targets = [None] * outer.nvars
+        for i, j in plain_slots:
+            targets[i] = j
+        out = {}
+        for exponents, coeff in outer._terms.items():
+            if sum(exponents) > order:
+                continue
+            shift = [0] * src
+            for k, j in zip(exponents, targets):
+                if k:
+                    if j is None:
+                        break
+                    shift[j] += k
+            else:
+                key = tuple(shift)
+                if key not in out:
+                    out[key] = coeff
+                elif total := out[key] + coeff:
+                    out[key] = total
+                else:
+                    del out[key]  # a zero sum is not stored
+        return TruncatedSeries._trusted(src, order, out)
 
     one = TruncatedSeries.constant(ONE, src, order)
     powers = {i: [one] for i in general_slots}

@@ -69,9 +69,8 @@ def implicit_solve(rho: TruncatedSeries, var: int) -> TruncatedSeries:
         online.settle(degree, inv_c)
     solution = TruncatedSeries(m - 1, order, online.terms(0))
 
-    components = [TruncatedSeries.variable(m - 1, order, i) for i in range(m - 1)]
-    components.insert(var, solution)
-    if not compose(rho, SeriesMap(components)).is_zero():
+    slots = [*range(var), solution, *range(var, m - 1)]
+    if not compose(rho, SeriesMap.from_slots(m - 1, order, slots)).is_zero():
         raise AssertionError("implicit solve failed its back-substitution; this is a bug")
     return solution
 
@@ -183,9 +182,7 @@ def newton_extend(system: SeriesMap, solution: SeriesMap, target_order: int) -> 
 
     if target_order > given:
         increments = [TruncatedSeries(q, target_order, online.terms(j)) for j in range(r)]
-        substitution = SeriesMap(
-            [TruncatedSeries.variable(q, target_order, p) for p in range(q)] + increments
-        )
+        substitution = SeriesMap.from_slots(q, target_order, [*range(q), *increments])
         for eq in equations:
             if not compose(_as_series(eq, q, r, target_order), substitution).is_zero():
                 raise AssertionError(

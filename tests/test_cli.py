@@ -81,6 +81,18 @@ def test_analyze_garbage_document(tmp_path, capsys):
     assert code == 2
 
 
+def test_analyze_non_real_document_is_a_failed_check(tmp_path, capsys):
+    # the document parses; the geometric check on its series fails
+    text = (CORPUS / "sphere.crkit").read_text(encoding="ascii")
+    bad = tmp_path / "non_real.crkit"
+    bad.write_text(text.replace("term 1 0 1 0 -1/1 0/1", "term 1 0 1 0 0/1 -1/1"),
+                   encoding="ascii")
+    code, out, err = run(capsys, "analyze", bad)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("check failed: defining series is not real")
+
+
 # ---------------------------------------------------------------------------
 # normalize
 

@@ -82,6 +82,44 @@ def test_truncate(sphere):
     assert sphere.truncate(8) is sphere
 
 
+# normal at order 2 only: the cubic terms move phi(0, w2, 0) off the axis
+FLAG_CHANGING = "-(i/2)*(z2 - w2) - z1*w1 + z2*w2^2 + z2^2*w2"
+
+HAND_GERMS = [
+    (FLAG_CHANGING, "z:2,w:2", 6, 2),
+    ("-(i/2)*(z2 - w2) - z1*w1 + z2*w2 + z1^2*w1 + z1*w1^2", "z:2,w:2", 7, 2),
+    ("-(i/2)*(z3 - w3) - z1*w1 - z2*w2 + z1*z2*w3 + w1*w2*z3 + z3*w3^2 + z3^2*w3",
+     "z:3,w:3", 5, 3),
+]
+
+
+def test_truncate_matches_solving_again(sphere, levi_flat, quadric, perturbed_sphere):
+    germs = [sphere, levi_flat, quadric, perturbed_sphere] + [
+        from_defining(parse_expr(text, variables, order), n)
+        for text, variables, order, n in HAND_GERMS
+    ]
+    for H in germs:
+        for k in range(2, H.order + 1):
+            truncated = H.truncate(k)
+            solved = from_defining(H.rho.truncate(k), H.n)
+            assert truncated.rho == solved.rho
+            assert truncated.phi == solved.phi
+            assert truncated.normal == solved.normal
+
+
+def test_truncate_decides_the_normal_flag_again():
+    H = from_defining(parse_expr(FLAG_CHANGING, "z:2,w:2", 6), 2)
+    assert [H.truncate(k).normal for k in range(2, 7)] == [True, False, False, False, False]
+
+
+def test_truncate_errors_and_provenance(sphere):
+    with pytest.raises(ValueError):
+        sphere.truncate(9)
+    with pytest.raises(GeometryError):
+        sphere.truncate(1)
+    assert sphere.truncate(4).provenance == sphere.provenance + ("truncated to order 4",)
+
+
 def test_reality_failure_names_the_monomial():
     rho = parse_expr("-(i/2)*(z2 - w2) - i*z1*w1", "z:2,w:2", 6)
     with pytest.raises(GeometryError, match=r"not real.*z1\*w1"):

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crkit.documents import parse_document, serialize
 from crkit.rational import GaussRational, ONE, ZERO
@@ -134,24 +134,28 @@ def slot_maps(draw, nslots=3, order=4):
     for _ in range(nslots):
         kind = draw(st.sampled_from(["plain", "zero", "general"]))
         if kind == "plain":
-            x = TruncatedSeries.variable(3, order, draw(st.sampled_from([0, 1])))
-            fast.append(x)
-            general.append(x + t)
+            j = draw(st.sampled_from([0, 1]))
+            fast.append(j)
+            general.append(TruncatedSeries.variable(3, order, j) + t)
         elif kind == "zero":
-            fast.append(TruncatedSeries.zero(3, order))
+            fast.append(None)
             general.append(t * t)
         else:
-            g = draw(series(nvars=2, order=order, min_degree=1)).remap_vars(3, [0, 1])
+            g = draw(series(nvars=2, order=order, min_degree=1))
+            g = compose(g, SeriesMap.from_slots(3, order, [0, 1]))
             fast.append(g)
             general.append(g)
-    return SeriesMap(fast), SeriesMap(general)
+    return SeriesMap.from_slots(3, order, fast), SeriesMap(general)
 
 
 @given(series(nvars=3), slot_maps())
 def test_compose_plain_and_zero_slots_match_general_expansion(s, maps):
     # setting t = 0 after substituting recovers the plain and zero slots
     fast, general = maps
-    assert compose(s, fast) == compose(s, general).set_vars_to_zero([2])
+    expanded = compose(s, general)
+    result = compose(s, fast)
+    assert result.order == expanded.order
+    assert dict(result.terms) == {e: c for e, c in expanded.terms.items() if e[2] == 0}
 
 
 @settings(max_examples=40)
@@ -335,6 +339,59 @@ def test_kernel_compose_matches_fraction_expansion(case):
     assert_matches(result, expected)
 
 
+def ref_relabel(outer, slots, src, order):
+    """Send variable i of reference terms to source variable slots[i], or
+    drop the terms that use it when the slot is None, summing terms that
+    land on the same exponents."""
+    out = {}
+    for e, (re, im) in outer.items():
+        if sum(e) > order or any(k and slot is None for k, slot in zip(e, slots)):
+            continue
+        shifted = [0] * src
+        for k, slot in zip(e, slots):
+            if k:
+                shifted[slot] += k
+        r, i = out.get(tuple(shifted), FRACTION_ZERO)
+        out[tuple(shifted)] = (r + re, i + im)
+    return {e: v for e, v in out.items() if v != FRACTION_ZERO}
+
+
+@st.composite
+def relabel_cases(draw):
+    targets = draw(st.integers(1, 3))
+    src = draw(st.integers(0, 2))
+    slot = st.one_of(st.none(), st.integers(0, src - 1)) if src else st.none()
+    slots = draw(st.lists(slot, min_size=targets, max_size=targets))
+    # orders count down from 4, so examples lean to the deeper orders and still reach 0
+    outer_order = 4 - draw(st.integers(0, 4))
+    chosen = draw(st.lists(st.sampled_from(multi_indices(targets, outer_order)), max_size=6))
+    terms = {e: draw(kernel_coefficients) for e in chosen}
+    if src and targets >= 2 and draw(st.sampled_from(["coincide", "as drawn"])) == "coincide":
+        # slots 0 and 1 name the same variable, and each term gets a partner
+        # with its exponents on them exchanged and the opposite coefficient:
+        # the two coincide and cancel
+        slots[0] = slots[1] = draw(st.integers(0, src - 1))
+        for e, c in list(terms.items()):
+            if e[0] != e[1]:
+                terms[(e[1], e[0]) + e[2:]] = -c
+    outer = TruncatedSeries(targets, outer_order, terms)
+    return outer, slots, src, 4 - draw(st.integers(0, 4))
+
+
+@given(relabel_cases())
+@example((TruncatedSeries(2, 2, {(1, 0): ONE, (0, 1): ONE}), [0, 0], 1, 2))
+@example((TruncatedSeries(2, 2, {(1, 0): ONE, (0, 1): -ONE}), [0, 0], 1, 2))
+@example((TruncatedSeries(2, 3, {(2, 1): ONE, (1, 2): -ONE, (1, 0): ONE}), [1, 1], 2, 3))
+@example((TruncatedSeries(2, 3, {(0, 0): ONE, (1, 1): ONE}), [0, 1], 2, 0))
+@example((TruncatedSeries(2, 3, {(0, 0): ONE, (1, 0): ONE}), [None, None], 0, 3))
+def test_relabel_compose_matches_reference(case):
+    outer, slots, src, order = case
+    result = compose(outer, SeriesMap.from_slots(src, order, slots))
+    assert result.nvars == src
+    assert result.order == min(outer.order, order)
+    assert_matches(result, ref_relabel(ref_terms(outer), slots, src, result.order))
+
+
 @st.composite
 def implicit_equations(draw):
     m = draw(st.integers(2, 3))
@@ -343,7 +400,8 @@ def implicit_equations(draw):
     linear = TruncatedSeries.variable(m, order, var).scale(
         draw(kernel_coefficients.filter(lambda q: not q.is_zero()))
     )
-    return linear + draw(kernel_series(m, order, min_degree=1)).set_vars_to_zero([var]) + draw(
+    without_var = SeriesMap.from_slots(m, order, [None if i == var else i for i in range(m)])
+    return linear + compose(draw(kernel_series(m, order, min_degree=1)), without_var) + draw(
         kernel_series(m, order, min_degree=2)
     ), var
 

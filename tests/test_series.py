@@ -255,20 +255,21 @@ def test_valuation_and_least_term():
 
 def test_remap_vars():
     s = S(2, 4, [((1, 2), I)])
-    wide = s.remap_vars(4, [3, 1])
+    wide = compose(s, SeriesMap.from_slots(4, 4, [3, 1]))
     assert wide.nvars == 4
     assert dict(wide.terms) == {(0, 2, 0, 1): I}
     assert wide.order == 4
+    # coinciding slots add their exponents
+    folded = compose(s, SeriesMap.from_slots(4, 4, [0, 0]))
+    assert dict(folded.terms) == {(3, 0, 0, 0): I}
     with pytest.raises(ValueError):
-        s.remap_vars(4, [0, 0])  # not injective
-    with pytest.raises(ValueError):
-        s.remap_vars(1, [0, 1])  # out of range
+        SeriesMap.from_slots(1, 4, [0, 1])  # out of range
 
 
 def test_set_vars_to_zero():
     x, y = V(2, 4, 0), V(2, 4, 1)
     s = x + y * x + y ** 2
-    restricted = s.set_vars_to_zero([1])
+    restricted = compose(s, SeriesMap.from_slots(2, 4, [0, None]))
     assert dict(restricted.terms) == {(1, 0): ONE}
 
 
@@ -306,6 +307,16 @@ def test_map_basics():
         GaussRational(1),
         GaussRational(3),
     )
+
+
+def test_from_slots():
+    s = V(2, 5, 0) + V(2, 5, 1) ** 4
+    vmap = SeriesMap.from_slots(2, 3, [1, None, s])
+    assert vmap.components == (V(2, 3, 1), TruncatedSeries.zero(2, 3), s.truncate(3))
+    assert SeriesMap.from_slots(2, 0, [0]).components == (TruncatedSeries.zero(2, 0),)
+    for index in (2, -1):
+        with pytest.raises(ValueError):
+            SeriesMap.from_slots(2, 3, [index])
 
 
 def test_map_component_validation():

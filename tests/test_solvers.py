@@ -364,7 +364,7 @@ def place(template, var):
     """Move the last variable of ``template`` to index ``var``."""
     m = template.nvars
     positions = [i if i < var else i + 1 for i in range(m - 1)] + [var]
-    return template.remap_vars(m, positions)
+    return compose(template, SeriesMap.from_slots(m, template.order, positions))
 
 
 def gapped_template(order=7):
