@@ -23,10 +23,10 @@ import sys
 from dataclasses import dataclass
 
 from .corpus import DEFAULT_ORDER
-from .documents import parse_document, serialize, serialize_report
+from .documents import parse_document, serialize, serialize_report, write_atomic
 from .errors import CrkitError, DocumentError, GeometryError, ParseError, PrerequisiteError
 from .hypersurface import Hypersurface, degeneracy, is_minimal, normalize
-from .rank import CERTIFIED, DEFAULT_SEED
+from .rank import CERTIFIED
 from .reflection import (
     FormalMap,
     build_reflection_report,
@@ -45,7 +45,6 @@ class RunConfig:
     cutoff: int | None = None
     strict: bool = True
     fmt: str = "text"
-    seed: int = DEFAULT_SEED
     force: bool = False
     explicit_order: bool = False
 
@@ -138,8 +137,8 @@ def cmd_analyze(path: str, config: RunConfig) -> int:
     # minimality and degeneracy are invariants of the germ, so a non-normal
     # input is normalized internally before they are computed
     representative = surface if surface.normal else normalize(surface)[0]
-    minimality = is_minimal(representative, seed=config.seed)
-    ranks = degeneracy(representative, config.cutoff, seed=config.seed)
+    minimality = is_minimal(representative)
+    ranks = degeneracy(representative, config.cutoff)
     certified = (
         minimality.certificate.status == CERTIFIED
         and ranks.certificate.status == CERTIFIED
@@ -189,7 +188,7 @@ def cmd_analyze(path: str, config: RunConfig) -> int:
             + " ".join(_alpha_text(alpha) for alpha in ranks.witnesses)
         )
         if not certified:
-            print("rank status: probable only (sampling budget exhausted)")
+            print("rank status: probable only (minor budget exhausted)")
     if config.strict and not certified:
         print("failure: rank not certified; rerun with --no-strict to accept",
               file=sys.stderr)
@@ -211,8 +210,7 @@ def cmd_normalize(path: str, out: str | None, config: RunConfig) -> int:
         sys.stdout.write(data)
         return 0
     _guard_overwrite(out, config)
-    with open(out, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(data)
+    write_atomic(out, data)
     if config.fmt == "doc":
         sys.stdout.write(data)
     else:
@@ -241,7 +239,7 @@ def cmd_check_map(source: str, target: str, mappath: str, config: RunConfig) -> 
     identity_note = ""
     if verdict.passed:
         try:
-            identity = segre_reflection_identity(fm, seed=config.seed)
+            identity = segre_reflection_identity(fm)
         except PrerequisiteError as exc:
             identity_note = str(exc)
     names = _names("z", fm.n) + _names("w", fm.n - 1)
@@ -319,7 +317,7 @@ def cmd_reflect(source, target, mappath, outdir, config: RunConfig) -> int:
         return 1
     try:
         report = build_reflection_report(fm, cutoff=config.cutoff)
-        partial = partial_convergence(fm, cutoff=config.cutoff, seed=config.seed)
+        partial = partial_convergence(fm, cutoff=config.cutoff)
     except PrerequisiteError as exc:
         print(f"refusing to reflect: {exc}", file=sys.stderr)
         return 1
@@ -338,9 +336,7 @@ def cmd_reflect(source, target, mappath, outdir, config: RunConfig) -> int:
     os.makedirs(outdir, exist_ok=True)
     written = []
     for filename, data in artifacts:
-        path = os.path.join(outdir, filename)
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(data)
+        write_atomic(os.path.join(outdir, filename), data)
         written.append(filename)
     if config.fmt == "doc":
         rows = [
@@ -396,8 +392,6 @@ def _build_arg_parser() -> argparse.ArgumentParser:
                        help="treat probable (uncertified) ranks as failures")
         p.add_argument("--format", choices=("text", "doc"), default="text",
                        dest="fmt", help="output format")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED, metavar="K",
-                       help="seed for rank sampling")
 
     p = sub.add_parser("analyze", help="invariants of one hypersurface")
     p.add_argument("hypersurface")
@@ -436,7 +430,6 @@ def main(argv=None) -> int:
             cutoff=args.cutoff,
             strict=args.strict,
             fmt=args.fmt,
-            seed=args.seed,
             force=getattr(args, "force", False),
             explicit_order=args.order is not None,
         )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 
-from .documents import serialize
+from .documents import write_document
 from .hypersurface import Hypersurface, from_defining
 from .parser import parse_expr
 from .rational import I
@@ -112,15 +112,11 @@ def write_corpus(directory, order: int = DEFAULT_ORDER) -> list[str]:
     paths = []
     for name, builder in HYPERSURFACES.items():
         path = os.path.join(directory, f"{name}.crkit")
-        data = serialize(builder(order))
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(data)
+        write_document(path, builder(order))
         paths.append(path)
     for name, (builder, _, _) in MAPS.items():
         path = os.path.join(directory, f"{name}.crkit")
         fmap = builder(order)
-        data = serialize(fmap, (("z", fmap.source_nvars),))
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(data)
+        write_document(path, fmap, (("z", fmap.source_nvars),))
         paths.append(path)
     return paths

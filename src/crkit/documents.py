@@ -26,6 +26,8 @@ variables as z:n w:n. Reflection reports are written, never parsed.
 
 from __future__ import annotations
 
+import itertools
+import os
 import re
 from fractions import Fraction
 
@@ -435,11 +437,38 @@ def parse_document(text: str):
     return result
 
 
+def write_atomic(path, data: str) -> None:
+    """Write ``data`` to ``path`` as UTF-8 with LF line ends, all or nothing.
+
+    The text goes to a new temporary file in the same directory, which then
+    replaces ``path`` in one ``os.replace``. A reader sees the old file or
+    the new one, never part of either, and on any failure the temporary
+    file is removed and ``path`` is left as it was. A symlink is written
+    through, as a plain ``open`` would, not replaced by a regular file.
+    """
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    for attempt in itertools.count():
+        temp = os.path.join(directory, f".{name}.{os.getpid()}-{attempt}.tmp")
+        try:
+            # O_EXCL never reuses another writer's file; mode 0o666 lets the
+            # umask decide permissions, as a plain open would
+            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(data)
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
 def write_document(path, obj, variables=None):
-    """Serialize to a file with exact canonical bytes (UTF-8, LF)."""
-    data = serialize(obj, variables)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(data)
+    """Serialize to a file with exact canonical bytes (UTF-8, LF), atomically."""
+    write_atomic(path, serialize(obj, variables))
 
 
 def read_document(path):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .errors import GeometryError, PrerequisiteError
-from .rank import DEFAULT_SEED, generic_rank, matrix_generic_rank
+from .rank import generic_rank, matrix_generic_rank
 from .series import (
     SeriesMap,
     TruncatedSeries,
@@ -303,9 +303,9 @@ class MinimalityVerdict:
     certificate: object
 
 
-def is_minimal(H: Hypersurface, *, seed: int = DEFAULT_SEED) -> MinimalityVerdict:
+def is_minimal(H: Hypersurface) -> MinimalityVerdict:
     triple = segre_maps(H)
-    result = generic_rank(triple.v2, seed=seed)
+    result = generic_rank(triple.v2)
     return MinimalityVerdict(
         minimal=result.rank == H.n,
         rank=result.rank,
@@ -367,7 +367,7 @@ class DegeneracyResult:
         return self.degeneracy == 0
 
 
-def degeneracy(H: Hypersurface, cutoff: int | None = None, *, seed: int = DEFAULT_SEED) -> DegeneracyResult:
+def degeneracy(H: Hypersurface, cutoff: int | None = None) -> DegeneracyResult:
     if cutoff is None:
         cutoff = H.order
     if cutoff < 1:
@@ -378,11 +378,11 @@ def degeneracy(H: Hypersurface, cutoff: int | None = None, *, seed: int = DEFAUL
     effective = min(cutoff, H.order - 1)
     family = phi_family(H, effective)
     rows = [[series.derive(j) for j in range(n)] for _, series in family]
-    result = matrix_generic_rank(rows, seed=seed, prefer_least=True)
+    result = matrix_generic_rank(rows)
     witnesses = tuple(family[i][0] for i in result.certificate.rows)
     if effective >= 1:
         keep = [i for i, (alpha, _) in enumerate(family) if sum(alpha) <= effective - 1]
-        prev = matrix_generic_rank([rows[i] for i in keep], seed=seed)
+        prev = matrix_generic_rank([rows[i] for i in keep])
         stabilized = prev.rank == result.rank
     else:
         stabilized = False

@@ -58,13 +58,6 @@ def _require_square(matrix, what: str) -> int:
     return n
 
 
-def rank_and_pivots(matrix) -> tuple[int, list[int], list[int]]:
-    """Rank plus the row and column indices where pivots were found."""
-    _, order, pivot_cols, _ = _eliminate(matrix)
-    rank = len(pivot_cols)
-    return rank, sorted(order[:rank]), pivot_cols
-
-
 def determinant(matrix) -> GaussRational:
     n = _require_square(matrix, "determinant")
     rows, _, pivot_cols, sign = _eliminate(matrix)

@@ -26,7 +26,7 @@ from .hypersurface import (
     phi_family,
     segre_maps,
 )
-from .rank import CERTIFIED, DEFAULT_SEED, generic_rank
+from .rank import CERTIFIED, generic_rank
 from .rational import GaussRational, ONE
 from .series import (
     SeriesMap,
@@ -277,7 +277,7 @@ class SegreIdentityVerdict:
     residual: TruncatedSeries
 
 
-def segre_reflection_identity(fm: FormalMap, *, seed: int = DEFAULT_SEED) -> SegreIdentityVerdict:
+def segre_reflection_identity(fm: FormalMap) -> SegreIdentityVerdict:
     """Check the reflection series against the map along the second and
     third Segre parametrizations.
 
@@ -293,7 +293,7 @@ def segre_reflection_identity(fm: FormalMap, *, seed: int = DEFAULT_SEED) -> Seg
         )
     if not fm.source.normal:
         raise PrerequisiteError("source must be in normal coordinates")
-    minimality = is_minimal(fm.source, seed=seed)
+    minimality = is_minimal(fm.source)
     if not minimality.minimal or minimality.certificate.status != CERTIFIED:
         raise PrerequisiteError(
             "source must be minimal with a certified rank at this order"
@@ -391,18 +391,18 @@ class PartialConvergenceResult:
 
 
 def partial_convergence(
-    fm: FormalMap, cutoff: int | None = None, *, seed: int = DEFAULT_SEED
+    fm: FormalMap, cutoff: int | None = None
 ) -> PartialConvergenceResult:
     if not fm.is_biholomorphism:
         raise PrerequisiteError("map must have an invertible linear part")
     if not fm.source.normal:
         raise PrerequisiteError("source must be in normal coordinates")
-    minimality = is_minimal(fm.source, seed=seed)
+    minimality = is_minimal(fm.source)
     if not minimality.minimal or minimality.certificate.status != CERTIFIED:
         raise PrerequisiteError(
             "source must be minimal with a certified rank at this order"
         )
-    deg = degeneracy(fm.target, cutoff, seed=seed)
+    deg = degeneracy(fm.target, cutoff)
     if deg.certificate.status != CERTIFIED:
         raise PrerequisiteError("target degeneracy rank is not certified")
     if not deg.stabilized:
@@ -420,7 +420,7 @@ def partial_convergence(
     ordered = [deg.witnesses[i] for i in ordering]
     common = min(family[beta].order for beta in ordered)
     g = SeriesMap(family[beta].truncate(common) for beta in ordered)
-    check = generic_rank(g, seed=seed)
+    check = generic_rank(g)
     if check.rank != n - deg.degeneracy:
         raise GeometryError(
             "witness family lost rank when assembled; this is a bug"

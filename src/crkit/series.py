@@ -388,23 +388,6 @@ class TruncatedSeries:
             self.nvars, self.order, {e: c.conjugate() for e, c in self._terms.items()}
         )
 
-    def evaluate(self, point: Sequence) -> GaussRational:
-        """Exact value of the stored polynomial part at a rational point."""
-        values = [GaussRational.coerce(p) for p in point]
-        if len(values) != self.nvars:
-            raise ValueError("point arity mismatch")
-        powers = [[ONE] for _ in values]  # powers[i][k] = values[i]**k, grown on demand
-        total = ZERO
-        for exponents, coeff in self._terms.items():
-            factor = coeff
-            for value, cache, e in zip(values, powers, exponents):
-                if e:
-                    while len(cache) <= e:
-                        cache.append(cache[-1] * value)
-                    factor = factor * cache[e]
-            total = total + factor
-        return total
-
     def compose(self, vmap: "SeriesMap") -> "TruncatedSeries":
         return compose(self, vmap)
 
@@ -494,9 +477,6 @@ class SeriesMap:
 
     def truncate(self, order: int) -> "SeriesMap":
         return SeriesMap(c.truncate(order) for c in self.components)
-
-    def evaluate(self, point) -> tuple:
-        return tuple(c.evaluate(point) for c in self.components)
 
     def compose(self, inner: "SeriesMap") -> "SeriesMap":
         """Componentwise substitution, self after inner."""

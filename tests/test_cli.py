@@ -1,7 +1,9 @@
+import os
 from pathlib import Path
 
 import pytest
 
+import crkit.rank
 from crkit.cli import main
 from crkit.documents import parse_document
 
@@ -93,6 +95,20 @@ def test_analyze_non_real_document_is_a_failed_check(tmp_path, capsys):
     assert err.startswith("check failed: defining series is not real")
 
 
+def test_analyze_uncertified_rank_fails_only_when_strict(monkeypatch, capsys):
+    # with no minor budget every rank stays probable
+    monkeypatch.setitem(crkit.rank.matrix_generic_rank.__kwdefaults__, "minor_budget", 0)
+    code, out, err = run(capsys, "analyze", CORPUS / "sphere.crkit")
+    assert code == 1
+    assert "minimal: no (rank 0, probable)" in out
+    assert "rank status: probable only (minor budget exhausted)" in out
+    assert "failure: rank not certified" in err
+    code, out, err = run(capsys, "analyze", "--no-strict", CORPUS / "sphere.crkit")
+    assert code == 0
+    assert "rank status: probable only (minor budget exhausted)" in out
+    assert err == ""
+
+
 # ---------------------------------------------------------------------------
 # normalize
 
@@ -152,6 +168,36 @@ def test_normalize_refuses_overwrite_without_force(tmp_path, capsys):
         out_path,
     )
     assert code == 0
+    assert out_path.read_bytes() == (CORPUS / "sphere.crkit").read_bytes()
+
+
+def test_normalize_failed_replace_keeps_the_old_file(tmp_path, monkeypatch, capsys):
+    out_path = tmp_path / "existing.crkit"
+    out_path.write_text("occupied\n", encoding="ascii")
+
+    def failing_replace(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    code, _, err = run(
+        capsys, "normalize", "--force", CORPUS / "perturbed_sphere.crkit", "-o", out_path
+    )
+    assert code == 2
+    assert "No space left on device" in err
+    assert out_path.read_text(encoding="ascii") == "occupied\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["existing.crkit"]
+
+
+def test_normalize_writes_through_a_symlink(tmp_path, capsys):
+    out_path = tmp_path / "real.crkit"
+    out_path.write_text("occupied\n", encoding="ascii")
+    link = tmp_path / "link.crkit"
+    link.symlink_to(out_path)
+    code, _, _ = run(
+        capsys, "normalize", "--force", CORPUS / "perturbed_sphere.crkit", "-o", link
+    )
+    assert code == 0
+    assert link.is_symlink()
     assert out_path.read_bytes() == (CORPUS / "sphere.crkit").read_bytes()
 
 

@@ -227,11 +227,6 @@ def test_minimality_table(sphere, levi_flat, quadric):
     assert (v.minimal, v.rank, v.n) == (True, 3, 3)
 
 
-def test_minimality_seed_independent(sphere):
-    assert is_minimal(sphere, seed=1).minimal
-    assert is_minimal(sphere, seed=99).minimal
-
-
 # ---------------------------------------------------------------------------
 # degeneracy
 

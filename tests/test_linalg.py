@@ -2,34 +2,16 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from crkit.linalg import _series_det, determinant, inverse, rank_and_pivots
+from crkit.linalg import _series_det, determinant, inverse
+from crkit.rank import CERTIFIED, matrix_generic_rank
 from crkit.rational import GaussRational, I, ONE, ZERO
 from crkit.series import TruncatedSeries
 
 
 def G(re, im=0):
     return GaussRational(Fraction(re), Fraction(im))
-
-
-def test_rank_and_pivots():
-    matrix = [
-        [G(1), G(2), G(3)],
-        [G(2), G(4), G(6)],
-        [G(0), G(1), G(1)],
-    ]
-    rank, rows, cols = rank_and_pivots(matrix)
-    assert rank == 2
-    assert list(rows) == [0, 2]
-    assert list(cols) == [0, 1]
-
-
-def test_rank_of_zero_and_identity():
-    zero = [[G(0), G(0)], [G(0), G(0)]]
-    assert rank_and_pivots(zero)[0] == 0
-    ident = [[ONE, G(0)], [G(0), ONE]]
-    assert rank_and_pivots(ident)[0] == 2
 
 
 def test_determinant():
@@ -98,19 +80,30 @@ def test_inverse_is_a_left_inverse_or_singular(matrix):
 
 
 @given(matrices())
+@example([[G(1), G(2), G(3)], [G(2), G(4), G(6)], [G(0), G(1), G(1)]])
+@example([[ZERO, ZERO], [ZERO, ZERO]])
+@example([[ONE, ZERO], [ZERO, ONE]])
+@example([[ZERO, ONE], [ONE, ZERO]])
 def test_rank_is_the_largest_nonzero_minor(matrix):
+    """matrix_generic_rank over constant series: the rank is the largest
+    size of a nonzero minor, and the certificate is the first such minor
+    in combinations order, rows before columns."""
     nrows, ncols = len(matrix), len(matrix[0])
-    rank, rows, cols = rank_and_pivots(matrix)
-    largest = max(
-        (
-            k
-            for k in range(1, min(nrows, ncols) + 1)
-            for r in combinations(range(nrows), k)
-            for c in combinations(range(ncols), k)
-            if not minor(matrix, r, c).is_zero()
-        ),
-        default=0,
+    nonzero = [
+        (r, c)
+        for k in range(1, min(nrows, ncols) + 1)
+        for r in combinations(range(nrows), k)
+        for c in combinations(range(ncols), k)
+        if not minor(matrix, r, c).is_zero()
+    ]
+    largest = max((len(r) for r, _ in nonzero), default=0)
+    result = matrix_generic_rank(
+        [[TruncatedSeries.constant(entry, 1, 0) for entry in row] for row in matrix]
     )
-    assert rank == largest == len(rows) == len(cols)
-    if rank:
-        assert not minor(matrix, rows, cols).is_zero()
+    cert = result.certificate
+    assert (result.rank, cert.status) == (largest, CERTIFIED)
+    first = next(((r, c) for r, c in nonzero if len(r) == largest), ((), ()))
+    assert (cert.rows, cert.cols) == first
+    if largest:
+        assert cert.witness_monomial == (0,)
+        assert cert.witness_coefficient == minor(matrix, *first)

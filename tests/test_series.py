@@ -235,15 +235,6 @@ def test_conjugate():
     assert c.conjugate() == s
 
 
-def test_evaluate():
-    x, y = V(2, 4, 0), V(2, 4, 1)
-    s = x ** 2 + y.scale(I)
-    value = s.evaluate([Fraction(1, 2), Fraction(3)])
-    assert value == GaussRational(Fraction(1, 4), Fraction(3))
-    with pytest.raises(ValueError):
-        s.evaluate([Fraction(1)])
-
-
 def test_valuation_and_least_term():
     s = S(2, 5, [((2, 1), ONE), ((1, 1), GaussRational(2)), ((3, 0), I)])
     assert s.valuation() == 2
@@ -301,12 +292,6 @@ def test_map_basics():
     assert ident.source_nvars == 2 and ident.target_nvars == 2
     assert ident.is_origin_preserving()
     assert ident.order == 4
-    x, y = V(2, 4, 0), V(2, 4, 1)
-    shift = SeriesMap([x, y + x ** 2])
-    assert shift.evaluate([Fraction(1), Fraction(2)]) == (
-        GaussRational(1),
-        GaussRational(3),
-    )
 
 
 def test_from_slots():

@@ -342,12 +342,22 @@ def substitute_polynomial(series, q, values, order):
     return total
 
 
+def value_at(series, point):
+    """The stored polynomial part of ``series`` at an exact point."""
+    total = GaussRational(0)
+    for exponents, coeff in series.terms.items():
+        for value, e in zip(point, exponents):
+            coeff = coeff * value ** e
+        total = total + coeff
+    return total
+
+
 def reference_newton_extend(system, solution, target):
     r = system.target_nvars
     q = system.source_nvars - r
     y0 = [c.constant_term() for c in solution.components]
     origin = [GaussRational(0)] * q + y0
-    j0 = [[c.derive(q + j).evaluate(origin) for j in range(r)] for c in system.components]
+    j0 = [[value_at(c.derive(q + j), origin) for j in range(r)] for c in system.components]
     inv = linalg.inverse(j0)
     current = [
         TruncatedSeries(q, target, dict(c.terms)) for c in solution.components
