@@ -14,6 +14,31 @@ def G(re, im=0):
     return GaussRational(Fraction(re), Fraction(im))
 
 
+def constant_rank(matrix):
+    return matrix_generic_rank(
+        [[TruncatedSeries.constant(entry, 1, 0) for entry in row] for row in matrix]
+    )
+
+
+def test_rank_and_pivots():
+    matrix = [
+        [G(1), G(2), G(3)],
+        [G(2), G(4), G(6)],
+        [G(0), G(1), G(1)],
+    ]
+    result = constant_rank(matrix)
+    assert result.rank == 2
+    assert list(result.certificate.rows) == [0, 2]
+    assert list(result.certificate.cols) == [0, 1]
+
+
+def test_rank_of_zero_and_identity():
+    zero = [[G(0), G(0)], [G(0), G(0)]]
+    assert constant_rank(zero).rank == 0
+    ident = [[ONE, G(0)], [G(0), ONE]]
+    assert constant_rank(ident).rank == 2
+
+
 def test_determinant():
     assert determinant([[G(2)]]) == G(2)
     assert determinant([[G(1), G(2)], [G(3), G(4)]]) == G(-2)
@@ -97,9 +122,7 @@ def test_rank_is_the_largest_nonzero_minor(matrix):
         if not minor(matrix, r, c).is_zero()
     ]
     largest = max((len(r) for r, _ in nonzero), default=0)
-    result = matrix_generic_rank(
-        [[TruncatedSeries.constant(entry, 1, 0) for entry in row] for row in matrix]
-    )
+    result = constant_rank(matrix)
     cert = result.certificate
     assert (result.rank, cert.status) == (largest, CERTIFIED)
     first = next(((r, c) for r, c in nonzero if len(r) == largest), ((), ()))
