@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .errors import GeometryError, PrerequisiteError
-from .rank import generic_rank, matrix_generic_rank
+from .rank import CERTIFIED, generic_rank, matrix_generic_rank
 from .series import (
     SeriesMap,
     TruncatedSeries,
@@ -380,12 +380,18 @@ def degeneracy(H: Hypersurface, cutoff: int | None = None) -> DegeneracyResult:
     rows = [[series.derive(j) for j in range(n)] for _, series in family]
     result = matrix_generic_rank(rows)
     witnesses = tuple(family[i][0] for i in result.certificate.rows)
-    if effective >= 1:
+    if effective < 1:
+        stabilized = False
+    elif result.certificate.status == CERTIFIED and all(
+        sum(alpha) <= effective - 1 for alpha in witnesses
+    ):
+        # the certified minor lies in the lower cutoff's rows, so their rank
+        # is at least, and at most, the full one: a second climb is implied
+        stabilized = True
+    else:
         keep = [i for i, (alpha, _) in enumerate(family) if sum(alpha) <= effective - 1]
         prev = matrix_generic_rank([rows[i] for i in keep])
         stabilized = prev.rank == result.rank
-    else:
-        stabilized = False
     return DegeneracyResult(
         n=n,
         degeneracy=n - result.rank,

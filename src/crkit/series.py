@@ -70,23 +70,32 @@ def _fixed_degree(nvars, degree):
 
 
 # ---------------------------------------------------------------------------
-# the product kernel
+# the integer form and the product kernel
+#
+# A series' integer form is (den, rows, is_complex). Each row
+# (degree, key, a, b) stands for the term (a + b i) / den x^e, where ``key``
+# packs the exponent tuple e with place values base**i. The base is
+# order + 2: no entry reaches it, so adding two keys adds their tuples, and
+# since base = 1 mod (order + 1), key % (order + 1) is the degree of any
+# term the series can hold. Rows are sorted by (degree, key), and the form
+# is primitive, gcd(den, every a, every b) == 1, so equal series have
+# equal forms. ``is_complex`` says whether some b is nonzero.
 
 
 _FRACTION_ZERO = Fraction(0)
+_ZERO_FORM = (1, [], False)
+_ONE_FORM = (1, [(0, 0, 1, 0)], False)
 
 
-def _numerators(items, weights):
-    """Read coefficients once as Gaussian-integer numerators.
+def _pack(items, nvars: int, base: int):
+    """The integer form of (exponents, GaussRational) items, keys at ``base``.
 
-    Returns (den, rows, is_complex): ``den`` is the lcm of every Fraction
-    denominator, and each row (degree, key, a, b) stands for the term
-    (a + b i) / den x^e, sorted by degree. ``key`` packs the exponent
-    tuple e into one integer with the given place values, so adding two
-    keys adds the tuples as long as no entry reaches the base.
+    ``den`` is the lcm of every Fraction denominator, which makes the form
+    primitive.
     """
     items = list(items)
     den = math.lcm(*[c.re.denominator for _, c in items], *[c.im.denominator for _, c in items])
+    weights = [base**i for i in range(nvars)]
     rows = []
     is_complex = False
     for e, c in items:
@@ -97,27 +106,52 @@ def _numerators(items, weights):
             is_complex = True
         a = re.numerator * (den // re.denominator)
         rows.append((sum(e), sum(map(operator.mul, e, weights)), a, b))
-    rows.sort(key=operator.itemgetter(0))
+    rows.sort()
     return den, rows, is_complex
 
 
-def _sum_of_products(pairs, nvars: int, order: int) -> dict:
-    """The sum of left * right over ``pairs``, through total degree ``order``.
+def _exponents(key: int, base: int, nvars: int) -> tuple[int, ...]:
+    e = []
+    for _ in range(nvars):
+        key, digit = divmod(key, base)
+        e.append(digit)
+    return tuple(e)
 
-    Each operand is an iterable of (exponents, GaussRational) items over
-    ``nvars`` variables. Coefficients are read once as Gaussian-integer
-    numerators, all products are accumulated as plain ints over one common
-    denominator, and each nonzero sum becomes one reduced GaussRational.
-    Returns {exponents: coefficient} without zero coefficients.
-    """
-    base = order + 1
+
+def _rebase(form, old: int, base: int, nvars: int):
+    """The rows of ``form`` through degree base - 2, keys moved from base
+    ``old`` to ``base``. The result need not be primitive."""
+    den, rows, is_complex = form
     weights = [base**i for i in range(nvars)]
-    packed = [(_numerators(left, weights), _numerators(right, weights)) for left, right in pairs]
-    den = math.lcm(*[dl * dr for (dl, _, _), (dr, _, _) in packed])
+    return den, [
+        (d, sum(map(operator.mul, _exponents(k, old, nvars), weights)), a, b)
+        for d, k, a, b in rows
+        if d <= base - 2
+    ], is_complex
+
+
+def _primitive(den: int, rows: list):
+    """The form of ``rows`` over ``den`` divided by its content."""
+    g = math.gcd(den, *[row[2] for row in rows], *[row[3] for row in rows])
+    if g != 1:
+        den //= g
+        rows = [(d, k, a // g, b // g) for d, k, a, b in rows]
+    return den, rows, any(row[3] for row in rows)
+
+
+def _sum_of_products(pairs, nvars: int, order: int) -> "TruncatedSeries":
+    """The series sum of left * right over ``pairs``, through degree ``order``.
+
+    Each operand is an integer form with keys at base order + 2, as
+    ``TruncatedSeries._form_at`` gives it; a left operand need only be
+    sorted by degree. All products are accumulated as plain ints over one
+    common denominator, and the sum is reduced by one content gcd.
+    """
+    den = math.lcm(*[dl * dr for (dl, _, _), (dr, _, _) in pairs])
     re_acc: dict[int, int] = {}  # holds every key reached, in first-reached order
     im_acc: dict[int, int] = {}
     re_get, im_get = re_acc.get, im_acc.get
-    for (dl, left, _), (dr, right, right_complex) in packed:
+    for (dl, left, _), (dr, right, right_complex) in pairs:
         scale = den // (dl * dr)
         for d1, k1, a1, b1 in left:
             room = order - d1
@@ -138,20 +172,14 @@ def _sum_of_products(pairs, nvars: int, order: int) -> dict:
                         break
                     k = k1 + k2
                     re_acc[k] = re_get(k, 0) + a1 * a2
-    trusted = GaussRational._trusted
-    out = {}
+    top = order + 1
+    rows = []
     for k, a in re_acc.items():
         b = im_get(k, 0)
         if a or b:
-            e = []
-            for _ in range(nvars):
-                k, digit = divmod(k, base)
-                e.append(digit)
-            out[tuple(e)] = trusted(
-                Fraction(a, den) if a else _FRACTION_ZERO,
-                Fraction(b, den) if b else _FRACTION_ZERO,
-            )
-    return out
+            rows.append((k % top, k, a, b))
+    rows.sort()
+    return TruncatedSeries._trusted(nvars, order, form=_primitive(den, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +190,15 @@ class TruncatedSeries:
 
     ``terms`` maps exponent tuples to nonzero GaussRational coefficients;
     zero coefficients are never stored. Instances are immutable.
+
+    A series holds its terms in up to two forms: the integer form the
+    product kernel reads and writes, and the GaussRational view ``terms``.
+    A series the kernel built has only the first, and builds the view on
+    first access; a series built from terms computes its integer form on
+    first use by the kernel. Each is built once.
     """
 
-    __slots__ = ("nvars", "order", "_terms")
+    __slots__ = ("nvars", "order", "_view", "_form")
 
     def __init__(self, nvars: int, order: int, terms=()):
         if nvars < 0:
@@ -193,20 +227,54 @@ class TruncatedSeries:
             data[exponents] = coeff
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_terms", data)
+        object.__setattr__(self, "_view", data)
+        object.__setattr__(self, "_form", None)
 
     @classmethod
-    def _trusted(cls, nvars: int, order: int, data: dict) -> "TruncatedSeries":
-        """Wrap a dict the kernel built itself, without re-validating it.
+    def _trusted(cls, nvars: int, order: int, view=None, form=None) -> "TruncatedSeries":
+        """Wrap terms crkit built itself, without re-validating them.
 
-        The caller guarantees what ``__init__`` checks: exponent tuples of
-        arity ``nvars`` and total degree <= ``order``, nonzero coefficients.
+        The caller passes a view, an integer form at base ``order + 2``, or
+        both, and guarantees what ``__init__`` checks: exponent tuples of
+        arity ``nvars`` and total degree <= ``order``, nonzero
+        coefficients, and a primitive form with sorted rows.
         """
         series = object.__new__(cls)
         object.__setattr__(series, "nvars", nvars)
         object.__setattr__(series, "order", order)
-        object.__setattr__(series, "_terms", data)
+        object.__setattr__(series, "_view", view)
+        object.__setattr__(series, "_form", form)
         return series
+
+    @property
+    def _terms(self) -> dict:
+        """The GaussRational view, built from the integer form once."""
+        view = self._view
+        if view is None:
+            den, rows, _ = self._form
+            base, nvars, trusted = self.order + 2, self.nvars, GaussRational._trusted
+            view = {
+                _exponents(k, base, nvars): trusted(
+                    Fraction(a, den) if a else _FRACTION_ZERO,
+                    Fraction(b, den) if b else _FRACTION_ZERO,
+                )
+                for _, k, a, b in rows
+            }
+            object.__setattr__(self, "_view", view)
+        return view
+
+    def _form_at(self, base: int):
+        """The integer form with keys at ``base``, through degree base - 2.
+
+        Only the form at the series' own base, order + 2, is kept; another
+        base gets a copy with its keys re-packed.
+        """
+        form = self._form
+        own = self.order + 2
+        if form is None:
+            form = _pack(self._view.items(), self.nvars, own)
+            object.__setattr__(self, "_form", form)
+        return form if base == own else _rebase(form, own, base, self.nvars)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
@@ -247,13 +315,18 @@ class TruncatedSeries:
         return self._terms.get((0,) * self.nvars, ZERO)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        if self._form is not None:
+            return not self._form[1]
+        return not self._view
 
     def valuation(self):
         """Smallest total degree of a stored term, or None for the zero series."""
-        if not self._terms:
+        if self._form is not None:
+            rows = self._form[1]
+            return rows[0][0] if rows else None
+        if not self._view:
             return None
-        return min(sum(e) for e in self._terms)
+        return min(sum(e) for e in self._view)
 
     def least_term(self):
         """Graded-lex-least stored term as (exponents, coefficient), or None."""
@@ -265,16 +338,18 @@ class TruncatedSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return (
-            self.nvars == other.nvars
-            and self.order == other.order
-            and self._terms == other._terms
-        )
+        if self.nvars != other.nvars or self.order != other.order:
+            return False
+        if self._form is None and other._form is None:
+            return self._view == other._view
+        # primitive forms at the same base are equal exactly when the series are
+        return self._form_at(self.order + 2)[:2] == other._form_at(other.order + 2)[:2]
 
     __hash__ = None
 
     def __repr__(self):
-        return f"TruncatedSeries(nvars={self.nvars}, order={self.order}, {len(self._terms)} terms)"
+        size = len(self._form[1]) if self._view is None else len(self._view)
+        return f"TruncatedSeries(nvars={self.nvars}, order={self.order}, {size} terms)"
 
     def __str__(self):
         return format_series(self)
@@ -334,8 +409,9 @@ class TruncatedSeries:
             return NotImplemented
         self._compatible(other)
         order = min(self.order, other.order)
-        product = _sum_of_products([(self._terms.items(), other._terms.items())], self.nvars, order)
-        return TruncatedSeries._trusted(self.nvars, order, product)
+        return _sum_of_products(
+            [(self._form_at(order + 2), other._form_at(order + 2))], self.nvars, order
+        )
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussRational)):
@@ -363,6 +439,9 @@ class TruncatedSeries:
             )
         if order == self.order:
             return self
+        if self._form is not None:
+            den, rows, _ = self._form_at(order + 2)
+            return TruncatedSeries._trusted(self.nvars, order, form=_primitive(den, rows))
         kept = {e: c for e, c in self._terms.items() if sum(e) <= order}
         return TruncatedSeries(self.nvars, order, kept)
 
@@ -448,11 +527,12 @@ class SeriesMap:
         None for zero, or a series, which is truncated to ``order``."""
         components = []
         for slot in slots:
-            if slot is None:
-                components.append(TruncatedSeries._trusted(nvars, order, {}))
+            if slot is None or (isinstance(slot, int) and not order):
+                components.append(TruncatedSeries._trusted(nvars, order, {}, _ZERO_FORM))
             elif isinstance(slot, int):
-                terms = {unit_exponent(nvars, slot): ONE} if order else {}
-                components.append(TruncatedSeries._trusted(nvars, order, terms))
+                row = (1, (order + 2) ** slot, 1, 0)
+                view = {unit_exponent(nvars, slot): ONE}
+                components.append(TruncatedSeries._trusted(nvars, order, view, (1, [row], False)))
             else:
                 components.append(slot.truncate(order))
         return cls(components)
@@ -470,7 +550,7 @@ class SeriesMap:
         return self.components[0].order
 
     def is_origin_preserving(self) -> bool:
-        return all(c.constant_term().is_zero() for c in self.components)
+        return all(c.valuation() != 0 for c in self.components)
 
     def conjugate(self) -> "SeriesMap":
         return SeriesMap(c.conjugate() for c in self.components)
@@ -525,7 +605,8 @@ def compose(outer: TruncatedSeries, vmap: SeriesMap) -> TruncatedSeries:
     compositions with maps written by ``SeriesMap.from_slots``. A slot
     holding a plain variable only shifts exponents, and a slot holding
     zero only drops the outer terms that use it; a map with no other slot
-    is applied by that shift alone. The other slots are expanded through
+    is applied by that shift alone, and the kernel sums the terms it makes
+    meet. The other slots are expanded through
     cached powers, multiplied once per distinct exponent pattern on those
     slots. The outer terms sharing a pattern are summed against its
     product in one pass of the product kernel.
@@ -537,45 +618,41 @@ def compose(outer: TruncatedSeries, vmap: SeriesMap) -> TruncatedSeries:
     if not vmap.is_origin_preserving():
         raise ValueError("composition requires an origin-preserving map")
     order = min(outer.order, vmap.order)
+    base = order + 2
     src = vmap.source_nvars
     zero_slots, plain_slots, general_slots = [], [], []
     for i, component in enumerate(vmap.components):
-        terms = component._terms
-        if not terms:
+        own = component.order + 2
+        den, rows, _ = component._form_at(own)
+        if not rows:
             zero_slots.append(i)
+        elif den == 1 and len(rows) == 1 and rows[0][0] == 1 and rows[0][2:] == (1, 0):
+            plain_slots.append((i, _exponents(rows[0][1], own, src).index(1)))
+        else:
+            general_slots.append(i)
+
+    # each outer term through ``order`` that no zero slot kills, as its
+    # exponents on the general slots and its row after the plain slots'
+    # shift, with keys at ``base``
+    weights = [base**j for j in range(src)]
+    top = order + 1
+    outer_base = outer.order + 2
+    den, rows, is_complex = outer._form_at(outer_base)
+    shifted = []
+    for d, k, a, b in rows:
+        if d > order:
+            break
+        e = _exponents(k, outer_base, outer.nvars)
+        if any(e[i] for i in zero_slots):
             continue
-        if len(terms) == 1:
-            (e, c), = terms.items()
-            if sum(e) == 1 and c == ONE:
-                plain_slots.append((i, e.index(1)))
-                continue
-        general_slots.append(i)
+        key = sum(e[i] * weights[j] for i, j in plain_slots)
+        shifted.append((tuple(e[i] for i in general_slots), (key % top, key, a, b)))
 
     if not general_slots:
-        # a relabel: shift the exponents; two slots naming the same variable
-        # make terms coincide, and their coefficients are summed
-        targets = [None] * outer.nvars
-        for i, j in plain_slots:
-            targets[i] = j
-        out = {}
-        for exponents, coeff in outer._terms.items():
-            if sum(exponents) > order:
-                continue
-            shift = [0] * src
-            for k, j in zip(exponents, targets):
-                if k:
-                    if j is None:
-                        break
-                    shift[j] += k
-            else:
-                key = tuple(shift)
-                if key not in out:
-                    out[key] = coeff
-                elif total := out[key] + coeff:
-                    out[key] = total
-                else:
-                    del out[key]  # a zero sum is not stored
-        return TruncatedSeries._trusted(src, order, out)
+        # a relabel keeps every degree, so the rows are still sorted; the
+        # kernel sums the terms that two slots naming one variable make meet
+        left = (den, [row for _, row in shifted], is_complex)
+        return _sum_of_products([(left, _ONE_FORM)], src, order)
 
     one = TruncatedSeries.constant(ONE, src, order)
     powers = {i: [one] for i in general_slots}
@@ -589,23 +666,18 @@ def compose(outer: TruncatedSeries, vmap: SeriesMap) -> TruncatedSeries:
     # outer terms grouped by their exponents on the general slots; each
     # group is one sum of monomials in the plain slots' variables
     groups: dict[tuple[int, ...], list] = {}
-    for exponents, coeff in outer.sorted_terms():
-        if sum(exponents) > order or any(exponents[i] for i in zero_slots):
-            continue
-        shift = [0] * src
-        for i, j in plain_slots:
-            shift[j] += exponents[i]
-        key = tuple(exponents[i] for i in general_slots)
-        groups.setdefault(key, []).append((tuple(shift), coeff))
+    for pattern, row in shifted:
+        groups.setdefault(pattern, []).append(row)
     pairs = []
-    for key, shifted in groups.items():
+    for pattern, group in groups.items():
         series = one
-        for i, k in zip(general_slots, key):
+        for i, k in zip(general_slots, pattern):
             if k:
                 factor = power(i, k)
                 series = factor if series is one else series * factor
-        pairs.append((shifted, series._terms.items()))
-    return TruncatedSeries._trusted(src, order, _sum_of_products(pairs, src, order))
+        group.sort()
+        pairs.append(((den, group, is_complex), series._form_at(base)))
+    return _sum_of_products(pairs, src, order)
 
 
 # ---------------------------------------------------------------------------

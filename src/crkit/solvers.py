@@ -33,6 +33,9 @@ from .rational import ONE, ZERO
 from .series import (
     SeriesMap,
     TruncatedSeries,
+    _ONE_FORM,
+    _ZERO_FORM,
+    _pack,
     _sum_of_products,
     compose,
     grlex_key,
@@ -67,7 +70,7 @@ def implicit_solve(rho: TruncatedSeries, var: int) -> TruncatedSeries:
     inv_c = [[ONE / c]]
     for degree in range(1, order + 1):
         online.settle(degree, inv_c)
-    solution = TruncatedSeries(m - 1, order, online.terms(0))
+    solution = online.unknown(0)
 
     slots = [*range(var), solution, *range(var, m - 1)]
     if not compose(rho, SeriesMap.from_slots(m - 1, order, slots)).is_zero():
@@ -104,7 +107,7 @@ def invert_map(fmap: SeriesMap) -> SeriesMap:
     online = _OnlineSolve(equations, n, n, order)
     for degree in range(1, order + 1):
         online.settle(degree, inv)
-    inverse = SeriesMap(TruncatedSeries(n, order, online.terms(j)) for j in range(n))
+    inverse = SeriesMap(online.unknown(j) for j in range(n))
     if fmap.compose(inverse) != SeriesMap.identity(n, order):
         raise AssertionError("map inversion failed its back-substitution; this is a bug")
     return inverse
@@ -145,11 +148,11 @@ def newton_extend(system: SeriesMap, solution: SeriesMap, target_order: int) -> 
     ]
     known = [_homogeneous_parts(c, given) for c in solution.components]
     online = _OnlineSolve(equations, q, r, target_order, known)
-    defect = next((res for res in online.residuals_through(given) if res), None)
+    defect = next((res for res in online.residuals_through(given) if not res.is_zero()), None)
     if defect is not None:
         raise ValueError(
             "input does not solve the system through its stated order, first "
-            f"defect at {min(defect, key=grlex_key)}"
+            f"defect at {min(defect.terms, key=grlex_key)}"
         )
 
     units = [unit_exponent(r, j) for j in range(r)]
@@ -165,9 +168,7 @@ def newton_extend(system: SeriesMap, solution: SeriesMap, target_order: int) -> 
         # solution; name which of the two ways the extension is undetermined
         partials = [_derive_unknown(eq, j) for eq in equations for j in range(r)]
         along = _OnlineSolve(partials, q, r, given, known).residuals_through(given)
-        matrix = [
-            [TruncatedSeries(q, given, along[i * r + j]) for j in range(r)] for i in range(r)
-        ]
+        matrix = [along[i * r : (i + 1) * r] for i in range(r)]
         if _series_det(matrix).is_zero():
             raise ValueError(
                 "Jacobian determinant vanishes along the solution at every degree "
@@ -181,17 +182,14 @@ def newton_extend(system: SeriesMap, solution: SeriesMap, target_order: int) -> 
         online.settle(degree, j0_inv)
 
     if target_order > given:
-        increments = [TruncatedSeries(q, target_order, online.terms(j)) for j in range(r)]
+        increments = [online.unknown(j) for j in range(r)]
         substitution = SeriesMap.from_slots(q, target_order, [*range(q), *increments])
         for eq in equations:
             if not compose(_as_series(eq, q, r, target_order), substitution).is_zero():
                 raise AssertionError(
                     "Newton extension failed its back-substitution; this is a bug"
                 )
-    return SeriesMap(
-        TruncatedSeries(q, target_order, {(0,) * q: y0[j], **online.terms(j)})
-        for j in range(r)
-    )
+    return SeriesMap(online.unknown(j, y0[j]) for j in range(r))
 
 
 # ---------------------------------------------------------------------------
@@ -289,17 +287,20 @@ class _OnlineSolve:
     degree-d part, of a power product or of a residual, is one sum of
     products in the series product kernel.
 
+    Every coefficient group of F, every graded part and every residual is
+    a series at the solve's full order, and the kernel runs at that order
+    too, so each series is packed into its integer form once.
+
     ``residual(d)`` must be called for every degree from 2 on, in
     increasing order, once each; ``settle(d, ...)`` calls it.
     """
 
     def __init__(self, equations, nparams: int, nunknowns: int, order: int, known=None):
-        self.equations = equations
         self.nparams = nparams
+        self.order = order
+        self.base = order + 2
         self.origin = (0,) * nparams
-        if known is None:
-            known = [[] for _ in range(nunknowns)]
-        self.parts = [[{}] + list(k) for k in known]
+        zero = TruncatedSeries._trusted(nparams, order, {}, _ZERO_FORM)
         # reach[beta]: the highest degree of Y^beta that some residual uses
         reach: dict = {}
         for groups in equations:
@@ -312,7 +313,26 @@ class _OnlineSolve:
                 parent, _ = _lower(beta)
                 reach[parent] = max(reach.get(parent, 0), reach[beta] - 1)
         self.reach = reach
-        self.powers = {beta: [{}] * sum(beta) for beta in reach}
+        self.equations = [
+            {
+                beta: {
+                    d: TruncatedSeries._trusted(nparams, order, coeffs)
+                    for d, coeffs in by_degree.items()
+                    if d <= order
+                }
+                for beta, by_degree in groups.items()
+            }
+            for groups in equations
+        ]
+        if known is None:
+            known = [[] for _ in range(nunknowns)]
+        self.parts = [
+            [zero] + [TruncatedSeries._trusted(nparams, order, part) for part in k] for k in known
+        ]
+        self.powers = {beta: [zero] * sum(beta) for beta in reach}
+
+    def _constant(self, value):
+        return _pack([(self.origin, value)], self.nparams, self.base)
 
     def _power(self, beta):
         """Graded parts of Y^beta: Y_j itself, a kept power product, or
@@ -321,53 +341,68 @@ class _OnlineSolve:
             return self.parts[beta.index(1)]
         return self.powers.get(beta, ())
 
-    def residual(self, degree: int) -> list[dict]:
+    def residual(self, degree: int) -> list[TruncatedSeries]:
         """Degree-``degree`` part of each F_i(x, Y) from the parts of Y known
         so far: R_d while Y_d is open, the full residual once it is known."""
+        base = self.base
         for beta, top in self.reach.items():
             if sum(beta) <= degree <= top:
                 parent, j = _lower(beta)
                 lower, last = self._power(parent), self.parts[j]
                 pairs = [
-                    (lower[d].items(), last[degree - d].items())
+                    (lower[d]._form_at(base), last[degree - d]._form_at(base))
                     for d in range(sum(parent), degree)
                 ]
-                self.powers[beta].append(_sum_of_products(pairs, self.nparams, degree))
+                self.powers[beta].append(_sum_of_products(pairs, self.nparams, self.order))
         out = []
         for groups in self.equations:
             pairs = []
             for beta, by_degree in groups.items():
                 if not any(beta):
-                    pairs.append((by_degree.get(degree, {}).items(), ((self.origin, ONE),)))
+                    if degree in by_degree:
+                        pairs.append((by_degree[degree]._form_at(base), _ONE_FORM))
                     continue
                 graded = self._power(beta)
                 for d, coeffs in by_degree.items():
                     # parts below degree |beta| are empty; Y_d is missing while open
                     if 0 <= degree - d < len(graded):
-                        pairs.append((coeffs.items(), graded[degree - d].items()))
-            out.append(_sum_of_products(pairs, self.nparams, degree))
+                        pairs.append((coeffs._form_at(base), graded[degree - d]._form_at(base)))
+            out.append(_sum_of_products(pairs, self.nparams, self.order))
         return out
 
-    def residuals_through(self, top: int) -> list[dict]:
+    def residuals_through(self, top: int) -> list[TruncatedSeries]:
         """Each F_i(x, Y) through degree ``top``, for Y known that far."""
-        totals = [{} for _ in self.equations]
+        totals = [[] for _ in self.equations]
         for degree in range(top + 1):
             for total, part in zip(totals, self.residual(degree)):
-                total.update(part)
-        return totals
+                total.append(part._form_at(self.base))
+        return [self._joined(forms) for forms in totals]
 
     def settle(self, degree: int, j0_inv) -> None:
         """Fix Y_d = -J0^-1 R_d."""
-        rhs = self.residual(degree)
+        rhs = [res._form_at(self.base) for res in self.residual(degree)]
         for parts, row in zip(self.parts, j0_inv):
-            pairs = [
-                (((self.origin, -coeff),), res.items()) for coeff, res in zip(row, rhs) if coeff
-            ]
-            parts.append(_sum_of_products(pairs, self.nparams, degree))
+            pairs = [(self._constant(-coeff), res) for coeff, res in zip(row, rhs) if coeff]
+            parts.append(_sum_of_products(pairs, self.nparams, self.order))
 
-    def terms(self, j: int) -> dict:
-        """Every settled term of Y_j."""
-        return {e: c for part in self.parts[j] for e, c in part.items()}
+    def unknown(self, j: int, constant=ZERO) -> TruncatedSeries:
+        """Every settled part of Y_j, plus ``constant``, as one series."""
+        forms = [part._form_at(self.base) for part in self.parts[j]]
+        if constant:
+            forms.insert(0, self._constant(constant))
+        return self._joined(forms)
+
+    def _joined(self, forms) -> TruncatedSeries:
+        """One series from integer forms at the solve's base, each
+        homogeneous and in increasing degree. Over the lcm of their
+        denominators, primitive parts give a primitive whole."""
+        den = math.lcm(*[form[0] for form in forms])
+        rows = []
+        for part_den, part_rows, _ in forms:
+            scale = den // part_den
+            rows.extend((d, k, a * scale, b * scale) for d, k, a, b in part_rows)
+        is_complex = any(form[2] for form in forms)
+        return TruncatedSeries._trusted(self.nparams, self.order, form=(den, rows, is_complex))
 
 
 def _lower(beta: tuple[int, ...]) -> tuple[tuple[int, ...], int]:

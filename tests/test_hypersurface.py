@@ -17,6 +17,7 @@ from crkit.hypersurface import (
     tangent_fields,
 )
 from crkit.parser import parse_expr
+from crkit.rank import matrix_generic_rank
 from crkit.rational import GaussRational, I, ONE
 from crkit.series import SeriesMap, TruncatedSeries
 
@@ -288,6 +289,31 @@ def test_degeneracy_stabilization_tracks_the_rank_jump(quadric):
     d = degeneracy(quadric, cutoff=3)
     assert d.rank == 2
     assert d.stabilized
+
+
+def test_degeneracy_stabilized_equals_the_two_climb_answer(sphere, levi_flat, quadric):
+    # degeneracy skips the second climb when the certified witnesses all
+    # lie below the effective cutoff; where a witness reaches it, the
+    # second climb runs. Either way stabilized must be what a second
+    # certified rank on the rows with |alpha| <= effective - 1 says.
+    reached = []
+    for surface, cutoff in [
+        (sphere, 1), (sphere, 3), (sphere, 8),
+        (levi_flat, 1), (levi_flat, 4),
+        (quadric, 1), (quadric, 2), (quadric, 3),
+    ]:
+        d = degeneracy(surface, cutoff)
+        family = phi_family(surface, d.cutoff_effective)
+        rows = [
+            [series.derive(j) for j in range(surface.n)]
+            for alpha, series in family
+            if sum(alpha) <= d.cutoff_effective - 1
+        ]
+        assert d.stabilized == (matrix_generic_rank(rows).rank == d.rank)
+        reached.append(max(map(sum, d.witnesses)) == d.cutoff_effective)
+    # both paths are exercised: a witness reaches the cutoff for the
+    # sphere at cutoff 1 and the quadric at cutoff 2
+    assert reached == [True, False, False, False, False, False, True, False]
 
 
 def test_degeneracy_determinism(quadric):

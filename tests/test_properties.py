@@ -1,8 +1,9 @@
 """Randomized algebraic laws, checked exactly on every generated case."""
 
+import math
 from fractions import Fraction
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from crkit.documents import parse_document, serialize
 from crkit.rational import GaussRational, ONE, ZERO
@@ -425,3 +426,103 @@ def test_kernel_implicit_solve_matches_fixed_point(case):
         residual = ref_compose(ref_terms(rho), components, m - 1, order)
         reference = ref_add(reference, residual, (-inverse[0], -inverse[1]))
     assert_matches(implicit_solve(rho, var), reference)
+
+
+# ---------------------------------------------------------------------------
+# the integer form a series keeps
+#
+# A kernel result stores (den, rows) with rows (degree, key, a, b) and
+# builds its GaussRational view only when read. Chained operations feed
+# kernel results back into the kernel, so each step reads the stored form,
+# sometimes at a lower order than it was packed for.
+
+
+def assert_primitive(s):
+    den, rows, _ = s._form
+    assert math.gcd(den, *[a for *_, a, _ in rows], *[b for *_, b in rows]) == 1
+    assert [row[0] for row in rows] == sorted(row[0] for row in rows)
+
+
+@st.composite
+def kernel_chains(draw):
+    nvars = draw(st.integers(1, 3))
+    orders = [draw(st.integers(0, 5)) for _ in range(4)]
+    return [draw(kernel_series(nvars, order)) for order in orders]
+
+
+@given(kernel_chains())
+@example([
+    TruncatedSeries(2, 5, {(1, 1): ONE, (0, 2): GaussRational(Fraction(1, 3))}),
+    TruncatedSeries(2, 5, {(0, 1): GaussRational(0, 2), (2, 0): ONE}),
+    TruncatedSeries(2, 3, {(1, 0): GaussRational(Fraction(3, 2))}),
+    TruncatedSeries(2, 2, {(0, 0): ONE, (0, 1): ONE}),
+])
+def test_chained_products_read_the_stored_form(chain):
+    a, b, c, d = chain
+    ab = a * b
+    assert ab._view is None  # nothing read the view yet
+    abc = ab * c
+    # ab again, now at d's order when that is lower: keys at another base
+    abd = ab * d
+    for product in (ab, abc, abd):
+        assert_primitive(product)
+    ref_ab = ref_mul(ref_terms(a), ref_terms(b), ab.order)
+    assert_matches(abc, ref_mul(ref_ab, ref_terms(c), abc.order))
+    assert_matches(abd, ref_mul(ref_ab, ref_terms(d), abd.order))
+    assert_matches(ab.truncate(min(ab.order, d.order)), {
+        e: v for e, v in ref_ab.items() if sum(e) <= min(ab.order, d.order)
+    })
+    assert_matches(ab, ref_ab)
+
+
+@given(kernel_chains())
+@example([
+    TruncatedSeries(2, 4, {(1, 0): ONE, (0, 1): GaussRational(Fraction(1, 2))}),
+    TruncatedSeries(2, 4, {(0, 1): ONE, (1, 1): GaussRational(0, Fraction(2, 3))}),
+    TruncatedSeries(2, 4, {(1, 0): ONE, (2, 0): ONE}),
+    TruncatedSeries(2, 2, {(1, 1): ONE}),
+])
+def test_chained_compositions_read_the_stored_form(chain):
+    a, b, c, d = chain
+    nvars = a.nvars
+    xs = [TruncatedSeries.variable(nvars, 5, i) for i in range(nvars)]
+    # origin-preserving components built by the kernel; the outer series
+    # is a kernel result too, often at a higher order than the map
+    vmap = SeriesMap((x * b) * c for x in xs)
+    outer = a * d
+    once = compose(outer, vmap)
+    twice = compose(once, vmap)
+    for result in (once, twice):
+        assert_primitive(result)
+    refs = [ref_terms(s) for s in vmap.components]
+    ref_once = ref_compose(ref_terms(outer), refs, nvars, once.order)
+    assert_matches(twice, ref_compose(ref_once, refs, nvars, twice.order))
+    assert_matches(once, ref_once)
+
+
+@given(kernel_operands())
+def test_kernel_results_equal_the_same_terms_built_directly(operands):
+    a, b = operands
+    product = a * b
+    rebuilt = TruncatedSeries(product.nvars, product.order, dict(product.terms))
+    assert product == rebuilt and rebuilt == product
+    # == packs the side built from terms and compares the two forms
+    assert a * b == TruncatedSeries(product.nvars, product.order, dict(product.terms))
+    assert TruncatedSeries(product.nvars, product.order, dict(product.terms)) == a * b
+    if not product.is_zero():
+        assert product != product.scale(2)
+        assert product.scale(2) != product
+
+
+@given(kernel_operands())
+def test_cancelling_product_is_zero_without_building_the_view(operands):
+    u, v = operands
+    assume(u.nvars and min(u.order, v.order))
+    x = TruncatedSeries.variable(u.nvars, u.order, 0)
+    # u v x - v x u: one sum of products in the kernel whose every term cancels
+    p, q = (u * v) * x, (v * x) * u
+    minus = TruncatedSeries(2, p.order, {(1, 0): ONE, (0, 1): -ONE})
+    difference = compose(minus, SeriesMap([p, q]))
+    assert difference.is_zero()
+    assert difference._view is None and p._view is None and q._view is None
+    assert not difference.terms
