@@ -326,7 +326,7 @@ def _parse_series_block(reader: _Reader):
     terms = _parse_terms(reader, nvars, order, count)
     if terms is None or reader.problems:
         return None
-    return groups, TruncatedSeries._trusted(nvars, order, dict(terms))
+    return groups, TruncatedSeries._from_terms(nvars, order, terms)
 
 
 def _expect_end(reader: _Reader):
@@ -398,7 +398,7 @@ def parse_document(text: str):
         if not reader.problems and groups is not None:
             nvars = sum(arity for _, arity in groups)
             result = SeriesMap(
-                TruncatedSeries._trusted(nvars, order, dict(terms)) for terms in components
+                TruncatedSeries._from_terms(nvars, order, terms) for terms in components
             )
     else:  # hypersurface
         n_token = reader.take_kv("n")

@@ -27,7 +27,6 @@ from .series import (
     TruncatedSeries,
     compose,
     format_monomial,
-    grlex_key,
     multi_indices,
     unit_exponent,
 )
@@ -49,8 +48,7 @@ def reality_defect(rho: TruncatedSeries, n: int):
     and you must get rho back. Returns (exponents, coefficient, mirrored)
     for the graded-lex-least offending exponent tuple.
     """
-    seen = sorted(set(rho.terms), key=grlex_key)
-    for exponents in seen:
+    for exponents in rho.terms:
         mirror = exponents[n:] + exponents[:n]
         expected = rho.coefficient(mirror).conjugate()
         actual = rho.coefficient(exponents)

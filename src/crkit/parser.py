@@ -380,13 +380,13 @@ def parse_expr(text: str, variables: Declaration, order: int) -> TruncatedSeries
     if tokens[0].kind == "end":
         raise ParseError("empty expression", tokens[0].line, tokens[0].column)
     ast = _Parser(tokens, layout).parse()
-    poly = _evaluate(ast, layout.nvars, _degree_bound(ast)).terms
-    kept = [(e, c) for e, c in poly.items() if sum(e) <= order]
-    dropped = len(poly) - len(kept)
+    expanded = _evaluate(ast, layout.nvars, max(order, _degree_bound(ast)))
+    result = expanded.truncate(order)
+    dropped = len(expanded._form[1]) - len(result._form[1])
     if dropped:
         warnings.warn(
             f"{dropped} term(s) above order {order} were dropped",
             TruncationWarning,
             stacklevel=2,
         )
-    return TruncatedSeries(layout.nvars, order, kept)
+    return result

@@ -14,6 +14,7 @@ order, which makes serialization and reporting bit-reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -72,19 +73,29 @@ def _fixed_degree(nvars, degree):
 # ---------------------------------------------------------------------------
 # the integer form and the product kernel
 #
-# A series' integer form is (den, rows, is_complex). Each row
-# (degree, key, a, b) stands for the term (a + b i) / den x^e, where ``key``
-# packs the exponent tuple e with place values base**i. The base is
-# order + 2: no entry reaches it, so adding two keys adds their tuples, and
+# A series' integer form is (den, rows, is_complex), and it is the only
+# storage a series has. Each row (degree, key, a, b) stands for the term
+# (a + b i) / den x^e, where ``key`` packs the exponent tuple e with place
+# values base**(nvars - 1 - i), the first variable the most significant.
+# The base is order + 2: no entry reaches it, so adding two keys adds their
+# tuples and comparing two keys compares their tuples lexicographically;
 # since base = 1 mod (order + 1), key % (order + 1) is the degree of any
-# term the series can hold. Rows are sorted by (degree, key), and the form
-# is primitive, gcd(den, every a, every b) == 1, so equal series have
-# equal forms. ``is_complex`` says whether some b is nonzero.
+# term the series can hold. Rows are sorted by (degree, key), which is
+# graded-lex order, and the form is primitive, gcd(den, every a, every b)
+# == 1, so equal series have equal forms. ``is_complex`` says whether some
+# b is nonzero.
 
 
 _FRACTION_ZERO = Fraction(0)
-_ZERO_FORM = (1, [], False)
 _ONE_FORM = (1, [(0, 0, 1, 0)], False)
+_MINUS_ONE_FORM = (1, [(0, 0, -1, 0)], False)
+_SCALARS = (int, Fraction, GaussRational)
+
+
+@functools.cache
+def _weights(base: int, nvars: int) -> tuple[int, ...]:
+    """Place values of the exponent entries at ``base``, the first highest."""
+    return tuple(base ** (nvars - 1 - i) for i in range(nvars))
 
 
 def _pack(items, nvars: int, base: int):
@@ -94,8 +105,10 @@ def _pack(items, nvars: int, base: int):
     primitive.
     """
     items = list(items)
+    if not items:
+        return 1, [], False
     den = math.lcm(*[c.re.denominator for _, c in items], *[c.im.denominator for _, c in items])
-    weights = [base**i for i in range(nvars)]
+    weights = _weights(base, nvars)
     rows = []
     is_complex = False
     for e, c in items:
@@ -110,11 +123,16 @@ def _pack(items, nvars: int, base: int):
     return den, rows, is_complex
 
 
+def _constant_form(value):
+    """The integer form of the constant ``value`` as a kernel operand: its
+    one row, stored even for zero, has key 0 at every base."""
+    return _pack([((), GaussRational.coerce(value))], 0, 2)
+
+
 def _exponents(key: int, base: int, nvars: int) -> tuple[int, ...]:
-    e = []
-    for _ in range(nvars):
-        key, digit = divmod(key, base)
-        e.append(digit)
+    e = [0] * nvars
+    for i in range(nvars - 1, -1, -1):
+        key, e[i] = divmod(key, base)
     return tuple(e)
 
 
@@ -122,7 +140,7 @@ def _rebase(form, old: int, base: int, nvars: int):
     """The rows of ``form`` through degree base - 2, keys moved from base
     ``old`` to ``base``. The result need not be primitive."""
     den, rows, is_complex = form
-    weights = [base**i for i in range(nvars)]
+    weights = _weights(base, nvars)
     return den, [
         (d, sum(map(operator.mul, _exponents(k, old, nvars), weights)), a, b)
         for d, k, a, b in rows
@@ -179,7 +197,7 @@ def _sum_of_products(pairs, nvars: int, order: int) -> "TruncatedSeries":
         if a or b:
             rows.append((k % top, k, a, b))
     rows.sort()
-    return TruncatedSeries._trusted(nvars, order, form=_primitive(den, rows))
+    return TruncatedSeries._trusted(nvars, order, _primitive(den, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -188,17 +206,13 @@ def _sum_of_products(pairs, nvars: int, order: int) -> "TruncatedSeries":
 class TruncatedSeries:
     """A formal power series known exactly through total degree ``order``.
 
-    ``terms`` maps exponent tuples to nonzero GaussRational coefficients;
-    zero coefficients are never stored. Instances are immutable.
-
-    A series holds its terms in up to two forms: the integer form the
-    product kernel reads and writes, and the GaussRational view ``terms``.
-    A series the kernel built has only the first, and builds the view on
-    first access; a series built from terms computes its integer form on
-    first use by the kernel. Each is built once.
+    A series stores its terms only as the integer form above, at base
+    ``order + 2``. ``terms`` maps exponent tuples to nonzero GaussRational
+    coefficients in graded-lex order: a read-only decoding of the form,
+    built on first read. Instances are immutable.
     """
 
-    __slots__ = ("nvars", "order", "_view", "_form")
+    __slots__ = ("nvars", "order", "_form", "_view")
 
     def __init__(self, nvars: int, order: int, terms=()):
         if nvars < 0:
@@ -227,28 +241,36 @@ class TruncatedSeries:
             data[exponents] = coeff
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_view", data)
-        object.__setattr__(self, "_form", None)
+        object.__setattr__(self, "_form", _pack(data.items(), nvars, order + 2))
+        object.__setattr__(self, "_view", None)
 
     @classmethod
-    def _trusted(cls, nvars: int, order: int, view=None, form=None) -> "TruncatedSeries":
-        """Wrap terms crkit built itself, without re-validating them.
+    def _trusted(cls, nvars: int, order: int, form) -> "TruncatedSeries":
+        """Wrap an integer form crkit built itself, without re-validating it.
 
-        The caller passes a view, an integer form at base ``order + 2``, or
-        both, and guarantees what ``__init__`` checks: exponent tuples of
-        arity ``nvars`` and total degree <= ``order``, nonzero
-        coefficients, and a primitive form with sorted rows.
+        The caller guarantees a primitive form at base ``order + 2`` with
+        sorted rows, nonzero coefficients and degrees <= ``order``.
         """
         series = object.__new__(cls)
         object.__setattr__(series, "nvars", nvars)
         object.__setattr__(series, "order", order)
-        object.__setattr__(series, "_view", view)
         object.__setattr__(series, "_form", form)
+        object.__setattr__(series, "_view", None)
         return series
+
+    @classmethod
+    def _from_terms(cls, nvars: int, order: int, items) -> "TruncatedSeries":
+        """Pack (exponents, GaussRational) items crkit built itself.
+
+        The caller guarantees what ``__init__`` checks: distinct exponent
+        tuples of arity ``nvars`` and total degree <= ``order``, and
+        nonzero coefficients.
+        """
+        return cls._trusted(nvars, order, _pack(items, nvars, order + 2))
 
     @property
     def _terms(self) -> dict:
-        """The GaussRational view, built from the integer form once."""
+        """The GaussRational view, decoded from the form on first read."""
         view = self._view
         if view is None:
             den, rows, _ = self._form
@@ -269,12 +291,8 @@ class TruncatedSeries:
         Only the form at the series' own base, order + 2, is kept; another
         base gets a copy with its keys re-packed.
         """
-        form = self._form
         own = self.order + 2
-        if form is None:
-            form = _pack(self._view.items(), self.nvars, own)
-            object.__setattr__(self, "_form", form)
-        return form if base == own else _rebase(form, own, base, self.nvars)
+        return self._form if base == own else _rebase(self._form, own, base, self.nvars)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
@@ -306,7 +324,7 @@ class TruncatedSeries:
         return MappingProxyType(self._terms)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], GaussRational]]:
-        return sorted(self._terms.items(), key=lambda kv: grlex_key(kv[0]))
+        return list(self._terms.items())
 
     def coefficient(self, exponents) -> GaussRational:
         return self._terms.get(tuple(exponents), ZERO)
@@ -315,40 +333,28 @@ class TruncatedSeries:
         return self._terms.get((0,) * self.nvars, ZERO)
 
     def is_zero(self) -> bool:
-        if self._form is not None:
-            return not self._form[1]
-        return not self._view
+        return not self._form[1]
 
     def valuation(self):
         """Smallest total degree of a stored term, or None for the zero series."""
-        if self._form is not None:
-            rows = self._form[1]
-            return rows[0][0] if rows else None
-        if not self._view:
-            return None
-        return min(sum(e) for e in self._view)
+        rows = self._form[1]
+        return rows[0][0] if rows else None
 
     def least_term(self):
         """Graded-lex-least stored term as (exponents, coefficient), or None."""
-        if not self._terms:
-            return None
-        exponents = min(self._terms, key=grlex_key)
-        return exponents, self._terms[exponents]
+        return next(iter(self._terms.items()), None)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        if self.nvars != other.nvars or self.order != other.order:
-            return False
-        if self._form is None and other._form is None:
-            return self._view == other._view
         # primitive forms at the same base are equal exactly when the series are
-        return self._form_at(self.order + 2)[:2] == other._form_at(other.order + 2)[:2]
+        same_ring = self.nvars == other.nvars and self.order == other.order
+        return same_ring and self._form[:2] == other._form[:2]
 
     __hash__ = None
 
     def __repr__(self):
-        size = len(self._form[1]) if self._view is None else len(self._view)
+        size = len(self._form[1])
         return f"TruncatedSeries(nvars={self.nvars}, order={self.order}, {size} terms)"
 
     def __str__(self):
@@ -362,48 +368,38 @@ class TruncatedSeries:
                 f"variable count mismatch: {self.nvars} vs {other.nvars}"
             )
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational)):
-            other = TruncatedSeries.constant(other, self.nvars, self.order)
-        if not isinstance(other, TruncatedSeries):
+    def _plus(self, other, sign):
+        """self + sign * other, for a series or a scalar ``other``."""
+        if isinstance(other, _SCALARS):
+            order, right = self.order, _constant_form(other)
+        elif isinstance(other, TruncatedSeries):
+            self._compatible(other)
+            order = min(self.order, other.order)
+            right = other._form_at(order + 2)
+        else:
             return NotImplemented
-        self._compatible(other)
-        order = min(self.order, other.order)
-        out = {}
-        for source in (self._terms, other._terms):
-            for exponents, coeff in source.items():
-                if sum(exponents) > order:
-                    continue
-                out[exponents] = out.get(exponents, ZERO) + coeff
-        return TruncatedSeries(self.nvars, order, out)
+        pairs = [(self._form_at(order + 2), _ONE_FORM), (right, sign)]
+        return _sum_of_products(pairs, self.nvars, order)
+
+    def __add__(self, other):
+        return self._plus(other, _ONE_FORM)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries(
-            self.nvars, self.order, {e: -c for e, c in self._terms.items()}
-        )
+        return _sum_of_products([(self._form, _MINUS_ONE_FORM)], self.nvars, self.order)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational)):
-            other = TruncatedSeries.constant(other, self.nvars, self.order)
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, _MINUS_ONE_FORM)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def scale(self, value) -> "TruncatedSeries":
-        value = GaussRational.coerce(value)
-        if value.is_zero():
-            return TruncatedSeries(self.nvars, self.order)
-        return TruncatedSeries(
-            self.nvars, self.order, {e: c * value for e, c in self._terms.items()}
-        )
+        return _sum_of_products([(self._form, _constant_form(value))], self.nvars, self.order)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational)):
+        if isinstance(other, _SCALARS):
             return self.scale(other)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -414,7 +410,7 @@ class TruncatedSeries:
         )
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational)):
+        if isinstance(other, _SCALARS):
             return self.scale(other)
         return NotImplemented
 
@@ -439,11 +435,8 @@ class TruncatedSeries:
             )
         if order == self.order:
             return self
-        if self._form is not None:
-            den, rows, _ = self._form_at(order + 2)
-            return TruncatedSeries._trusted(self.nvars, order, form=_primitive(den, rows))
-        kept = {e: c for e, c in self._terms.items() if sum(e) <= order}
-        return TruncatedSeries(self.nvars, order, kept)
+        den, rows, _ = self._form_at(order + 2)
+        return TruncatedSeries._trusted(self.nvars, order, _primitive(den, rows))
 
     def derive(self, index: int) -> "TruncatedSeries":
         """Exact partial derivative. Costs one order of truncation."""
@@ -451,21 +444,26 @@ class TruncatedSeries:
             raise ValueError("cannot differentiate a series of order 0")
         if not 0 <= index < self.nvars:
             raise ValueError(f"variable index {index} out of range")
-        out = {}
-        for exponents, coeff in self._terms.items():
-            k = exponents[index]
-            if k == 0:
-                continue
-            lowered = list(exponents)
-            lowered[index] = k - 1
-            out[tuple(lowered)] = coeff * k
-        return TruncatedSeries(self.nvars, self.order - 1, out)
+        base, nvars = self.order + 2, self.nvars
+        weights = _weights(base - 1, nvars)
+        den, rows, _ = self._form
+        # lowering one entry keeps the graded-lex order of the rows that have it
+        lowered = []
+        for d, k, a, b in rows:
+            e = _exponents(k, base, nvars)
+            m = e[index]
+            if m:
+                key = sum(map(operator.mul, e, weights)) - weights[index]
+                lowered.append((d - 1, key, a * m, b * m))
+        return TruncatedSeries._trusted(nvars, self.order - 1, _primitive(den, lowered))
 
     def conjugate(self) -> "TruncatedSeries":
         """Conjugate every coefficient. Exponents are untouched."""
-        return TruncatedSeries(
-            self.nvars, self.order, {e: c.conjugate() for e, c in self._terms.items()}
-        )
+        den, rows, is_complex = self._form
+        if not is_complex:
+            return self
+        conjugated = [(d, k, a, -b) for d, k, a, b in rows]
+        return TruncatedSeries._trusted(self.nvars, self.order, (den, conjugated, True))
 
     def compose(self, vmap: "SeriesMap") -> "TruncatedSeries":
         return compose(self, vmap)
@@ -480,18 +478,24 @@ class TruncatedSeries:
         is guaranteed only to order - |alpha|.
         """
         group = list(group)
-        group_set = set(group)
-        if len(group_set) != len(group):
+        if len(set(group)) != len(group):
             raise ValueError("group indices must be distinct")
-        rest = [i for i in range(self.nvars) if i not in group_set]
-        buckets: dict[tuple[int, ...], dict] = {}
-        for exponents, coeff in self._terms.items():
-            alpha = tuple(exponents[i] for i in group)
-            e = tuple(exponents[i] for i in rest)
-            buckets.setdefault(alpha, {})[e] = coeff
+        if not all(0 <= i < self.nvars for i in group):
+            raise ValueError(f"group indices {group} out of range for {self.nvars} variables")
+        rest = [i for i in range(self.nvars) if i not in group]
+        den, rows, _ = self._form
+        # fixing the group entries keeps the graded-lex order of the rest
+        buckets: dict[tuple[int, ...], list] = {}
+        for d, k, a, b in rows:
+            e = _exponents(k, self.order + 2, self.nvars)
+            alpha = tuple([e[i] for i in group])
+            size = sum(alpha)
+            weights = _weights(self.order - size + 2, len(rest))
+            key = sum([e[i] * w for i, w in zip(rest, weights)])
+            buckets.setdefault(alpha, []).append((d - size, key, a, b))
         return {
-            alpha: TruncatedSeries(len(rest), self.order - sum(alpha), data)
-            for alpha, data in buckets.items()
+            alpha: TruncatedSeries._trusted(len(rest), self.order - sum(alpha), _primitive(den, part))
+            for alpha, part in buckets.items()
         }
 
 
@@ -528,11 +532,10 @@ class SeriesMap:
         components = []
         for slot in slots:
             if slot is None or (isinstance(slot, int) and not order):
-                components.append(TruncatedSeries._trusted(nvars, order, {}, _ZERO_FORM))
+                components.append(TruncatedSeries._from_terms(nvars, order, []))
             elif isinstance(slot, int):
-                row = (1, (order + 2) ** slot, 1, 0)
-                view = {unit_exponent(nvars, slot): ONE}
-                components.append(TruncatedSeries._trusted(nvars, order, view, (1, [row], False)))
+                unit = [(unit_exponent(nvars, slot), ONE)]
+                components.append(TruncatedSeries._from_terms(nvars, order, unit))
             else:
                 components.append(slot.truncate(order))
         return cls(components)
@@ -634,7 +637,7 @@ def compose(outer: TruncatedSeries, vmap: SeriesMap) -> TruncatedSeries:
     # each outer term through ``order`` that no zero slot kills, as its
     # exponents on the general slots and its row after the plain slots'
     # shift, with keys at ``base``
-    weights = [base**j for j in range(src)]
+    weights = _weights(base, src)
     top = order + 1
     outer_base = outer.order + 2
     den, rows, is_complex = outer._form_at(outer_base)

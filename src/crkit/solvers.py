@@ -34,11 +34,9 @@ from .series import (
     SeriesMap,
     TruncatedSeries,
     _ONE_FORM,
-    _ZERO_FORM,
-    _pack,
+    _constant_form,
     _sum_of_products,
     compose,
-    grlex_key,
     unit_exponent,
 )
 
@@ -152,7 +150,7 @@ def newton_extend(system: SeriesMap, solution: SeriesMap, target_order: int) -> 
     if defect is not None:
         raise ValueError(
             "input does not solve the system through its stated order, first "
-            f"defect at {min(defect.terms, key=grlex_key)}"
+            f"defect at {defect.least_term()[0]}"
         )
 
     units = [unit_exponent(r, j) for j in range(r)]
@@ -299,8 +297,7 @@ class _OnlineSolve:
         self.nparams = nparams
         self.order = order
         self.base = order + 2
-        self.origin = (0,) * nparams
-        zero = TruncatedSeries._trusted(nparams, order, {}, _ZERO_FORM)
+        zero = TruncatedSeries._from_terms(nparams, order, [])
         # reach[beta]: the highest degree of Y^beta that some residual uses
         reach: dict = {}
         for groups in equations:
@@ -316,7 +313,7 @@ class _OnlineSolve:
         self.equations = [
             {
                 beta: {
-                    d: TruncatedSeries._trusted(nparams, order, coeffs)
+                    d: TruncatedSeries._from_terms(nparams, order, coeffs.items())
                     for d, coeffs in by_degree.items()
                     if d <= order
                 }
@@ -327,12 +324,10 @@ class _OnlineSolve:
         if known is None:
             known = [[] for _ in range(nunknowns)]
         self.parts = [
-            [zero] + [TruncatedSeries._trusted(nparams, order, part) for part in k] for k in known
+            [zero] + [TruncatedSeries._from_terms(nparams, order, part.items()) for part in k]
+            for k in known
         ]
         self.powers = {beta: [zero] * sum(beta) for beta in reach}
-
-    def _constant(self, value):
-        return _pack([(self.origin, value)], self.nparams, self.base)
 
     def _power(self, beta):
         """Graded parts of Y^beta: Y_j itself, a kept power product, or
@@ -382,14 +377,14 @@ class _OnlineSolve:
         """Fix Y_d = -J0^-1 R_d."""
         rhs = [res._form_at(self.base) for res in self.residual(degree)]
         for parts, row in zip(self.parts, j0_inv):
-            pairs = [(self._constant(-coeff), res) for coeff, res in zip(row, rhs) if coeff]
+            pairs = [(_constant_form(-coeff), res) for coeff, res in zip(row, rhs) if coeff]
             parts.append(_sum_of_products(pairs, self.nparams, self.order))
 
     def unknown(self, j: int, constant=ZERO) -> TruncatedSeries:
         """Every settled part of Y_j, plus ``constant``, as one series."""
         forms = [part._form_at(self.base) for part in self.parts[j]]
         if constant:
-            forms.insert(0, self._constant(constant))
+            forms.insert(0, _constant_form(constant))
         return self._joined(forms)
 
     def _joined(self, forms) -> TruncatedSeries:
@@ -402,7 +397,7 @@ class _OnlineSolve:
             scale = den // part_den
             rows.extend((d, k, a * scale, b * scale) for d, k, a, b in part_rows)
         is_complex = any(form[2] for form in forms)
-        return TruncatedSeries._trusted(self.nparams, self.order, form=(den, rows, is_complex))
+        return TruncatedSeries._trusted(self.nparams, self.order, (den, rows, is_complex))
 
 
 def _lower(beta: tuple[int, ...]) -> tuple[tuple[int, ...], int]:

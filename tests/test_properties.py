@@ -1,13 +1,14 @@
 """Randomized algebraic laws, checked exactly on every generated case."""
 
 import math
+import random
 from fractions import Fraction
 
 from hypothesis import assume, example, given, settings, strategies as st
 
 from crkit.documents import parse_document, serialize
 from crkit.rational import GaussRational, ONE, ZERO
-from crkit.series import SeriesMap, TruncatedSeries, compose, multi_indices
+from crkit.series import SeriesMap, TruncatedSeries, compose, grlex_key, multi_indices
 from crkit.solvers import implicit_solve, invert_map
 
 
@@ -429,18 +430,23 @@ def test_kernel_implicit_solve_matches_fixed_point(case):
 
 
 # ---------------------------------------------------------------------------
-# the integer form a series keeps
+# the integer form every series is
 #
-# A kernel result stores (den, rows) with rows (degree, key, a, b) and
-# builds its GaussRational view only when read. Chained operations feed
-# kernel results back into the kernel, so each step reads the stored form,
-# sometimes at a lower order than it was packed for.
+# A series stores only (den, rows, is_complex), rows (degree, key, a, b) in
+# graded-lex order, and decodes its GaussRational view only when read.
+# Products, sums, scalings, conjugates, truncations, derivatives and
+# coefficient families all map forms to forms, and chained operations
+# feed results back into the kernel, sometimes at a lower order than they
+# were packed for.
 
 
 def assert_primitive(s):
-    den, rows, _ = s._form
+    den, rows, is_complex = s._form
     assert math.gcd(den, *[a for *_, a, _ in rows], *[b for *_, b in rows]) == 1
-    assert [row[0] for row in rows] == sorted(row[0] for row in rows)
+    places = [row[:2] for row in rows]
+    assert places == sorted(set(places))  # strictly ascending (degree, key)
+    assert all(a or b for *_, a, b in rows)
+    assert is_complex == any(b for *_, b in rows)
 
 
 @st.composite
@@ -506,7 +512,7 @@ def test_kernel_results_equal_the_same_terms_built_directly(operands):
     product = a * b
     rebuilt = TruncatedSeries(product.nvars, product.order, dict(product.terms))
     assert product == rebuilt and rebuilt == product
-    # == packs the side built from terms and compares the two forms
+    # == compares the two stored forms
     assert a * b == TruncatedSeries(product.nvars, product.order, dict(product.terms))
     assert TruncatedSeries(product.nvars, product.order, dict(product.terms)) == a * b
     if not product.is_zero():
@@ -526,3 +532,103 @@ def test_cancelling_product_is_zero_without_building_the_view(operands):
     assert difference.is_zero()
     assert difference._view is None and p._view is None and q._view is None
     assert not difference.terms
+
+
+def ref_truncate(a, order):
+    return {e: v for e, v in a.items() if sum(e) <= order}
+
+
+def ref_derive(a, index):
+    out = {}
+    for e, (r, i) in a.items():
+        k = e[index]
+        if k:
+            out[e[:index] + (k - 1,) + e[index + 1 :]] = (r * k, i * k)
+    return out
+
+
+def ref_family(a, group, nvars):
+    rest = [i for i in range(nvars) if i not in group]
+    out = {}
+    for e, v in a.items():
+        out.setdefault(tuple(e[i] for i in group), {})[tuple(e[i] for i in rest)] = v
+    return out
+
+
+@given(kernel_operands(), kernel_coefficients, st.data())
+def test_linear_operations_match_fraction_references(operands, c, data):
+    a, b = operands
+    nvars, order = a.nvars, min(a.order, b.order)
+    cut = data.draw(st.integers(0, a.order))
+    index = data.draw(st.integers(0, nvars - 1)) if nvars and a.order else None
+    group = data.draw(st.permutations(range(nvars)))[: data.draw(st.integers(0, nvars))]
+    results = {
+        "add": a + b,
+        "sub": a - b,
+        "neg": -a,
+        "scale": a.scale(c),
+        "add scalar": a + c,
+        "scalar sub": c.re - a,
+        "conjugate": a.conjugate(),
+        "truncate": a.truncate(cut),
+    }
+    if index is not None:
+        results["derive"] = a.derive(index)
+    family = a.coefficient_family(group)
+    results.update({("family", alpha): s for alpha, s in family.items()})
+    # no operation decoded a view, of its operands or of its result
+    assert a._view is None and b._view is None
+    for s in results.values():
+        assert s._view is None
+        assert_primitive(s)
+
+    ra, rb = ref_terms(a), ref_terms(b)
+    low_a, low_b = ref_truncate(ra, order), ref_truncate(rb, order)
+    minus = (Fraction(-1), Fraction(0))
+    scalar = {(0,) * nvars: (c.re, c.im)}
+    expected = {
+        "add": (order, ref_add(low_a, low_b)),
+        "sub": (order, ref_add(low_a, low_b, minus)),
+        "neg": (a.order, ref_add({}, ra, minus)),
+        "scale": (a.order, ref_add({}, ra, (c.re, c.im))),
+        "add scalar": (a.order, ref_add(ra, scalar)),
+        "scalar sub": (a.order, ref_add({(0,) * nvars: (c.re, Fraction(0))}, ra, minus)),
+        "conjugate": (a.order, {e: (r, -i) for e, (r, i) in ra.items()}),
+        "truncate": (cut, ref_truncate(ra, cut)),
+    }
+    if index is not None:
+        expected["derive"] = (a.order - 1, ref_derive(ra, index))
+    ref_groups = ref_family(ra, group, nvars)
+    assert set(family) == set(ref_groups)
+    for alpha, terms in ref_groups.items():
+        expected["family", alpha] = (a.order - sum(alpha), terms)
+    assert set(results) == set(expected)
+    for name, s in results.items():
+        assert s.nvars == nvars - (len(group) if isinstance(name, tuple) else 0)
+        assert s.order == expected[name][0]
+        assert_matches(s, expected[name][1])
+
+
+@given(kernel_operands(), st.randoms(use_true_random=False))
+@example(
+    (
+        TruncatedSeries(2, 2, {(1, 0): ONE, (0, 1): ONE, (2, 0): ONE}),
+        TruncatedSeries(2, 2, {(0, 0): ONE, (0, 1): ONE}),
+    ),
+    random.Random(0),
+)
+def test_terms_iterate_in_graded_lex_order_however_built(operands, rnd):
+    u, v = operands
+    product = u * v
+    items = list(product.terms.items())
+    rnd.shuffle(items)
+    built = [product, TruncatedSeries(product.nvars, product.order, items)]
+    if product.nvars:  # a document needs at least one variable
+        built.append(parse_document(serialize(product)))
+    expected = sorted(product.terms, key=grlex_key)
+    least = (expected[0], product.coefficient(expected[0])) if expected else None
+    for s in built:
+        assert s == product
+        assert list(s.terms) == expected
+        assert [e for e, _ in s.sorted_terms()] == expected
+        assert s.least_term() == least

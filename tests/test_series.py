@@ -274,6 +274,12 @@ def test_coefficient_family():
     assert family[(1,)].order == 5
     assert dict(family[(2,)].terms) == {(0,): ONE}
     assert dict(family[(0,)].terms) == {(2,): ONE}
+    # every group index must name a variable, on the zero series too
+    for group in ([-1], [5], [0, 2]):
+        with pytest.raises(ValueError, match="out of range"):
+            S(2, 3, {(1, 1): ONE}).coefficient_family(group)
+        with pytest.raises(ValueError, match="out of range"):
+            S(2, 3).coefficient_family(group)
 
 
 def test_format_series():
