@@ -15,6 +15,7 @@ from crkit import (
     compose,
     format_series,
     invert_map,
+    newton_extend,
 )
 
 
@@ -55,6 +56,19 @@ def main():
 
     u = compose(x * y, f)
     print("(x y) o f =", format_series(u, ["x", "y"]))
+
+    print()
+    print("== extending a solution degree by degree ==")
+    # y^2 - 1 - t = 0 over (t, y), solved by y = 1 + t/2 + ... = sqrt(1 + t)
+    t, yy = TruncatedSeries.variable(2, 6, 0), TruncatedSeries.variable(2, 6, 1)
+    seed = SeriesMap([TruncatedSeries(1, 1, {(0,): 1, (1,): Fraction(1, 2)})])
+    root = newton_extend(SeriesMap([yy**2 - 1 - t]), seed, 6).components[0]
+    print("sqrt(1 + t) =", format_series(root, ["t"]))
+    binomial = Fraction(1)
+    for k in range(7):
+        # the binomial number C(1/2, k)
+        assert root.coefficient((k,)) == GaussRational(binomial)
+        binomial = binomial * (Fraction(1, 2) - k) / (k + 1)
 
 
 if __name__ == "__main__":

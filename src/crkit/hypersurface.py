@@ -25,9 +25,9 @@ from .rank import CERTIFIED, generic_rank, matrix_generic_rank
 from .series import (
     SeriesMap,
     TruncatedSeries,
+    _dense_family,
     compose,
     format_monomial,
-    multi_indices,
     unit_exponent,
 )
 from .solvers import implicit_solve
@@ -326,15 +326,7 @@ def phi_family(H: Hypersurface, cutoff: int) -> list[tuple[tuple[int, ...], Trun
     """
     if not 0 <= cutoff <= H.order:
         raise ValueError(f"cutoff must lie in [0, {H.order}]")
-    n = H.n
-    buckets = H.phibar.coefficient_family(range(n, 2 * n - 1))
-    out = []
-    for alpha in multi_indices(n - 1, cutoff):
-        series = buckets.get(alpha)
-        if series is None:
-            series = TruncatedSeries.zero(n, H.order - sum(alpha))
-        out.append((alpha, series))
-    return out
+    return _dense_family(H.phibar, range(H.n, 2 * H.n - 1), cutoff)
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,10 @@ class GaussRational:
         return hash((self.re, self.im))
 
     def __add__(self, other):
-        other = GaussRational.coerce(other)
+        try:
+            other = GaussRational.coerce(other)
+        except TypeError:
+            return NotImplemented  # the other operand's reflected method may read it
         return GaussRational._trusted(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
@@ -68,14 +71,20 @@ class GaussRational:
         return GaussRational._trusted(-self.re, -self.im)
 
     def __sub__(self, other):
-        other = GaussRational.coerce(other)
+        try:
+            other = GaussRational.coerce(other)
+        except TypeError:
+            return NotImplemented
         return GaussRational._trusted(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         return GaussRational.coerce(other) - self
 
     def __mul__(self, other):
-        other = GaussRational.coerce(other)
+        try:
+            other = GaussRational.coerce(other)
+        except TypeError:
+            return NotImplemented
         return GaussRational._trusted(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,

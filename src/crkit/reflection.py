@@ -31,9 +31,9 @@ from .rational import GaussRational, ONE
 from .series import (
     SeriesMap,
     TruncatedSeries,
+    _dense_family,
     compose,
     multi_factorial,
-    multi_indices,
 )
 from . import linalg
 
@@ -238,14 +238,7 @@ def reflection_on_segre(
     restriction = SeriesMap.from_slots(src, r.order, [*range(n - 1), None, *range(n - 1, src)])
     restricted = compose(r, restriction)
     cap = restricted.order if cutoff is None else min(cutoff, restricted.order)
-    family = restricted.coefficient_family(range(n - 1, 2 * (n - 1)))
-    out = []
-    for alpha in multi_indices(n - 1, cap):
-        series = family.get(alpha)
-        if series is None:
-            series = TruncatedSeries.zero(n - 1, restricted.order - sum(alpha))
-        out.append((alpha, series))
-    return out
+    return _dense_family(restricted, range(n - 1, 2 * (n - 1)), cap)
 
 
 def u_family(
@@ -259,7 +252,7 @@ def u_family(
     tests verify by computing both routes.
     """
     return [
-        (alpha, series.scale(multi_factorial(alpha)))
+        (alpha, series if series.is_zero() else series.scale(multi_factorial(alpha)))
         for alpha, series in reflection_on_segre(fm, None, cutoff)
     ]
 

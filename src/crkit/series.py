@@ -499,6 +499,27 @@ class TruncatedSeries:
         }
 
 
+def _dense_family(series: TruncatedSeries, group: Sequence[int], cutoff: int) -> list:
+    """Every (alpha, coefficient series) of ``series.coefficient_family(group)``
+    for |alpha| <= ``cutoff``, graded-lex ascending, absent alpha as zero.
+
+    The absent entries of one |alpha| share one zero series.
+    """
+    family = series.coefficient_family(group)
+    rest = series.nvars - len(group)
+    zero = None
+    out = []
+    for alpha in multi_indices(len(group), cutoff):
+        entry = family.get(alpha)
+        if entry is None:
+            order = series.order - sum(alpha)
+            if zero is None or zero.order != order:
+                zero = TruncatedSeries.zero(rest, order)
+            entry = zero
+        out.append((alpha, entry))
+    return out
+
+
 class SeriesMap:
     """A tuple of TruncatedSeries sharing one source variable list and order."""
 

@@ -3,10 +3,12 @@
 Three operations live here: solving one scalar equation for one variable
 (implicit function), inverting an origin-preserving map with invertible
 linear part, and extending a truncated solution of a square polynomial
-system. All three solve the same problem: find Y(x) with Y(0) = 0 and
-F(x, Y(x)) = 0, where J0, the Jacobian of F in the unknowns y at the
-origin, is invertible. ``newton_extend`` first shifts y = y0 + u, where
-y0 is the constant part of the given solution, to reach that form.
+system. Each writes its problem in one shape: series F_1 .. F_r over
+(x, y), the parameters x first and the r unknowns y last, and Y(x) with
+Y(0) = 0 and F(x, Y(x)) = 0 to find, where J0, the Jacobian of F in y at
+the origin, is invertible. ``implicit_solve`` moves the solved variable
+last, ``invert_map`` writes f(y) - x, and ``newton_extend`` shifts
+y = y0 + u, where y0 is the constant part of the given solution.
 
 The solve is online, one homogeneous degree at a time. Write F as
 sum over beta of F_beta(x) y^beta. The degree-d part of F(x, Y) is
@@ -16,29 +18,35 @@ only below degree d. Hence Y_d = -J0^-1 R_d. The degree-graded parts of
 every power product F needs are kept and extended as each degree
 settles, so each homogeneous product is formed exactly once.
 
-The construction is not its own proof. Every solver substitutes its
-result back into the equations at full order, by one composition per
-equation, and raises unless the residual vanishes. That back-substitution
-is the exactness certificate.
+The construction is not its own proof. One certificate covers all three
+solvers: every F is composed with (x, Y) at full order, and the solve
+raises unless each result vanishes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from . import linalg
 from .linalg import _series_det
-from .rational import ONE, ZERO
+from .rational import ONE
 from .series import (
     SeriesMap,
     TruncatedSeries,
     _ONE_FORM,
     _constant_form,
+    _exponents,
+    _pack,
+    _primitive,
     _sum_of_products,
+    _weights,
     compose,
     unit_exponent,
 )
+
+_ZERO_FORM = (1, [], False)
 
 
 def implicit_solve(rho: TruncatedSeries, var: int) -> TruncatedSeries:
@@ -63,16 +71,8 @@ def implicit_solve(rho: TruncatedSeries, var: int) -> TruncatedSeries:
             "the solved variable must appear with a nonzero linear coefficient"
         )
     order = rho.order
-    equation = _group(rho.terms.items(), lambda e: (e[:var] + e[var + 1 :], (e[var],)))
-    online = _OnlineSolve([equation], m - 1, 1, order)
-    inv_c = [[ONE / c]]
-    for degree in range(1, order + 1):
-        online.settle(degree, inv_c)
-    solution = online.unknown(0)
-
-    slots = [*range(var), solution, *range(var, m - 1)]
-    if not compose(rho, SeriesMap.from_slots(m - 1, order, slots)).is_zero():
-        raise AssertionError("implicit solve failed its back-substitution; this is a bug")
+    last = compose(rho, SeriesMap.from_slots(m, order, [*range(var), m - 1, *range(var, m - 1)]))
+    (solution,) = _certified(_OnlineSolve([last], m - 1, order), [[ONE / c]], "implicit solve")
     return solution
 
 
@@ -96,19 +96,11 @@ def invert_map(fmap: SeriesMap) -> SeriesMap:
     except ValueError:
         raise ValueError("linear part is singular, map is not invertible") from None
 
-    origin = (0,) * n
-    equations = []
-    for i, component in enumerate(fmap.components):
-        equation = _group(component.terms.items(), lambda e: (origin, e))
-        equation[origin] = {1: {unit_exponent(n, i): -ONE}}
-        equations.append(equation)
-    online = _OnlineSolve(equations, n, n, order)
-    for degree in range(1, order + 1):
-        online.settle(degree, inv)
-    inverse = SeriesMap(online.unknown(j) for j in range(n))
-    if fmap.compose(inverse) != SeriesMap.identity(n, order):
-        raise AssertionError("map inversion failed its back-substitution; this is a bug")
-    return inverse
+    # f_i(y) - x_i over (x, y)
+    xs = SeriesMap.from_slots(2 * n, order, range(n)).components
+    on_y = SeriesMap.from_slots(2 * n, order, range(n, 2 * n))
+    equations = [compose(f, on_y) - x for f, x in zip(fmap.components, xs)]
+    return SeriesMap(_certified(_OnlineSolve(equations, n, order), inv, "map inversion"))
 
 
 def newton_extend(system: SeriesMap, solution: SeriesMap, target_order: int) -> SeriesMap:
@@ -140,12 +132,11 @@ def newton_extend(system: SeriesMap, solution: SeriesMap, target_order: int) -> 
 
     given = solution.order
     y0 = [c.constant_term() for c in solution.components]
-    equations = [
-        _shift(_group(c.terms.items(), lambda e: (e[:q], e[q:])), y0)
-        for c in system.components
-    ]
-    known = [_homogeneous_parts(c, given) for c in solution.components]
-    online = _OnlineSolve(equations, q, r, target_order, known)
+    # an order no stored term exceeds keeps the polynomial whole; at least
+    # 1, so that the partials below can be taken
+    lift = max(target_order, system.order, 1)
+    equations = [_shift(F, q, y0, lift) for F in system.components]
+    online = _OnlineSolve(equations, q, target_order, solution.components)
     defect = next((res for res in online.residuals_through(given) if not res.is_zero()), None)
     if defect is not None:
         raise ValueError(
@@ -153,19 +144,14 @@ def newton_extend(system: SeriesMap, solution: SeriesMap, target_order: int) -> 
             f"defect at {defect.least_term()[0]}"
         )
 
-    units = [unit_exponent(r, j) for j in range(r)]
-    origin = (0,) * q
-    j0 = [
-        [eq.get(unit, {}).get(0, {}).get(origin, ZERO) for unit in units]
-        for eq in equations
-    ]
+    j0 = [[F.coefficient(unit_exponent(q + r, q + j)) for j in range(r)] for F in equations]
     try:
         j0_inv = linalg.inverse(j0)
     except ValueError:
         # J0 is the constant term of the Jacobian determinant along the
         # solution; name which of the two ways the extension is undetermined
-        partials = [_derive_unknown(eq, j) for eq in equations for j in range(r)]
-        along = _OnlineSolve(partials, q, r, given, known).residuals_through(given)
+        partials = [F.derive(q + j) for F in equations for j in range(r)]
+        along = _OnlineSolve(partials, q, given, solution.components).residuals_through(given)
         matrix = [along[i * r : (i + 1) * r] for i in range(r)]
         if _series_det(matrix).is_zero():
             raise ValueError(
@@ -176,131 +162,112 @@ def newton_extend(system: SeriesMap, solution: SeriesMap, target_order: int) -> 
             "Jacobian is singular at the origin along the solution; the "
             "degree-by-degree extension is not uniquely determined"
         ) from None
-    for degree in range(given + 1, target_order + 1):
-        online.settle(degree, j0_inv)
+    increments = _certified(online, j0_inv, "Newton extension")
+    return SeriesMap(u + c for u, c in zip(increments, y0))
 
-    if target_order > given:
-        increments = [online.unknown(j) for j in range(r)]
-        substitution = SeriesMap.from_slots(q, target_order, [*range(q), *increments])
-        for eq in equations:
-            if not compose(_as_series(eq, q, r, target_order), substitution).is_zero():
-                raise AssertionError(
-                    "Newton extension failed its back-substitution; this is a bug"
-                )
-    return SeriesMap(online.unknown(j, y0[j]) for j in range(r))
+
+def _shift(F: TruncatedSeries, q: int, y0, order: int) -> TruncatedSeries:
+    """F(x, y0 + u) over (x, u) at ``order``, by exact binomial expansion.
+
+    The stored terms of F are read as a polynomial, so ``order`` must be
+    at least F.order. Each F_beta(x) u^0 is multiplied by (y0 + u)^beta
+    in one pass of the product kernel.
+    """
+    nvars, base = F.nvars, order + 2
+    den, rows, is_complex = F._form_at(base)
+    if not any(y0):
+        return TruncatedSeries._trusted(nvars, order, (den, rows, is_complex))
+    weights = _weights(base, nvars)[q:]
+    groups: dict = {}
+    for d, k, a, b in rows:
+        beta = _exponents(k, base, nvars)[q:]
+        # the unknowns hold the lowest places, so dropping beta keeps alpha's key
+        drop = sum(map(operator.mul, beta, weights))
+        groups.setdefault(beta, []).append((d - sum(beta), k - drop, a, b))
+    pairs = []
+    for beta, part in groups.items():
+        # unknowns with y0_j = 0 keep their exponent
+        ranges = [range(b + 1) if c else (b,) for b, c in zip(beta, y0)]
+        binomial = []
+        for gamma in itertools.product(*ranges):
+            factor = ONE
+            for b, g, c in zip(beta, gamma, y0):
+                if b > g:
+                    factor = factor * c ** (b - g) * math.comb(b, g)
+            binomial.append(((0,) * q + gamma, factor))
+        pairs.append(((den, part, is_complex), _pack(binomial, nvars, base)))
+    return _sum_of_products(pairs, nvars, order)
+
+
+def _certified(online: "_OnlineSolve", j0_inv, what: str) -> list[TruncatedSeries]:
+    """Settle every open degree, then certify Y by F(x, Y) = 0 at full order."""
+    online.settle(j0_inv)
+    unknowns = [online.unknown(j) for j in range(len(online.parts))]
+    q = online.nparams
+    substitution = SeriesMap.from_slots(q, online.order, [*range(q), *unknowns])
+    for F in online.system:
+        if not compose(F, substitution).is_zero():
+            raise AssertionError(f"{what} failed its back-substitution; this is a bug")
+    return unknowns
 
 
 # ---------------------------------------------------------------------------
 # the online core
 
 
-def _group(items, split) -> dict:
-    """Group terms as {beta: {x-degree: {x exponents: coefficient}}}.
+def _graded(series: TruncatedSeries, nparams: int, order: int) -> dict:
+    """The rows of ``series`` over (x, y) as {beta: {|alpha|: form}}.
 
-    ``split`` maps a term's exponent tuple to its exponents in the
-    parameters x and its exponents beta in the unknowns.
+    A term x^alpha y^beta sits under its exponents beta in the unknowns,
+    the variables after the first ``nparams``, then under |alpha|. Each
+    form holds the x^alpha rows of degree |alpha| <= ``order``, keys at
+    base order + 2; it need not be primitive.
     """
+    den, rows, is_complex = series._form
+    own, nvars = series.order + 2, series.nvars
+    weights = _weights(order + 2, nparams)
     groups: dict = {}
-    for exponents, coeff in items:
-        alpha, beta = split(exponents)
-        groups.setdefault(beta, {}).setdefault(sum(alpha), {})[alpha] = coeff
-    return groups
-
-
-def _shift(groups: dict, y0) -> dict:
-    """Regroup F(x, y) as F(x, y0 + u), exactly, by binomial expansion."""
-    if not any(y0):
-        return groups
-    out: dict = {}
-    for beta, by_degree in groups.items():
-        # unknowns with y0_j = 0 keep their exponent
-        ranges = [range(b + 1) if c else (b,) for b, c in zip(beta, y0)]
-        for gamma in itertools.product(*ranges):
-            factor = ONE
-            for b, g, c in zip(beta, gamma, y0):
-                if b > g:
-                    factor = factor * c ** (b - g) * math.comb(b, g)
-            target = out.setdefault(gamma, {})
-            for degree, coeffs in by_degree.items():
-                bucket = target.setdefault(degree, {})
-                for alpha, coeff in coeffs.items():
-                    bucket[alpha] = bucket.get(alpha, ZERO) + factor * coeff
+    for _, k, a, b in rows:
+        e = _exponents(k, own, nvars)
+        alpha = e[:nparams]
+        size = sum(alpha)
+        if size <= order:
+            key = sum(map(operator.mul, alpha, weights))
+            groups.setdefault(e[nparams:], {}).setdefault(size, []).append((size, key, a, b))
     return {
-        gamma: kept
-        for gamma, by_degree in out.items()
-        if (kept := {d: nz for d, part in by_degree.items() if (nz := _nonzero(part))})
+        beta: {size: (den, part, is_complex) for size, part in by_size.items()}
+        for beta, by_size in groups.items()
     }
-
-
-def _derive_unknown(groups: dict, j: int) -> dict:
-    """The grouped partial derivative in the unknown y_j."""
-    out = {}
-    for beta, by_degree in groups.items():
-        k = beta[j]
-        if k:
-            lowered = beta[:j] + (k - 1,) + beta[j + 1 :]
-            out[lowered] = {
-                d: {alpha: c * k for alpha, c in part.items()} for d, part in by_degree.items()
-            }
-    return out
-
-
-def _as_series(groups: dict, q: int, r: int, order: int) -> TruncatedSeries:
-    """The grouped polynomial as a series over (x, y), at ``order`` or at
-    its top degree if that is higher."""
-    terms = {
-        alpha + beta: c
-        for beta, by_degree in groups.items()
-        for part in by_degree.values()
-        for alpha, c in part.items()
-    }
-    top = max((sum(e) for e in terms), default=0)
-    return TruncatedSeries(q + r, max(order, top), terms)
-
-
-def _homogeneous_parts(series: TruncatedSeries, order: int) -> list[dict]:
-    """Parts of degrees 1..order of ``series``, one dict per degree."""
-    parts = [{} for _ in range(order)]
-    for e, c in series.terms.items():
-        degree = sum(e)
-        if 1 <= degree <= order:
-            parts[degree - 1][e] = c
-    return parts
-
-
-def _nonzero(part: dict) -> dict:
-    return {e: c for e, c in part.items() if c}
 
 
 class _OnlineSolve:
     """Y(x) for F(x, Y(x)) = 0, settled one homogeneous degree at a time.
 
-    ``equations`` holds each F_i grouped by ``_group``: a term x^alpha y^beta
-    sits under its exponent beta in the r unknowns, then under |alpha|,
-    with alpha over the ``nparams`` parameters x.
-    ``known`` optionally fixes Y_1 .. Y_s, one list of homogeneous parts
-    per unknown. The degree-d parts of each needed power product Y^beta,
-    |beta| >= 2, are formed as Y^(beta - e_j) Y_j, so the set of products
-    kept is closed under that step even where F skips powers. Each
-    degree-d part, of a power product or of a residual, is one sum of
-    products in the series product kernel.
+    ``equations`` are the series F_i over (x, y): ``nparams`` parameters x
+    first, then the unknowns y. Their stored terms are read as
+    polynomials, grouped once by ``_graded``. ``known`` optionally fixes
+    Y_1 .. Y_s: series over x, read the same way, whose parts of degrees 1
+    through their order are taken and whose constant terms are ignored.
 
-    Every coefficient group of F, every graded part and every residual is
-    a series at the solve's full order, and the kernel runs at that order
-    too, so each series is packed into its integer form once.
+    The degree-d parts of each needed power product Y^beta, |beta| >= 2,
+    are formed as Y^(beta - e_j) Y_j, so the set of products kept is
+    closed under that step even where F skips powers. Each degree-d part,
+    of a power product or of a residual, is one sum of products in the
+    series product kernel, at the solve's order, and is kept as its
+    integer form.
 
     ``residual(d)`` must be called for every degree from 2 on, in
-    increasing order, once each; ``settle(d, ...)`` calls it.
+    increasing order, once each; ``settle`` calls it.
     """
 
-    def __init__(self, equations, nparams: int, nunknowns: int, order: int, known=None):
+    def __init__(self, equations, nparams: int, order: int, known=()):
+        self.system = list(equations)
         self.nparams = nparams
         self.order = order
-        self.base = order + 2
-        zero = TruncatedSeries._from_terms(nparams, order, [])
+        self.equations = [_graded(F, nparams, order) for F in self.system]
         # reach[beta]: the highest degree of Y^beta that some residual uses
         reach: dict = {}
-        for groups in equations:
+        for groups in self.equations:
             for beta, by_degree in groups.items():
                 top = order - min(by_degree)
                 if sum(beta) >= 2 and top >= sum(beta):
@@ -310,59 +277,40 @@ class _OnlineSolve:
                 parent, _ = _lower(beta)
                 reach[parent] = max(reach.get(parent, 0), reach[beta] - 1)
         self.reach = reach
-        self.equations = [
-            {
-                beta: {
-                    d: TruncatedSeries._from_terms(nparams, order, coeffs.items())
-                    for d, coeffs in by_degree.items()
-                    if d <= order
-                }
-                for beta, by_degree in groups.items()
-            }
-            for groups in equations
-        ]
-        if known is None:
-            known = [[] for _ in range(nunknowns)]
-        self.parts = [
-            [zero] + [TruncatedSeries._from_terms(nparams, order, part.items()) for part in k]
-            for k in known
-        ]
-        self.powers = {beta: [zero] * sum(beta) for beta in reach}
+        self.parts = [[_ZERO_FORM] for _ in range(self.system[0].nvars - nparams)]
+        for parts, series in zip(self.parts, known):
+            by_degree = _graded(series, nparams, order).get((), {})
+            parts.extend(by_degree.get(d, _ZERO_FORM) for d in range(1, series.order + 1))
+        self.powers = {beta: [_ZERO_FORM] * sum(beta) for beta in reach}
 
     def _power(self, beta):
-        """Graded parts of Y^beta: Y_j itself, a kept power product, or
-        nothing for a power that starts above the order."""
-        if sum(beta) == 1:
-            return self.parts[beta.index(1)]
+        """Graded parts of Y^beta: the constant 1, Y_j itself, a kept power
+        product, or nothing for a power that starts above the order."""
+        size = sum(beta)
+        if size < 2:
+            return self.parts[beta.index(1)] if size else (_ONE_FORM,)
         return self.powers.get(beta, ())
 
     def residual(self, degree: int) -> list[TruncatedSeries]:
         """Degree-``degree`` part of each F_i(x, Y) from the parts of Y known
         so far: R_d while Y_d is open, the full residual once it is known."""
-        base = self.base
+        nparams, order = self.nparams, self.order
         for beta, top in self.reach.items():
             if sum(beta) <= degree <= top:
                 parent, j = _lower(beta)
                 lower, last = self._power(parent), self.parts[j]
-                pairs = [
-                    (lower[d]._form_at(base), last[degree - d]._form_at(base))
-                    for d in range(sum(parent), degree)
-                ]
-                self.powers[beta].append(_sum_of_products(pairs, self.nparams, self.order))
+                pairs = [(lower[d], last[degree - d]) for d in range(sum(parent), degree)]
+                self.powers[beta].append(_sum_of_products(pairs, nparams, order)._form)
         out = []
         for groups in self.equations:
             pairs = []
             for beta, by_degree in groups.items():
-                if not any(beta):
-                    if degree in by_degree:
-                        pairs.append((by_degree[degree]._form_at(base), _ONE_FORM))
-                    continue
                 graded = self._power(beta)
                 for d, coeffs in by_degree.items():
                     # parts below degree |beta| are empty; Y_d is missing while open
                     if 0 <= degree - d < len(graded):
-                        pairs.append((coeffs._form_at(base), graded[degree - d]._form_at(base)))
-            out.append(_sum_of_products(pairs, self.nparams, self.order))
+                        pairs.append((coeffs, graded[degree - d]))
+            out.append(_sum_of_products(pairs, nparams, order))
         return out
 
     def residuals_through(self, top: int) -> list[TruncatedSeries]:
@@ -370,34 +318,32 @@ class _OnlineSolve:
         totals = [[] for _ in self.equations]
         for degree in range(top + 1):
             for total, part in zip(totals, self.residual(degree)):
-                total.append(part._form_at(self.base))
+                total.append(part._form)
         return [self._joined(forms) for forms in totals]
 
-    def settle(self, degree: int, j0_inv) -> None:
-        """Fix Y_d = -J0^-1 R_d."""
-        rhs = [res._form_at(self.base) for res in self.residual(degree)]
-        for parts, row in zip(self.parts, j0_inv):
-            pairs = [(_constant_form(-coeff), res) for coeff, res in zip(row, rhs) if coeff]
-            parts.append(_sum_of_products(pairs, self.nparams, self.order))
+    def settle(self, j0_inv) -> None:
+        """Fix Y_d = -J0^-1 R_d for every open degree through the order."""
+        rows = [[(_constant_form(-c), i) for i, c in enumerate(row) if c] for row in j0_inv]
+        for degree in range(len(self.parts[0]), self.order + 1):
+            rhs = [res._form for res in self.residual(degree)]
+            for parts, row in zip(self.parts, rows):
+                pairs = [(coeff, rhs[i]) for coeff, i in row]
+                parts.append(_sum_of_products(pairs, self.nparams, self.order)._form)
 
-    def unknown(self, j: int, constant=ZERO) -> TruncatedSeries:
-        """Every settled part of Y_j, plus ``constant``, as one series."""
-        forms = [part._form_at(self.base) for part in self.parts[j]]
-        if constant:
-            forms.insert(0, _constant_form(constant))
-        return self._joined(forms)
+    def unknown(self, j: int) -> TruncatedSeries:
+        """Every settled part of Y_j as one series."""
+        return self._joined(self.parts[j])
 
     def _joined(self, forms) -> TruncatedSeries:
         """One series from integer forms at the solve's base, each
-        homogeneous and in increasing degree. Over the lcm of their
-        denominators, primitive parts give a primitive whole."""
+        homogeneous and in increasing degree, over the lcm of their
+        denominators and reduced by one content gcd."""
         den = math.lcm(*[form[0] for form in forms])
         rows = []
         for part_den, part_rows, _ in forms:
             scale = den // part_den
             rows.extend((d, k, a * scale, b * scale) for d, k, a, b in part_rows)
-        is_complex = any(form[2] for form in forms)
-        return TruncatedSeries._trusted(self.nparams, self.order, (den, rows, is_complex))
+        return TruncatedSeries._trusted(self.nparams, self.order, _primitive(den, rows))
 
 
 def _lower(beta: tuple[int, ...]) -> tuple[tuple[int, ...], int]:

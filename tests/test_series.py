@@ -133,6 +133,17 @@ def test_addition_and_scalars():
     assert (-s).coefficient((1, 0)) == GaussRational(-1)
 
 
+def test_gauss_rational_on_the_left_reaches_the_series():
+    # GaussRational's operators hand an unreadable operand back, so the
+    # series' reflected methods run
+    s = V(2, 4, 0) + V(2, 4, 1).scale(I)
+    assert GaussRational(1) + s == s + 1
+    assert GaussRational(1) - s == 1 - s
+    assert GaussRational(2) * s == 2 * s
+    with pytest.raises(TypeError):
+        GaussRational.coerce(s)
+
+
 def test_addition_takes_min_order():
     a = V(2, 6, 0)
     b = V(2, 3, 1)

@@ -4,7 +4,7 @@ import pytest
 
 from crkit import corpus
 from crkit.documents import serialize
-from crkit import linalg
+from crkit import linalg, solvers
 from crkit.rational import GaussRational, I, ONE
 from crkit.series import SeriesMap, TruncatedSeries, compose, unit_exponent
 from crkit.solvers import implicit_solve, invert_map, newton_extend
@@ -232,8 +232,47 @@ def test_newton_extend_rejects_vanishing_jacobian_determinant():
         ]
     )
     seed = SeriesMap([TruncatedSeries(1, 1, [((1,), ONE)])])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="singular at the origin"):
         newton_extend(system, seed, 4)
+
+
+def test_newton_extend_rejects_jacobian_vanishing_along_the_solution():
+    # R(x, y) = (y - x)^2 with seed y = x: dR/dy = 2(y - x) is zero along
+    # the solution at every degree, not only at the origin
+    system = SeriesMap(
+        [
+            TruncatedSeries(
+                2, 8, [((0, 2), ONE), ((1, 1), GaussRational(-2)), ((2, 0), ONE)]
+            )
+        ]
+    )
+    seed = SeriesMap([TruncatedSeries(1, 1, [((1,), ONE)])])
+    with pytest.raises(ValueError, match="vanishes along the solution at every degree through 1"):
+        newton_extend(system, seed, 4)
+
+
+def test_newton_extend_to_the_solution_order_returns_the_solution():
+    seed = sqrt_seed(8)
+    assert newton_extend(sqrt_system(8), seed, seed.order) == seed
+
+
+def test_every_solver_certifies_its_result(monkeypatch):
+    # a wrong top degree in every solved unknown must fail the one
+    # back-substitution all three solvers share
+    unknown = solvers._OnlineSolve.unknown
+
+    def corrupted(online, j):
+        top = (online.order,) + (0,) * (online.nparams - 1)
+        return unknown(online, j) + TruncatedSeries.monomial(online.nparams, online.order, top)
+
+    monkeypatch.setattr(solvers._OnlineSolve, "unknown", corrupted)
+    x, y = V(2, 0), V(2, 1)
+    with pytest.raises(AssertionError, match="implicit solve failed its back-substitution"):
+        implicit_solve(sphere_defining(), 1)
+    with pytest.raises(AssertionError, match="map inversion failed its back-substitution"):
+        invert_map(SeriesMap([x + y ** 2, y - x ** 2]))
+    with pytest.raises(AssertionError, match="Newton extension failed its back-substitution"):
+        newton_extend(sqrt_system(8), sqrt_seed(8), 4)
 
 
 def test_newton_extend_target_below_seed_rejected():
