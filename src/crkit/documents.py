@@ -22,18 +22,28 @@ Each term line is the exponent vector followed by the real and imaginary
 parts. Map documents insert "components k" and per-component term blocks;
 hypersurface documents carry "n" and a "normal" flag and always declare
 variables as z:n w:n. Reflection reports are written, never parsed.
+
+A term line is read on a fast path when one regular expression matches
+it whole, every exponent and both p/q tokens canonical, and gcd(p, q) is
+1 for both parts; no Fraction is built then. Any other line falls back
+to reading token by token, which words each problem. The terms of a
+valid block are packed straight into a series' integer form over the lcm
+of their denominators: fractions in lowest terms make that form
+primitive, and graded-lex order is already its row order.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import os
 import re
 from fractions import Fraction
 
 from .errors import DocumentError
 from .rational import GaussRational
-from .series import SeriesMap, TruncatedSeries, grlex_key
+from .series import SeriesMap, TruncatedSeries, _weights
 
 FORMAT_VERSION = "crkit-series/1"
 
@@ -202,6 +212,10 @@ class _Reader:
 
 
 _INT_RE = re.compile(r"(0|-?[1-9][0-9]*)\Z")
+# a term line whose every token is canonical, bar the gcd of each p/q
+_TERM_RE = re.compile(
+    r"term((?: (?:0|[1-9][0-9]*))*) (0|-?[1-9][0-9]*)/([1-9][0-9]*) (0|-?[1-9][0-9]*)/([1-9][0-9]*)"
+)
 
 
 def _canonical_int(token: str, reader: _Reader, what: str) -> int | None:
@@ -267,53 +281,75 @@ def _parse_count(reader: _Reader, key: str) -> int | None:
     return _canonical_nat(value, reader, key)
 
 
+def _term_fields(line: str, reader: _Reader, nvars: int):
+    """(exponents, (p, q), (r, s)) of a term line whose real and imaginary
+    parts are p/q and r/s, or None after reporting every bad field.
+
+    A canonical line is read by one match; any other line is read token by
+    token, which finds and words each problem.
+    """
+    match = _TERM_RE.fullmatch(line)
+    try:
+        if match is not None:
+            exponents = list(map(int, match[1].split()))
+            p, q, r, s = map(int, match.group(2, 3, 4, 5))
+            if len(exponents) == nvars and math.gcd(p, q) == 1 and math.gcd(r, s) == 1:
+                return exponents, (p, q), (r, s)
+    except ValueError:  # a token past int's digit limit, worded below
+        pass
+    tokens = line.split(" ")[1:]
+    if len(tokens) != nvars + 2:
+        reader.report(
+            f"term line has {len(tokens)} fields, expected {nvars} exponents "
+            "plus two coefficients"
+        )
+        return None
+    exponents = [_canonical_nat(token, reader, "exponent") for token in tokens[:nvars]]
+    re_part = _canonical_fraction(tokens[nvars], reader, "real part")
+    im_part = _canonical_fraction(tokens[nvars + 1], reader, "imaginary part")
+    if None in exponents or re_part is None or im_part is None:
+        return None
+    return exponents, (re_part.numerator, re_part.denominator), (im_part.numerator, im_part.denominator)
+
+
 def _parse_terms(reader: _Reader, nvars: int, order: int, count: int):
-    """Parse `count` term lines, enforcing every canonical-form rule."""
-    terms = []
-    previous_key = None
+    """Parse `count` term lines, enforcing every canonical-form rule.
+
+    Returns the integer form (den, rows, is_complex) of the terms read, at
+    base order + 2; it is a series' form when no problem was reported.
+    """
+    weights = _weights(order + 2, nvars)
+    parts = []  # (degree, key, re numerator, re denominator, im numerator, im denominator)
+    previous = None
     for _ in range(count):
         line = reader.next_line()
         if line is None or not line.startswith("term "):
             reader.abort("expected a 'term' line")
             return None
-        tokens = line.split(" ")[1:]
-        reader_ok = True
-        if len(tokens) != nvars + 2:
-            reader.report(
-                f"term line has {len(tokens)} fields, expected {nvars} exponents "
-                "plus two coefficients"
-            )
+        fields = _term_fields(line, reader, nvars)
+        if fields is None:
             reader.advance()
             continue
-        exponents = []
-        for token in tokens[:nvars]:
-            e = _canonical_nat(token, reader, "exponent")
-            if e is None:
-                reader_ok = False
-            else:
-                exponents.append(e)
-        re_part = _canonical_fraction(tokens[nvars], reader, "real part")
-        im_part = _canonical_fraction(tokens[nvars + 1], reader, "imaginary part")
-        if not reader_ok or re_part is None or im_part is None:
-            reader.advance()
-            continue
-        exponents = tuple(exponents)
-        if sum(exponents) > order:
-            reader.report(
-                f"term degree {sum(exponents)} exceeds the declared order {order}"
-            )
-        coeff = GaussRational(re_part, im_part)
-        if coeff.is_zero():
+        exponents, re_part, im_part = fields
+        degree = sum(exponents)
+        if degree > order:
+            reader.report(f"term degree {degree} exceeds the declared order {order}")
+        if not re_part[0] and not im_part[0]:
             reader.report("zero coefficients must be omitted")
-        key = grlex_key(exponents)
-        if previous_key is not None and key <= previous_key:
+        # (degree, key) orders like graded-lex only while every entry is
+        # below the base, which a term within the order guarantees
+        key = sum(map(operator.mul, exponents, weights)) if degree <= order else tuple(exponents)
+        if previous is not None and (degree, key) <= previous:
             reader.report(
                 "terms must be strictly ascending in graded-lex order"
             )
-        previous_key = key
-        terms.append((exponents, coeff))
+        previous = (degree, key)
+        parts.append((degree, key, *re_part, *im_part))
         reader.advance()
-    return terms
+    # lowest-terms fractions over the lcm of their denominators are primitive
+    den = math.lcm(*[part[3] for part in parts], *[part[5] for part in parts])
+    rows = [(d, k, a * (den // qa), b * (den // qb)) for d, k, a, qa, b, qb in parts]
+    return den, rows, any(row[3] for row in rows)
 
 
 def _parse_series_block(reader: _Reader):
@@ -323,10 +359,10 @@ def _parse_series_block(reader: _Reader):
     if groups is None or order is None or count is None or reader.dead:
         return None
     nvars = sum(arity for _, arity in groups)
-    terms = _parse_terms(reader, nvars, order, count)
-    if terms is None or reader.problems:
+    form = _parse_terms(reader, nvars, order, count)
+    if form is None or reader.problems:
         return None
-    return groups, TruncatedSeries._from_terms(nvars, order, terms)
+    return groups, TruncatedSeries._trusted(nvars, order, form)
 
 
 def _expect_end(reader: _Reader):
@@ -390,15 +426,15 @@ def parse_document(text: str):
                 count = _parse_count(reader, "terms")
                 if count is None:
                     break
-                terms = _parse_terms(reader, nvars, order, count)
-                if terms is None:
+                form = _parse_terms(reader, nvars, order, count)
+                if form is None:
                     break
-                components.append(terms)
+                components.append(form)
         _expect_end(reader)
         if not reader.problems and groups is not None:
             nvars = sum(arity for _, arity in groups)
             result = SeriesMap(
-                TruncatedSeries._from_terms(nvars, order, terms) for terms in components
+                TruncatedSeries._trusted(nvars, order, form) for form in components
             )
     else:  # hypersurface
         n_token = reader.take_kv("n")

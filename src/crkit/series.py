@@ -258,16 +258,6 @@ class TruncatedSeries:
         object.__setattr__(series, "_view", None)
         return series
 
-    @classmethod
-    def _from_terms(cls, nvars: int, order: int, items) -> "TruncatedSeries":
-        """Pack (exponents, GaussRational) items crkit built itself.
-
-        The caller guarantees what ``__init__`` checks: distinct exponent
-        tuples of arity ``nvars`` and total degree <= ``order``, and
-        nonzero coefficients.
-        """
-        return cls._trusted(nvars, order, _pack(items, nvars, order + 2))
-
     @property
     def _terms(self) -> dict:
         """The GaussRational view, decoded from the form on first read."""
@@ -549,14 +539,18 @@ class SeriesMap:
     def from_slots(cls, nvars: int, order: int, slots) -> "SeriesMap":
         """A map over ``nvars`` source variables at ``order``, one slot per
         component: a source-variable index (that variable; zero at order 0),
-        None for zero, or a series, which is truncated to ``order``."""
+        None for zero, or a series over ``nvars`` variables, which is
+        truncated to ``order``."""
+        weights = _weights(order + 2, nvars)
         components = []
         for slot in slots:
-            if slot is None or (isinstance(slot, int) and not order):
-                components.append(TruncatedSeries._from_terms(nvars, order, []))
-            elif isinstance(slot, int):
-                unit = [(unit_exponent(nvars, slot), ONE)]
-                components.append(TruncatedSeries._from_terms(nvars, order, unit))
+            if slot is None or isinstance(slot, int):
+                if slot is not None and not 0 <= slot < nvars:
+                    raise ValueError(f"variable index {slot} out of range for {nvars} variables")
+                rows = [(1, weights[slot], 1, 0)] if slot is not None and order else []
+                components.append(TruncatedSeries._trusted(nvars, order, (1, rows, False)))
+            elif slot.nvars != nvars:
+                raise ValueError(f"slot series has {slot.nvars} variables, expected {nvars}")
             else:
                 components.append(slot.truncate(order))
         return cls(components)
@@ -634,6 +628,15 @@ def compose(outer: TruncatedSeries, vmap: SeriesMap) -> TruncatedSeries:
     cached powers, multiplied once per distinct exponent pattern on those
     slots. The outer terms sharing a pattern are summed against its
     product in one pass of the product kernel.
+
+    Outer keys are never decoded into exponent tuples. The slots are read
+    in runs of consecutive outer variables, each run one slice
+    ``key // w % span`` of the packed key: a run of zero slots kills a term
+    when its slice is nonzero; a run of plain slots naming consecutive
+    source variables moves as one block, its slice times the place value of
+    its last source variable, when the outer and result keys share a base
+    (otherwise each of its slots moves alone); and each general slot's
+    exponent is its own one-digit slice.
     """
     if vmap.target_nvars != outer.nvars:
         raise ValueError(
@@ -644,33 +647,59 @@ def compose(outer: TruncatedSeries, vmap: SeriesMap) -> TruncatedSeries:
     order = min(outer.order, vmap.order)
     base = order + 2
     src = vmap.source_nvars
-    zero_slots, plain_slots, general_slots = [], [], []
-    for i, component in enumerate(vmap.components):
-        own = component.order + 2
-        den, rows, _ = component._form_at(own)
+    outer_base = outer.order + 2
+    outer_weights = _weights(outer_base, outer.nvars)
+    weights = _weights(base, src)
+    # slot i as ("zero", None), ("plain", its source variable) or ("general", None)
+    slots = []
+    for component in vmap.components:
+        den, rows, _ = component._form
         if not rows:
-            zero_slots.append(i)
+            slots.append(("zero", None))
         elif den == 1 and len(rows) == 1 and rows[0][0] == 1 and rows[0][2:] == (1, 0):
-            plain_slots.append((i, _exponents(rows[0][1], own, src).index(1)))
+            slots.append(("plain", _weights(component.order + 2, src).index(rows[0][1])))
+        else:
+            slots.append(("general", None))
+
+    # the runs as (place value, span) slices of an outer key: ``kills`` for
+    # the zero runs, ``moves`` (with the result place value to move to) for
+    # the plain runs; a general slot's slice has span outer_base
+    kills, moves, general_slots = [], [], []
+    i = 0
+    while i < len(slots):
+        kind, j = slots[i]
+        end = i + 1
+        if kind == "zero":
+            while end < len(slots) and slots[end][0] == "zero":
+                end += 1
+            kills.append((outer_weights[end - 1], outer_base ** (end - i)))
+        elif kind == "plain" and outer_base == base:
+            while end < len(slots) and slots[end] == ("plain", j + end - i):
+                end += 1
+            moves.append((outer_weights[end - 1], outer_base ** (end - i), weights[j + end - i - 1]))
+        elif kind == "plain":
+            moves.append((outer_weights[i], outer_base, weights[j]))
         else:
             general_slots.append(i)
+        i = end
+    general = [outer_weights[i] for i in general_slots]
 
     # each outer term through ``order`` that no zero slot kills, as its
     # exponents on the general slots and its row after the plain slots'
     # shift, with keys at ``base``
-    weights = _weights(base, src)
     top = order + 1
-    outer_base = outer.order + 2
-    den, rows, is_complex = outer._form_at(outer_base)
+    den, rows, is_complex = outer._form
     shifted = []
     for d, k, a, b in rows:
         if d > order:
             break
-        e = _exponents(k, outer_base, outer.nvars)
-        if any(e[i] for i in zero_slots):
-            continue
-        key = sum(e[i] * weights[j] for i, j in plain_slots)
-        shifted.append((tuple(e[i] for i in general_slots), (key % top, key, a, b)))
+        for w, span in kills:
+            if k // w % span:
+                break
+        else:
+            key = sum([k // w % span * t for w, span, t in moves])
+            pattern = tuple([k // w % outer_base for w in general])
+            shifted.append((pattern, (key % top, key, a, b)))
 
     if not general_slots:
         # a relabel keeps every degree, so the rows are still sorted; the
@@ -678,7 +707,7 @@ def compose(outer: TruncatedSeries, vmap: SeriesMap) -> TruncatedSeries:
         left = (den, [row for _, row in shifted], is_complex)
         return _sum_of_products([(left, _ONE_FORM)], src, order)
 
-    one = TruncatedSeries.constant(ONE, src, order)
+    one = TruncatedSeries._trusted(src, order, _ONE_FORM)
     powers = {i: [one] for i in general_slots}
 
     def power(i: int, k: int) -> TruncatedSeries:

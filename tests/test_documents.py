@@ -305,3 +305,102 @@ def test_write_corpus_reproduces_shipped_corpus(tmp_path):
     assert written == sorted(p.name for p in CORPUS.glob("*.crkit"))
     for name in written:
         assert (tmp_path / name).read_bytes() == (CORPUS / name).read_bytes(), name
+
+
+def one_term_document(term):
+    return (
+        FORMAT_VERSION + "\n"
+        "kind series\n"
+        "vars z:2\n"
+        "order 3\n"
+        "terms 1\n"
+        f"term {term}\n"
+        "end\n"
+    )
+
+
+@pytest.mark.parametrize("term, problems", [
+    ("1 0 +1/2 0/1", ["line 6: real part '+1/2' is not in canonical lowest terms"]),
+    ("1 0 1/-2 0/1", ["line 6: real part '1/-2' is not in canonical lowest terms"]),
+    ("1 0 2/4 0/1", ["line 6: real part '2/4' is not in canonical lowest terms"]),
+    ("1 0 1/0 0/1", ["line 6: real part '1/0' is not a valid fraction"]),
+    ("1 0 a/2 0/1", ["line 6: real part 'a/2' is not a valid fraction"]),
+    ("1 0 01/2 0/1", ["line 6: real part '01/2' is not in canonical lowest terms"]),
+    ("1 0 -0/1 0/1", ["line 6: real part '-0/1' is not in canonical lowest terms"]),
+    ("1 0 1/01 0/1", ["line 6: real part '1/01' is not in canonical lowest terms"]),
+    ("1 0 1_0/3 0/1", ["line 6: real part '1_0/3' is not in canonical lowest terms"]),
+    ("1 0 1/2 0/2", ["line 6: imaginary part '0/2' is not in canonical lowest terms"]),
+    # past int's default limit on digits in a string
+    ("1 0 1/2 " + "7" * 5000 + "/3", ["line 6: imaginary part '" + "7" * 5000 + "/3' is not a valid fraction"]),
+    ("1 0 1/2 1", ["line 6: imaginary part '1' must be written p/q"]),
+    ("01 0 1/2 0/1", ["line 6: exponent '01' is not a canonical integer"]),
+    ("-1 0 1/2 0/1", ["line 6: exponent must be nonnegative, got -1"]),
+    ("0 +1 1/2 0/1", ["line 6: exponent '+1' is not a canonical integer"]),
+    # every bad token of a line is reported, exponents first
+    ("01 -1 2/4 1/0", [
+        "line 6: exponent '01' is not a canonical integer",
+        "line 6: exponent must be nonnegative, got -1",
+        "line 6: real part '2/4' is not in canonical lowest terms",
+        "line 6: imaginary part '1/0' is not a valid fraction",
+    ]),
+    ("2 2 1/2 0/1", ["line 6: term degree 4 exceeds the declared order 3"]),
+    ("1 0 0/1 0/1", ["line 6: zero coefficients must be omitted"]),
+])
+def test_term_token_diagnostics_are_exact(term, problems):
+    with pytest.raises(DocumentError) as info:
+        parse_document(one_term_document(term))
+    assert info.value.problems == problems
+
+
+def test_graded_lex_check_covers_terms_beyond_the_order():
+    # (0, 5) has degree 5 > 3, so its entries reach past the packing base;
+    # the ascending check must still compare exponent tuples
+    text = (
+        FORMAT_VERSION + "\n"
+        "kind series\n"
+        "vars z:2\n"
+        "order 3\n"
+        "terms 3\n"
+        "term 0 5 1/1 0/1\n"
+        "term 5 0 1/1 0/1\n"
+        "term 1 4 1/1 0/1\n"
+        "end\n"
+    )
+    with pytest.raises(DocumentError) as info:
+        parse_document(text)
+    assert info.value.problems == [
+        "line 6: term degree 5 exceeds the declared order 3",
+        "line 7: term degree 5 exceeds the declared order 3",
+        "line 8: term degree 5 exceeds the declared order 3",
+        "line 8: terms must be strictly ascending in graded-lex order",
+    ]
+
+
+def test_map_with_unrelated_denominators_round_trips_byte_for_byte():
+    text = (
+        FORMAT_VERSION + "\n"
+        "kind map\n"
+        "vars x:2\n"
+        "order 3\n"
+        "components 2\n"
+        "component 1\n"
+        "terms 4\n"
+        "term 0 1 0/1 -5/9\n"
+        "term 1 0 3/7 0/1\n"
+        "term 2 0 -1/11 4/13\n"
+        "term 1 2 25/6 -1/1\n"
+        "component 2\n"
+        "terms 3\n"
+        "term 0 1 1/1 0/1\n"
+        "term 1 1 -7/12 1/35\n"
+        "term 0 3 2/1 -3/2\n"
+        "end\n"
+    )
+    parsed = parse_document(text)
+    assert isinstance(parsed, SeriesMap)
+    assert parsed.components[0].coefficient((2, 0)) == GaussRational(Fraction(-1, 11), Fraction(4, 13))
+    assert parsed.components[1].coefficient((1, 1)) == GaussRational(Fraction(-7, 12), Fraction(1, 35))
+    assert parsed == SeriesMap(
+        TruncatedSeries(2, 3, dict(component.terms)) for component in parsed.components
+    )
+    assert serialize(parsed) == text

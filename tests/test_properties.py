@@ -395,6 +395,71 @@ def test_relabel_compose_matches_reference(case):
 
 
 @st.composite
+def slot_runs(draw):
+    """4-6 outer slots laid out in runs: consecutive source variables (or a
+    block swap of two halves), zero runs, general slots and two slots naming
+    one variable; the outer order is drawn apart from the map's, so the
+    outer and result keys often have different bases."""
+    targets = draw(st.integers(4, 6))
+    src = draw(st.integers(2, 6))
+    order = 4 - draw(st.integers(0, 4))
+    outer_order = draw(st.integers(0, 6))
+    if draw(st.booleans()) and src >= 2 * (targets // 2):
+        half = targets // 2
+        slots = [*range(half, 2 * half), *range(half)] + [None] * (targets % 2)
+    else:
+        slots = []
+        while len(slots) < targets:
+            kind = draw(st.sampled_from(["plain", "zero", "general", "twice"]))
+            length = draw(st.integers(1, 3))
+            if kind == "plain":
+                length = min(length, src)
+                start = draw(st.integers(0, src - length))
+                slots.extend(range(start, start + length))
+            elif kind == "zero":
+                slots.extend([None] * length)
+            elif kind == "general":
+                slots.append(draw(kernel_series(src, order, min_degree=1)))
+            else:
+                slots.extend([draw(st.integers(0, src - 1))] * 2)
+        slots = slots[:targets]
+    if draw(st.booleans()):
+        # a general slot between two zero runs
+        at = draw(st.integers(1, targets - 2))
+        slots[at - 1], slots[at + 1] = None, None
+        slots[at] = draw(kernel_series(src, order, min_degree=1))
+    chosen = draw(st.lists(st.sampled_from(multi_indices(targets, outer_order)), max_size=6))
+    outer = TruncatedSeries(targets, outer_order, {e: draw(kernel_coefficients) for e in chosen})
+    return outer, slots, src, order
+
+
+def swap_case(half, outer_order, order):
+    """Every monomial of degree <= outer_order on a block swap of two halves."""
+    indices = multi_indices(2 * half, outer_order)
+    outer = TruncatedSeries(2 * half, outer_order, {e: GaussRational(k + 1, k % 3) for k, e in enumerate(indices)})
+    return outer, [*range(half, 2 * half), *range(half)], 2 * half, order
+
+
+@settings(max_examples=60, deadline=None)
+@given(slot_runs())
+@example(swap_case(2, 4, 4))
+@example(swap_case(2, 5, 3))
+@example(swap_case(3, 3, 2))
+def test_compose_slot_runs_match_references(case):
+    outer, slots, src, order = case
+    vmap = SeriesMap.from_slots(src, order, slots)
+    result = compose(outer, vmap)
+    assert result.nvars == src
+    assert result.order == min(outer.order, order)
+    if all(slot is None or isinstance(slot, int) for slot in slots):
+        assert_matches(result, ref_relabel(ref_terms(outer), slots, src, result.order))
+    expected = ref_compose(
+        ref_terms(outer), [ref_terms(c) for c in vmap.components], src, result.order
+    )
+    assert_matches(result, expected)
+
+
+@st.composite
 def implicit_equations(draw):
     m = draw(st.integers(2, 3))
     order = draw(st.integers(1, 5))

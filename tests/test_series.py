@@ -321,6 +321,21 @@ def test_from_slots():
             SeriesMap.from_slots(2, 3, [index])
 
 
+def test_from_slots_rejects_series_over_other_variables():
+    s = V(2, 5, 0)
+    with pytest.raises(ValueError, match="2 variables, expected 3"):
+        SeriesMap.from_slots(3, 4, [s, s])
+    with pytest.raises(ValueError, match="2 variables, expected 3"):
+        SeriesMap.from_slots(3, 4, [0, s])
+
+
+def test_from_slots_checks_indices_at_order_zero():
+    with pytest.raises(ValueError, match="out of range"):
+        SeriesMap.from_slots(3, 0, [5])
+    with pytest.raises(ValueError, match="out of range"):
+        SeriesMap.from_slots(3, 0, [0, -1])
+
+
 def test_map_component_validation():
     with pytest.raises(ValueError):
         SeriesMap([])
