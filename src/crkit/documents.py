@@ -23,27 +23,25 @@ parts. Map documents insert "components k" and per-component term blocks;
 hypersurface documents carry "n" and a "normal" flag and always declare
 variables as z:n w:n. Reflection reports are written, never parsed.
 
-A term line is read on a fast path when one regular expression matches
-it whole, every exponent and both p/q tokens canonical, and gcd(p, q) is
-1 for both parts; no Fraction is built then. Any other line falls back
-to reading token by token, which words each problem. The terms of a
-valid block are packed straight into a series' integer form over the lcm
-of their denominators: fractions in lowest terms make that form
-primitive, and graded-lex order is already its row order.
+A term line is read by one regular expression that matches it whole,
+every exponent and both p/q tokens canonical, and gcd(p, q) must be 1
+for both parts; no Fraction is built. Any other line is rejected, and
+its tokens are then checked one by one only to word each problem. The
+terms of a valid block go to ``TruncatedSeries._from_lowest_terms``,
+which packs them straight into a series' integer form.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 import os
 import re
 from fractions import Fraction
 
 from .errors import DocumentError
 from .rational import GaussRational
-from .series import SeriesMap, TruncatedSeries, _weights
+from .series import SeriesMap, TruncatedSeries
 
 FORMAT_VERSION = "crkit-series/1"
 
@@ -222,7 +220,11 @@ def _canonical_int(token: str, reader: _Reader, what: str) -> int | None:
     if not _INT_RE.fullmatch(token):
         reader.report(f"{what} {token!r} is not a canonical integer")
         return None
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:  # past int's limit on digits in a string
+        reader.report(f"{what} has {len(token)} digits, too many to read")
+        return None
 
 
 def _canonical_nat(token: str, reader: _Reader, what: str) -> int | None:
@@ -282,11 +284,12 @@ def _parse_count(reader: _Reader, key: str) -> int | None:
 
 
 def _term_fields(line: str, reader: _Reader, nvars: int):
-    """(exponents, (p, q), (r, s)) of a term line whose real and imaginary
+    """(exponents, p, q, r, s) of a term line whose real and imaginary
     parts are p/q and r/s, or None after reporting every bad field.
 
-    A canonical line is read by one match; any other line is read token by
-    token, which finds and words each problem.
+    Only a line that one match reads whole, with gcd 1 on both parts,
+    yields fields. Any other line is checked token by token just to word
+    its problems: a line passing every token check would have matched.
     """
     match = _TERM_RE.fullmatch(line)
     try:
@@ -294,7 +297,7 @@ def _term_fields(line: str, reader: _Reader, nvars: int):
             exponents = list(map(int, match[1].split()))
             p, q, r, s = map(int, match.group(2, 3, 4, 5))
             if len(exponents) == nvars and math.gcd(p, q) == 1 and math.gcd(r, s) == 1:
-                return exponents, (p, q), (r, s)
+                return exponents, p, q, r, s
     except ValueError:  # a token past int's digit limit, worded below
         pass
     tokens = line.split(" ")[1:]
@@ -304,22 +307,21 @@ def _term_fields(line: str, reader: _Reader, nvars: int):
             "plus two coefficients"
         )
         return None
-    exponents = [_canonical_nat(token, reader, "exponent") for token in tokens[:nvars]]
-    re_part = _canonical_fraction(tokens[nvars], reader, "real part")
-    im_part = _canonical_fraction(tokens[nvars + 1], reader, "imaginary part")
-    if None in exponents or re_part is None or im_part is None:
-        return None
-    return exponents, (re_part.numerator, re_part.denominator), (im_part.numerator, im_part.denominator)
+    for token in tokens[:nvars]:
+        _canonical_nat(token, reader, "exponent")
+    _canonical_fraction(tokens[nvars], reader, "real part")
+    _canonical_fraction(tokens[nvars + 1], reader, "imaginary part")
+    return None
 
 
 def _parse_terms(reader: _Reader, nvars: int, order: int, count: int):
     """Parse `count` term lines, enforcing every canonical-form rule.
 
-    Returns the integer form (den, rows, is_complex) of the terms read, at
-    base order + 2; it is a series' form when no problem was reported.
+    Returns the (exponents, p, q, r, s) items read, which
+    ``TruncatedSeries._from_lowest_terms`` takes when no problem was
+    reported.
     """
-    weights = _weights(order + 2, nvars)
-    parts = []  # (degree, key, re numerator, re denominator, im numerator, im denominator)
+    items = []
     previous = None
     for _ in range(count):
         line = reader.next_line()
@@ -330,26 +332,20 @@ def _parse_terms(reader: _Reader, nvars: int, order: int, count: int):
         if fields is None:
             reader.advance()
             continue
-        exponents, re_part, im_part = fields
+        exponents, p, _, r, _ = fields
         degree = sum(exponents)
         if degree > order:
             reader.report(f"term degree {degree} exceeds the declared order {order}")
-        if not re_part[0] and not im_part[0]:
+        if not p and not r:
             reader.report("zero coefficients must be omitted")
-        # (degree, key) orders like graded-lex only while every entry is
-        # below the base, which a term within the order guarantees
-        key = sum(map(operator.mul, exponents, weights)) if degree <= order else tuple(exponents)
-        if previous is not None and (degree, key) <= previous:
+        if previous is not None and (degree, exponents) <= previous:
             reader.report(
                 "terms must be strictly ascending in graded-lex order"
             )
-        previous = (degree, key)
-        parts.append((degree, key, *re_part, *im_part))
+        previous = (degree, exponents)
+        items.append(fields)
         reader.advance()
-    # lowest-terms fractions over the lcm of their denominators are primitive
-    den = math.lcm(*[part[3] for part in parts], *[part[5] for part in parts])
-    rows = [(d, k, a * (den // qa), b * (den // qb)) for d, k, a, qa, b, qb in parts]
-    return den, rows, any(row[3] for row in rows)
+    return items
 
 
 def _parse_series_block(reader: _Reader):
@@ -359,10 +355,10 @@ def _parse_series_block(reader: _Reader):
     if groups is None or order is None or count is None or reader.dead:
         return None
     nvars = sum(arity for _, arity in groups)
-    form = _parse_terms(reader, nvars, order, count)
-    if form is None or reader.problems:
+    items = _parse_terms(reader, nvars, order, count)
+    if items is None or reader.problems:
         return None
-    return groups, TruncatedSeries._trusted(nvars, order, form)
+    return groups, TruncatedSeries._from_lowest_terms(nvars, order, items)
 
 
 def _expect_end(reader: _Reader):
@@ -426,15 +422,15 @@ def parse_document(text: str):
                 count = _parse_count(reader, "terms")
                 if count is None:
                     break
-                form = _parse_terms(reader, nvars, order, count)
-                if form is None:
+                items = _parse_terms(reader, nvars, order, count)
+                if items is None:
                     break
-                components.append(form)
+                components.append(items)
         _expect_end(reader)
         if not reader.problems and groups is not None:
             nvars = sum(arity for _, arity in groups)
             result = SeriesMap(
-                TruncatedSeries._trusted(nvars, order, form) for form in components
+                TruncatedSeries._from_lowest_terms(nvars, order, items) for items in components
             )
     else:  # hypersurface
         n_token = reader.take_kv("n")

@@ -258,6 +258,23 @@ class TruncatedSeries:
         object.__setattr__(series, "_view", None)
         return series
 
+    @classmethod
+    def _from_lowest_terms(cls, nvars: int, order: int, items) -> "TruncatedSeries":
+        """The series of (exponents, p, q, r, s) items, each the coefficient
+        p/q + i r/s with both fractions in lowest terms and q, s > 0.
+
+        The caller guarantees nonzero coefficients, degrees <= ``order`` and
+        strictly ascending graded-lex order. Then the form over the lcm of
+        the denominators is primitive, and the items are its rows in order.
+        """
+        weights = _weights(order + 2, nvars)
+        den = math.lcm(*[item[2] for item in items], *[item[4] for item in items])
+        rows = [
+            (sum(e), sum(map(operator.mul, e, weights)), p * (den // q), r * (den // s))
+            for e, p, q, r, s in items
+        ]
+        return cls._trusted(nvars, order, (den, rows, any(row[3] for row in rows)))
+
     @property
     def _terms(self) -> dict:
         """The GaussRational view, decoded from the form on first read."""
@@ -629,14 +646,12 @@ def compose(outer: TruncatedSeries, vmap: SeriesMap) -> TruncatedSeries:
     slots. The outer terms sharing a pattern are summed against its
     product in one pass of the product kernel.
 
-    Outer keys are never decoded into exponent tuples. The slots are read
-    in runs of consecutive outer variables, each run one slice
-    ``key // w % span`` of the packed key: a run of zero slots kills a term
-    when its slice is nonzero; a run of plain slots naming consecutive
-    source variables moves as one block, its slice times the place value of
-    its last source variable, when the outer and result keys share a base
-    (otherwise each of its slots moves alone); and each general slot's
-    exponent is its own one-digit slice.
+    Outer keys are never decoded into exponent tuples. Each slot reads its
+    exponent as one digit ``key // w % base`` of the packed key, and a run
+    of consecutive zero slots reads one slice ``key // w % span`` that
+    kills the term when it is nonzero. A plain slot moves its digit to the
+    place value of its source variable, and a general slot's digit is the
+    power of its series.
     """
     if vmap.target_nvars != outer.nvars:
         raise ValueError(
@@ -661,9 +676,9 @@ def compose(outer: TruncatedSeries, vmap: SeriesMap) -> TruncatedSeries:
         else:
             slots.append(("general", None))
 
-    # the runs as (place value, span) slices of an outer key: ``kills`` for
-    # the zero runs, ``moves`` (with the result place value to move to) for
-    # the plain runs; a general slot's slice has span outer_base
+    # ``kills`` holds each zero run as a (place value, span) slice of an
+    # outer key, ``moves`` each plain slot's place value and the result
+    # place value of its source variable
     kills, moves, general_slots = [], [], []
     i = 0
     while i < len(slots):
@@ -673,12 +688,8 @@ def compose(outer: TruncatedSeries, vmap: SeriesMap) -> TruncatedSeries:
             while end < len(slots) and slots[end][0] == "zero":
                 end += 1
             kills.append((outer_weights[end - 1], outer_base ** (end - i)))
-        elif kind == "plain" and outer_base == base:
-            while end < len(slots) and slots[end] == ("plain", j + end - i):
-                end += 1
-            moves.append((outer_weights[end - 1], outer_base ** (end - i), weights[j + end - i - 1]))
         elif kind == "plain":
-            moves.append((outer_weights[i], outer_base, weights[j]))
+            moves.append((outer_weights[i], weights[j]))
         else:
             general_slots.append(i)
         i = end
@@ -697,7 +708,7 @@ def compose(outer: TruncatedSeries, vmap: SeriesMap) -> TruncatedSeries:
             if k // w % span:
                 break
         else:
-            key = sum([k // w % span * t for w, span, t in moves])
+            key = sum([k // w % outer_base * t for w, t in moves])
             pattern = tuple([k // w % outer_base for w in general])
             shifted.append((pattern, (key % top, key, a, b)))
 

@@ -332,6 +332,7 @@ def one_term_document(term):
     ("1 0 1/2 0/2", ["line 6: imaginary part '0/2' is not in canonical lowest terms"]),
     # past int's default limit on digits in a string
     ("1 0 1/2 " + "7" * 5000 + "/3", ["line 6: imaginary part '" + "7" * 5000 + "/3' is not a valid fraction"]),
+    ("7" * 5000 + " 0 1/2 0/1", ["line 6: exponent has 5000 digits, too many to read"]),
     ("1 0 1/2 1", ["line 6: imaginary part '1' must be written p/q"]),
     ("01 0 1/2 0/1", ["line 6: exponent '01' is not a canonical integer"]),
     ("-1 0 1/2 0/1", ["line 6: exponent must be nonnegative, got -1"]),
@@ -350,6 +351,14 @@ def test_term_token_diagnostics_are_exact(term, problems):
     with pytest.raises(DocumentError) as info:
         parse_document(one_term_document(term))
     assert info.value.problems == problems
+
+
+def test_order_token_past_the_digit_limit_is_reported():
+    # a DocumentError, not a bare ValueError from int()
+    text = one_term_document("1 0 1/2 0/1").replace("order 3", "order " + "7" * 5000)
+    with pytest.raises(DocumentError) as info:
+        parse_document(text)
+    assert "order has 5000 digits, too many to read" in info.value.problems[0]
 
 
 def test_graded_lex_check_covers_terms_beyond_the_order():
