@@ -176,6 +176,7 @@ class _Reader:
         else:
             self.problems.append("document must end with a newline")
         self.pos = 0
+        self.taken = False  # the line at pos was consumed by take_kv
 
     def report(self, message: str):
         self.problems.append(f"line {self.pos + 1}: {message}")
@@ -186,16 +187,22 @@ class _Reader:
         self.dead = True
 
     def next_line(self) -> str | None:
+        if self.taken:
+            self.advance()
         if self.dead or self.pos >= len(self.lines):
             return None
-        line = self.lines[self.pos]
-        return line
+        return self.lines[self.pos]
 
     def advance(self):
         self.pos += 1
+        self.taken = False
 
     def take_kv(self, key: str) -> str | None:
-        """Consume a line of the form '<key> <value>'."""
+        """Consume a line of the form '<key> <value>'.
+
+        The cursor stays on that line until the next read, so a problem the
+        caller finds in the value names the line it is on.
+        """
         line = self.next_line()
         if line is None:
             if not self.dead:
@@ -205,7 +212,7 @@ class _Reader:
         if not line.startswith(prefix) or line == prefix:
             self.abort(f"expected {key!r} line, found {line!r}")
             return None
-        self.advance()
+        self.taken = True
         return line[len(prefix):]
 
 

@@ -35,9 +35,9 @@ class DocumentError(CrkitError):
 
 
 class GeometryError(CrkitError):
-    """A hypersurface-level check failed (reality, graph identity,
-    degenerate normal direction, or a coordinate change that did not
-    produce the promised shape)."""
+    """A hypersurface-level check failed (reality, degenerate normal
+    direction, or a coordinate change that did not produce the promised
+    shape)."""
 
 
 class PrerequisiteError(CrkitError):

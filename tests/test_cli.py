@@ -1,13 +1,16 @@
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import crkit.rank
-from crkit.cli import main
+from crkit.cli import _build_arg_parser, main
 from crkit.documents import parse_document
 
-CORPUS = Path(__file__).parent.parent / "corpus"
+ROOT = Path(__file__).parent.parent
+CORPUS = ROOT / "corpus"
 
 
 def run(capsys, *argv):
@@ -403,3 +406,83 @@ def test_analyze_doc_format_round_trips(capsys):
     assert code == 0
     assert out.startswith("crkit-series/1\n")
     assert out.endswith("end\n")
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+#
+# main builds its parser once and reuses it, so calls in one process must
+# print exactly what each prints alone in a fresh interpreter. Help and
+# usage text wrap at the terminal width, so both sides run at COLUMNS=80
+# from the repository root, where the relative paths below resolve.
+
+
+@pytest.fixture
+def at_root(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(ROOT)
+
+
+def in_process(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse exits on a bad flag
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out.encode(), captured.err.encode()
+
+
+def fresh_process(argv):
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "crkit.cli", *argv],
+        cwd=ROOT, env=env, capture_output=True, check=False,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_one_shot_process_matches_in_process_main(at_root, capsys):
+    doc = ["analyze", "corpus/sphere.crkit", "--format", "doc"]
+    bad_order = ["analyze", "corpus/sphere.crkit", "--order", "-1"]
+    result = in_process(capsys, doc)
+    assert result[0] == 0 and result[1].startswith(b"crkit-series/1\n")
+    assert fresh_process(doc) == result
+    result = in_process(capsys, bad_order)
+    assert result == (2, b"", b"error: order must be at least 2\n")
+    assert fresh_process(bad_order) == result
+
+
+def test_main_keeps_no_parse_state_between_calls(at_root, tmp_path, capsys):
+    out = str(tmp_path / "normal.crkit")
+    calls = [
+        ["analyze", "--format", "doc", "--order", "4", "corpus/sphere.crkit"],
+        ["analyze", "corpus/sphere.crkit"],
+        ["normalize", "corpus/perturbed_sphere.crkit", "-o", out, "--force"],
+        ["normalize", "corpus/perturbed_sphere.crkit"],
+        ["analyze", "--no-strict", "corpus/levi_flat.crkit"],
+        ["analyze", "corpus/levi_flat.crkit"],
+        ["analyze", "--bogus", "corpus/sphere.crkit"],
+        ["analyze", "--format", "xml", "corpus/sphere.crkit"],
+        ["check-map", "-s", "corpus/sphere.crkit", "-t", "corpus/sphere.crkit",
+         "-f", "corpus/sphere_dilation.crkit"],
+    ]
+    results = [in_process(capsys, argv) for argv in calls]
+    codes = [code for code, _, _ in results]
+    assert codes == [0, 0, 0, 0, 0, 0, 2, 2, 0]
+    assert results[6][2].startswith(b"usage: crkit [-h] ")
+    assert results[7][2].startswith(b"usage: crkit analyze [-h] ")
+    for argv, result in zip(calls, results):
+        assert fresh_process(argv) == result, argv
+
+
+def test_parser_defaults_return_after_flags():
+    parser = _build_arg_parser()
+    assert parser is _build_arg_parser()
+    default = vars(parser.parse_args(["normalize", "h.crkit"]))
+    parser.parse_args(["normalize", "h.crkit", "-o", "x", "--force", "--order", "4",
+                       "--cutoff", "2", "--no-strict", "--format", "doc"])
+    assert vars(parser.parse_args(["normalize", "h.crkit"])) == default
+    assert default == {
+        "command": "normalize", "hypersurface": "h.crkit", "out": None, "force": False,
+        "order": None, "cutoff": None, "strict": True, "fmt": "text",
+    }

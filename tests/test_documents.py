@@ -353,6 +353,43 @@ def test_term_token_diagnostics_are_exact(term, problems):
     assert info.value.problems == problems
 
 
+KEY_VALUE_CASES = {
+    "order": (
+        "kind series\nvars z:2\norder 01\nterms 1\nterm 1 0 1/2 0/1\n",
+        ["line 4: order '01' is not a canonical integer",
+         "line 6: expected 'end', found 'term 1 0 1/2 0/1'"],
+    ),
+    "terms": (
+        "kind series\nvars z:2\norder 3\nterms -1\n",
+        ["line 5: terms must be nonnegative, got -1"],
+    ),
+    "components": (
+        "kind map\nvars z:1\norder 2\ncomponents 0\n",
+        ["line 5: a map needs at least one component"],
+    ),
+    "component": (
+        "kind map\nvars z:1\norder 2\ncomponents 1\ncomponent 2\nterms 1\nterm 1 1/1 0/1\n",
+        ["line 6: component label '2', expected 1"],
+    ),
+    "n": (
+        "kind hypersurface\nn 1\nvars z:1 w:1\norder 2\nterms 0\nnormal true\n",
+        ["line 3: n must be at least 2, got 1"],
+    ),
+    "normal": (
+        "kind hypersurface\nn 2\nvars z:2 w:2\norder 2\nterms 0\nnormal yes\n",
+        ["line 7: normal flag must be true or false, got 'yes'"],
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(KEY_VALUE_CASES))
+def test_key_value_problems_name_their_own_line(key):
+    body, problems = KEY_VALUE_CASES[key]
+    with pytest.raises(DocumentError) as info:
+        parse_document(FORMAT_VERSION + "\n" + body + "end\n")
+    assert info.value.problems == problems
+
+
 def test_order_token_past_the_digit_limit_is_reported():
     # a DocumentError, not a bare ValueError from int()
     text = one_term_document("1 0 1/2 0/1").replace("order 3", "order " + "7" * 5000)

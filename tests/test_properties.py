@@ -7,6 +7,7 @@ from fractions import Fraction
 from hypothesis import assume, example, given, settings, strategies as st
 
 from crkit.documents import parse_document, serialize
+from crkit.hypersurface import from_defining, graph_residual
 from crkit.rational import GaussRational, ONE, ZERO
 from crkit.series import SeriesMap, TruncatedSeries, compose, grlex_key, multi_indices
 from crkit.solvers import implicit_solve, invert_map
@@ -492,6 +493,44 @@ def test_kernel_implicit_solve_matches_fixed_point(case):
         residual = ref_compose(ref_terms(rho), components, m - 1, order)
         reference = ref_add(reference, residual, (-inverse[0], -inverse[1]))
     assert_matches(implicit_solve(rho, var), reference)
+
+
+# ---------------------------------------------------------------------------
+# the graph identity, proved rather than checked by from_defining
+#
+# Reality and the solver's certificate prove phi(w', phibar(z, w'), z') =
+# z_n (see the from_defining docstring), so the suite tests the identity
+# and from_defining does not spend a substitution on it per call.
+
+
+@st.composite
+def real_germs(draw):
+    n = draw(st.sampled_from((2, 3)))
+    order = draw(st.integers(2, 10))
+    m = 2 * n
+    terms = {}
+
+    def add_pair(exponents, coeff):
+        # coeff z^a w^b plus its mirror conj(coeff) z^b w^a keeps rho real
+        mirror = exponents[n:] + exponents[:n]
+        terms[exponents] = terms.get(exponents, ZERO) + coeff
+        terms[mirror] = terms.get(mirror, ZERO) + coeff.conjugate()
+
+    add_pair(tuple(1 if i == n - 1 else 0 for i in range(m)), draw(nonzero_rationals))
+    for i in range(n - 1):  # linear terms in z' leave the graph variable alone
+        add_pair(tuple(1 if j == i else 0 for j in range(m)), draw(rationals))
+    higher = [e for e in multi_indices(m, order) if sum(e) >= 2]
+    for exponents in draw(st.lists(st.sampled_from(higher), max_size=5)):
+        add_pair(exponents, draw(rationals))
+    return TruncatedSeries(m, order, terms), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(real_germs())
+def test_accepted_germs_satisfy_the_graph_identity(case):
+    rho, n = case
+    surface = from_defining(rho, n)
+    assert graph_residual(surface.phi, n).is_zero()
 
 
 # ---------------------------------------------------------------------------
