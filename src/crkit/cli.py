@@ -42,17 +42,17 @@ from .series import SeriesMap, format_monomial
 class RunConfig:
     """Knobs shared by every command; defaults match the shipped corpus."""
 
-    order: int = DEFAULT_ORDER
+    order: int | None = None  # None: DEFAULT_ORDER, capped by the inputs
     cutoff: int | None = None
     strict: bool = True
     fmt: str = "text"
     force: bool = False
-    explicit_order: bool = False
 
     def __post_init__(self):
-        if self.order < 2:
+        order = DEFAULT_ORDER if self.order is None else self.order
+        if order < 2:
             raise ValueError("order must be at least 2")
-        if self.cutoff is not None and not (1 <= self.cutoff <= self.order):
+        if self.cutoff is not None and not (1 <= self.cutoff <= order):
             raise ValueError("cutoff must be between 1 and the order")
         if self.fmt not in ("text", "doc"):
             raise ValueError("format must be text or doc")
@@ -93,12 +93,12 @@ def _load_map(path: str) -> SeriesMap:
 
 def _effective_order(config: RunConfig, *orders: int) -> int:
     available = min(orders)
-    if config.explicit_order and config.order > available:
+    if config.order is not None and config.order > available:
         raise _InputError(
             f"inputs only guarantee order {available}, --order {config.order} "
             "asks for more"
         )
-    eff = min(config.order, available)
+    eff = min(DEFAULT_ORDER if config.order is None else config.order, available)
     if config.cutoff is not None and config.cutoff > eff:
         raise _InputError(
             f"--cutoff {config.cutoff} exceeds the effective order {eff}"
@@ -289,14 +289,13 @@ def cmd_check_map(source: str, target: str, mappath: str, config: RunConfig) -> 
 
 
 def _build_formal_map(source, target, mappath, config):
-    src = _load_hypersurface(source)
-    tgt = _load_hypersurface(target)
+    # one germ per path: a self-map's source and target are one object
+    surfaces = {path: _load_hypersurface(path) for path in dict.fromkeys((source, target))}
     fmap = _load_map(mappath)
-    order = _effective_order(config, src.order, tgt.order, fmap.order)
+    order = _effective_order(config, *(s.order for s in surfaces.values()), fmap.order)
+    surfaces = {path: s.truncate(order) for path, s in surfaces.items()}
     try:
-        fm = FormalMap(
-            fmap.truncate(order), src.truncate(order), tgt.truncate(order)
-        )
+        fm = FormalMap(fmap.truncate(order), surfaces[source], surfaces[target])
     except ValueError as exc:
         raise _InputError(str(exc)) from None
     return fm, order
@@ -435,12 +434,11 @@ def main(argv=None) -> int:
     args = _build_arg_parser().parse_args(argv)
     try:
         config = RunConfig(
-            order=args.order if args.order is not None else DEFAULT_ORDER,
+            order=args.order,
             cutoff=args.cutoff,
             strict=args.strict,
             fmt=args.fmt,
             force=getattr(args, "force", False),
-            explicit_order=args.order is not None,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -178,8 +178,8 @@ class _Reader:
         self.pos = 0
         self.taken = False  # the line at pos was consumed by take_kv
 
-    def report(self, message: str):
-        self.problems.append(f"line {self.pos + 1}: {message}")
+    def report(self, message: str, pos: int | None = None):
+        self.problems.append(f"line {(self.pos if pos is None else pos) + 1}: {message}")
 
     def abort(self, message: str):
         """Structural failure; nothing past this point can be trusted."""
@@ -447,8 +447,10 @@ def parse_document(text: str):
             if n is not None and n < 2:
                 reader.report(f"n must be at least 2, got {n}")
                 n = None
+        vars_pos = reader.pos + 1  # the line after n; used only if n was read
         block = _parse_series_block(reader)
         normal_token = reader.take_kv("normal")
+        normal_pos = reader.pos
         if normal_token is not None and normal_token not in ("true", "false"):
             reader.report(f"normal flag must be true or false, got {normal_token!r}")
             normal_token = None
@@ -457,7 +459,7 @@ def parse_document(text: str):
             groups, rho = block
             if groups != (("z", n), ("w", n)):
                 reader.report(
-                    "hypersurface documents must declare variables z:n w:n"
+                    "hypersurface documents must declare variables z:n w:n", vars_pos
                 )
             else:
                 surface = from_defining(rho, n, provenance=("document",))
@@ -465,7 +467,7 @@ def parse_document(text: str):
                     declared = normal_token == "true"
                     if declared != surface.normal:
                         reader.report(
-                            "declared normal flag contradicts the series"
+                            "declared normal flag contradicts the series", normal_pos
                         )
                     else:
                         result = surface

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PrerequisiteError, GeometryError
+from .errors import PrerequisiteError
 from .hypersurface import (
     Hypersurface,
     degeneracy,
@@ -26,7 +26,7 @@ from .hypersurface import (
     phi_family,
     segre_maps,
 )
-from .rank import CERTIFIED, generic_rank
+from .rank import CERTIFIED
 from .rational import GaussRational, ONE
 from .series import (
     SeriesMap,
@@ -140,11 +140,6 @@ def check_maps_into(fm: FormalMap, order: int | None = None) -> MapVerdict:
     return _check_maps_into(fm, order)
 
 
-def _mapping_verdict(fm: FormalMap) -> MapVerdict:
-    """The default-order mapping check, kept on the map once computed."""
-    return fm._verdict if fm._verdict is not None else check_maps_into(fm)
-
-
 def _check_maps_into(fm: FormalMap, order: int) -> MapVerdict:
     n = fm.n
     m = 2 * n - 1
@@ -185,11 +180,6 @@ def reflection_function(fm: FormalMap) -> TruncatedSeries:
     return fm._reflection
 
 
-def _reflection(fm: FormalMap) -> TruncatedSeries:
-    """The reflection series, kept on the map once computed."""
-    return fm._reflection if fm._reflection is not None else reflection_function(fm)
-
-
 def reflection_at_lambda_zero(fm: FormalMap) -> TruncatedSeries:
     """The lambda = 0 slice of the reflection series, over z only.
 
@@ -197,7 +187,7 @@ def reflection_at_lambda_zero(fm: FormalMap) -> TruncatedSeries:
     component of f.
     """
     n = fm.n
-    r = _reflection(fm)
+    r = reflection_function(fm)
     family = r.coefficient_family(range(n, 2 * n - 1))
     zero = (0,) * (n - 1)
     return family.get(zero, TruncatedSeries.zero(n, r.order))
@@ -224,7 +214,7 @@ def reflection_on_segre(
         gamma = (0,) * n
     if len(gamma) != n or any(g < 0 for g in gamma):
         raise ValueError(f"gamma must be {n} nonnegative integers")
-    r = _reflection(fm)
+    r = reflection_function(fm)
     weight = sum(gamma)
     if weight > r.order:
         raise ValueError(
@@ -279,7 +269,7 @@ def segre_reflection_identity(fm: FormalMap) -> SegreIdentityVerdict:
     certified rank; these are re-verified here and raise PrerequisiteError
     when absent.
     """
-    if not _mapping_verdict(fm).passed:
+    if not check_maps_into(fm).passed:
         raise PrerequisiteError(
             "mapping check failed; the identity is only meaningful for maps "
             "that send the source into the target"
@@ -295,7 +285,7 @@ def segre_reflection_identity(fm: FormalMap) -> SegreIdentityVerdict:
     m = n - 1
     src = 3 * m
     triple = segre_maps(fm.source)
-    r = _reflection(fm)
+    r = reflection_function(fm)
     along = fm.f.conjugate().compose(triple.v2.conjugate())  # over (xi, eta)
     lifted = along.compose(SeriesMap.from_slots(src, along.order, range(m, src))).components
     common = min(r.order, triple.v3.order, along.order)
@@ -386,6 +376,12 @@ class PartialConvergenceResult:
 def partial_convergence(
     fm: FormalMap, cutoff: int | None = None
 ) -> PartialConvergenceResult:
+    """Pull the target's degeneracy witnesses back along f.
+
+    The Jacobian of g has rank r = n - bound with no further climb: its r
+    rows bound the rank above, and it holds degeneracy's certified minor,
+    rows reordered, at the same truncation common - 1, which bounds it below.
+    """
     if not fm.is_biholomorphism:
         raise PrerequisiteError("map must have an invertible linear part")
     if not fm.source.normal:
@@ -413,11 +409,6 @@ def partial_convergence(
     ordered = [deg.witnesses[i] for i in ordering]
     common = min(family[beta].order for beta in ordered)
     g = SeriesMap(family[beta].truncate(common) for beta in ordered)
-    check = generic_rank(g)
-    if check.rank != n - deg.degeneracy:
-        raise GeometryError(
-            "witness family lost rank when assembled; this is a bug"
-        )
     gf = g.compose(fm.f)
     on_om = g.compose(SeriesMap.from_slots(2 * n, common, range(n, 2 * n)))
     on_z = gf.compose(SeriesMap.from_slots(2 * n, common, range(n)))
@@ -502,7 +493,7 @@ class ReflectionReport:
 def build_reflection_report(
     fm: FormalMap, cutoff: int | None = None, radius: Fraction = Fraction(1, 2)
 ) -> ReflectionReport:
-    r = _reflection(fm)
+    r = reflection_function(fm)
     family = u_family(fm, cutoff)
     top = max(sum(alpha) for alpha, _ in family)
     return ReflectionReport(

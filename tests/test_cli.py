@@ -391,6 +391,16 @@ def test_order_floor(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--order", "12"], "inputs only guarantee order 8, --order 12 asks for more"),
+    (["--cutoff", "9"], "cutoff must be between 1 and the order"),
+    (["--order", "4", "--cutoff", "5"], "cutoff must be between 1 and the order"),
+])
+def test_order_and_cutoff_errors_are_exact(capsys, flags, message):
+    code, out, err = run(capsys, "analyze", CORPUS / "sphere.crkit", *flags)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_inputs_never_mutated(tmp_path, capsys):
     source = (CORPUS / "perturbed_sphere.crkit").read_bytes()
     copy = tmp_path / "input.crkit"
@@ -486,3 +496,48 @@ def test_parser_defaults_return_after_flags():
         "command": "normalize", "hypersurface": "h.crkit", "out": None, "force": False,
         "order": None, "cutoff": None, "strict": True, "fmt": "text",
     }
+
+
+# ---------------------------------------------------------------------------
+# one germ per document
+#
+# When -t names the same path as -s, the hypersurface is parsed once and is
+# both source and target. A byte-identical copy under another name takes
+# the two-document path; both must print and write the same bytes, bar the
+# target's name on the text report.
+
+
+SELF_MAP_CASES = [
+    ("check-map", "sphere", "sphere_dilation"),
+    ("check-map", "sphere", "sphere_corrupted"),
+    ("check-map", "degenerate_quadric", "exp_shear"),
+    ("reflect", "sphere", "sphere_rotation"),
+    ("reflect", "degenerate_quadric", "exp_shear_double"),
+]
+
+
+def self_map_run(capsys, workdir, command, surface, mapname, copy_target, flags):
+    source = target = CORPUS / f"{surface}.crkit"
+    workdir.mkdir()
+    if copy_target:
+        target = workdir / "copy.crkit"
+        target.write_bytes(source.read_bytes())
+    argv = [command, "-s", source, "-t", target, "-f", CORPUS / f"{mapname}.crkit", *flags]
+    if command == "reflect":
+        argv += ["-o", workdir / "out"]
+    code, out, err = run(capsys, *argv)
+    out = out.replace(str(target), str(source)).replace(str(workdir), "WORK")
+    written = sorted((workdir / "out").iterdir()) if command == "reflect" else []
+    return code, out, err, {path.name: path.read_bytes() for path in written}
+
+
+@pytest.mark.parametrize("flags", [
+    ["--format", "text"], ["--format", "doc"], ["--format", "doc", "--order", "6"],
+])
+@pytest.mark.parametrize("command, surface, mapname", SELF_MAP_CASES)
+def test_self_map_on_one_path_matches_a_copied_target(tmp_path, capsys, command, surface, mapname, flags):
+    same = self_map_run(capsys, tmp_path / "same", command, surface, mapname, False, flags)
+    copied = self_map_run(capsys, tmp_path / "copied", command, surface, mapname, True, flags)
+    assert same == copied
+    assert same[0] == (1 if mapname == "sphere_corrupted" else 0)
+    assert len(same[3]) == (4 if command == "reflect" else 0)

@@ -390,6 +390,21 @@ def test_key_value_problems_name_their_own_line(key):
     assert info.value.problems == problems
 
 
+@pytest.mark.parametrize("old, new, problems", [
+    ("vars z:2 w:2", "vars z:2 u:2",
+     ["line 4: hypersurface documents must declare variables z:n w:n"]),
+    ("normal true", "normal false",
+     ["line 10: declared normal flag contradicts the series"]),
+])
+def test_problems_found_after_end_name_their_own_line(old, new, problems):
+    # both are found once the whole document is read, past its last line 11
+    text = (CORPUS / "sphere.crkit").read_text(encoding="ascii")
+    assert text.count(old) == 1
+    with pytest.raises(DocumentError) as info:
+        parse_document(text.replace(old, new))
+    assert info.value.problems == problems
+
+
 def test_order_token_past_the_digit_limit_is_reported():
     # a DocumentError, not a bare ValueError from int()
     text = one_term_document("1 0 1/2 0/1").replace("order 3", "order " + "7" * 5000)

@@ -4,12 +4,19 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from crkit import corpus
 from crkit.documents import parse_document, serialize
-from crkit.hypersurface import from_defining, graph_residual
+from crkit.hypersurface import from_defining, graph_residual, normalize
+from crkit.linalg import determinant
+from crkit.rank import CERTIFIED, generic_rank
 from crkit.rational import GaussRational, ONE, ZERO
-from crkit.series import SeriesMap, TruncatedSeries, compose, grlex_key, multi_indices
+from crkit.reflection import FormalMap, partial_convergence
+from crkit.series import (
+    SeriesMap, TruncatedSeries, compose, grlex_key, multi_indices, unit_exponent,
+)
 from crkit.solvers import implicit_solve, invert_map
 
 
@@ -504,9 +511,15 @@ def test_kernel_implicit_solve_matches_fixed_point(case):
 
 
 @st.composite
-def real_germs(draw):
+def real_germs(draw, straight_axis=False):
+    """Real defining series, n = 2 and 3, orders 2-10.
+
+    With ``straight_axis`` (orders 2-8) the germ restricted to z' = w' = 0
+    is i r (z_n - w_n), so M meets {z' = 0} in the real axis: these are the
+    germs one normalize step takes to normal coordinates.
+    """
     n = draw(st.sampled_from((2, 3)))
-    order = draw(st.integers(2, 10))
+    order = draw(st.integers(2, 8 if straight_axis else 10))
     m = 2 * n
     terms = {}
 
@@ -516,10 +529,17 @@ def real_germs(draw):
         terms[exponents] = terms.get(exponents, ZERO) + coeff
         terms[mirror] = terms.get(mirror, ZERO) + coeff.conjugate()
 
-    add_pair(tuple(1 if i == n - 1 else 0 for i in range(m)), draw(nonzero_rationals))
+    if straight_axis:
+        lead = GaussRational(0, draw(small_fractions.filter(bool)))
+    else:
+        lead = draw(nonzero_rationals)
+    add_pair(tuple(1 if i == n - 1 else 0 for i in range(m)), lead)
     for i in range(n - 1):  # linear terms in z' leave the graph variable alone
         add_pair(tuple(1 if j == i else 0 for j in range(m)), draw(rationals))
-    higher = [e for e in multi_indices(m, order) if sum(e) >= 2]
+    higher = [
+        e for e in multi_indices(m, order)
+        if sum(e) >= 2 and not (straight_axis and sum(e) == e[n - 1] + e[m - 1])
+    ]
     for exponents in draw(st.lists(st.sampled_from(higher), max_size=5)):
         add_pair(exponents, draw(rationals))
     return TruncatedSeries(m, order, terms), n
@@ -531,6 +551,46 @@ def test_accepted_germs_satisfy_the_graph_identity(case):
     rho, n = case
     surface = from_defining(rho, n)
     assert graph_residual(surface.phi, n).is_zero()
+
+
+# normalize does not take the determinant of its change: t solves
+# phi(0, t, z') = z_n with c = dphi/dw_n(0) nonzero, so the linear part is
+# triangular with determinant 1/c (see the normalize docstring)
+
+
+@settings(max_examples=60, deadline=None)
+@given(real_germs(straight_axis=True))
+@example((corpus.perturbed_sphere().rho, 2))
+def test_normalizing_change_has_determinant_one_over_c(case):
+    rho, n = case
+    surface = from_defining(rho, n)
+    normalized, change = normalize(surface)
+    assert normalized.normal
+    c = surface.phi.coefficient(unit_exponent(2 * n - 1, n - 1))
+    det = determinant(change.linear_matrix())
+    assert not det.is_zero()
+    assert det == ONE / c
+
+
+# partial_convergence does not climb the rank of g again: g has the r
+# certified witness rows, and its Jacobian holds their certified minor at
+# the same truncation (see the partial_convergence docstring)
+
+PARTIAL_CASES = [(name, corpus.DEFAULT_ORDER) for name in corpus.MAPS] + [
+    (name, 12) for name in corpus.MAPS if name.startswith("exp_shear")
+]
+
+
+@pytest.mark.parametrize("name, order", PARTIAL_CASES)
+def test_partial_convergence_family_has_full_certified_rank(name, order):
+    make_map, source, target = corpus.MAPS[name]
+    fm = FormalMap(
+        make_map(order), corpus.HYPERSURFACES[source](order), corpus.HYPERSURFACES[target](order)
+    )
+    result = partial_convergence(fm)
+    check = generic_rank(result.g)
+    assert check.certificate.status == CERTIFIED
+    assert check.rank == fm.n - result.bound
 
 
 # ---------------------------------------------------------------------------
