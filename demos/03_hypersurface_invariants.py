@@ -12,6 +12,7 @@ from crkit import (
     graph_names,
     is_minimal,
     normalize,
+    normalizing_change,
     segre_closure_residual,
     segre_maps,
     tangent_fields,
@@ -25,7 +26,8 @@ def describe(name, surface):
     print("normal coordinates:", "yes" if surface.normal else "no")
 
     if not surface.normal:
-        surface, change = normalize(surface)
+        change = normalizing_change(surface)
+        surface = normalize(surface)
         names = [f"z{i + 1}" for i in range(surface.n)]
         print("after normalizing:",
               format_series(surface.phi, graph_names(surface.n)))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .corpus import DEFAULT_ORDER
 from .documents import parse_document, serialize, serialize_report, write_atomic
 from .errors import CrkitError, DocumentError, GeometryError, ParseError, PrerequisiteError
-from .hypersurface import Hypersurface, degeneracy, is_minimal, normalize
+from .hypersurface import Hypersurface, degeneracy, is_minimal, normalize, normalizing_change
 from .rank import CERTIFIED
 from .reflection import (
     FormalMap,
@@ -137,7 +137,7 @@ def cmd_analyze(path: str, config: RunConfig) -> int:
     surface = surface.truncate(order)
     # minimality and degeneracy are invariants of the germ, so a non-normal
     # input is normalized internally before they are computed
-    representative = surface if surface.normal else normalize(surface)[0]
+    representative = surface if surface.normal else normalize(surface)
     minimality = is_minimal(representative)
     ranks = degeneracy(representative, config.cutoff)
     certified = (
@@ -207,8 +207,7 @@ def cmd_normalize(path: str, out: str | None, config: RunConfig) -> int:
     surface = _load_hypersurface(path)
     order = _effective_order(config, surface.order)
     surface = surface.truncate(order)
-    normalized, change = normalize(surface)
-    data = serialize(normalized)
+    data = serialize(normalize(surface))
     if out is None:
         sys.stdout.write(data)
         return 0
@@ -225,7 +224,7 @@ def cmd_normalize(path: str, out: str | None, config: RunConfig) -> int:
             print("already normal; wrote an identical copy")
         else:
             print("normalized; coordinate change:")
-            for name, component in zip(names, change.components):
+            for name, component in zip(names, normalizing_change(surface).components):
                 print(f"  {name} -> {format_series(component, names)}")
         print(f"wrote: {out}")
     return 0

@@ -24,7 +24,9 @@ from .rank import CERTIFIED, generic_rank, matrix_generic_rank
 from .series import (
     SeriesMap,
     TruncatedSeries,
+    _coefficient,
     _dense_family,
+    _exponents,
     compose,
     format_monomial,
     unit_exponent,
@@ -46,13 +48,20 @@ def reality_defect(rho: TruncatedSeries, n: int):
     Reality means: conjugate the coefficients and swap the z and w blocks,
     and you must get rho back. Returns (exponents, coefficient, mirrored)
     for the graded-lex-least offending exponent tuple.
+
+    Works on the integer form: a key is the z block's digits times
+    base**n plus the w block's, so the mirrored key swaps the two halves.
+    Exponents are decoded only for the defect it reports.
     """
-    for exponents in rho.terms:
-        mirror = exponents[n:] + exponents[:n]
-        expected = rho.coefficient(mirror).conjugate()
-        actual = rho.coefficient(exponents)
-        if actual != expected:
-            return exponents, actual, expected
+    den, rows, _ = rho._form
+    base, split = rho.order + 2, (rho.order + 2) ** n
+    stored = {k: (a, b) for _, k, a, b in rows}
+    for _, k, a, b in rows:
+        z_block, w_block = divmod(k, split)
+        mirror_a, mirror_b = stored.get(w_block * split + z_block, (0, 0))
+        if a != mirror_a or b != -mirror_b:
+            exponents = _exponents(k, base, 2 * n)
+            return exponents, _coefficient(den, a, b), _coefficient(den, mirror_a, -mirror_b)
     return None
 
 
@@ -196,14 +205,53 @@ def graph_residual(phi: TruncatedSeries, n: int) -> TruncatedSeries:
 # normal coordinates
 
 
-def normalize(H: Hypersurface) -> tuple[Hypersurface, SeriesMap]:
+def _axis_graph(H: Hypersurface) -> TruncatedSeries:
+    """p = phi(0, z_n, z') over (z, w), once its z_n coefficient
+    c = dphi/dw_n(0) is checked nonzero."""
+    n = H.n
+    if H.phi.coefficient(unit_exponent(2 * n - 1, n - 1)).is_zero():
+        raise GeometryError(
+            "cannot establish normal coordinates: graph series has a "
+            "degenerate linear part in the graph variable"
+        )
+    slots = [*[None] * (n - 1), n - 1, *range(n - 1)]
+    return compose(H.phi, SeriesMap.from_slots(2 * n, H.order, slots))
+
+
+def normalize(H: Hypersurface) -> Hypersurface:
     """Pass to coordinates in which the graph fixes both distinguished axes.
 
-    Fixes z' and replaces z_n by the solution t of z_n = phi(0, t, z').
-    Idempotent: a hypersurface already in normal form comes back unchanged
-    with the identity change. The result is re-verified from scratch; if
-    the single substitution does not produce normal form, this raises
-    instead of returning something unverified.
+    Returns only the germ in the new coordinates; ``normalizing_change``
+    gives the coordinate change. The old coordinates are z' and
+    z_n = p(z) = phi(0, z_n, z'), so the new defining series is rho with
+    p substituted for z_n and its conjugate, read on the w side, for w_n.
+    Idempotent: a hypersurface already in normal form comes back
+    unchanged. The result is re-verified from scratch; if the single
+    substitution does not produce normal form, this raises instead of
+    returning something unverified.
+    """
+    if H.normal:
+        return H
+    n, order, big = H.n, H.order, 2 * H.n
+    p = _axis_graph(H)
+    pbar = compose(p.conjugate(), SeriesMap.from_slots(big, order, [*range(n, big), *range(n)]))
+    outer = SeriesMap.from_slots(big, order, [*range(n - 1), p, *range(n, big - 1), pbar])
+    H2 = from_defining(
+        compose(H.rho, outer), n, provenance=H.provenance + ("normalized by graph substitution",)
+    )
+    if not H2.normal:
+        raise GeometryError(
+            "the graph substitution did not yield normal coordinates for "
+            "this input; its normal form needs more than one step"
+        )
+    return H2
+
+
+def normalizing_change(H: Hypersurface) -> SeriesMap:
+    """The coordinate change behind ``normalize(H)``, new coordinates in
+    terms of old: z' is fixed and z_n goes to the solution t of
+    z_n = phi(0, t, z'). Its inverse (z', p(z)) is the substitution
+    ``normalize`` makes. The identity for a germ already in normal form.
 
     The change needs no determinant: c = dphi/dw_n(0) is checked nonzero,
     so t has z_n coefficient 1/c, and the linear part, which fixes z', is
@@ -211,35 +259,13 @@ def normalize(H: Hypersurface) -> tuple[Hypersurface, SeriesMap]:
     """
     n, order = H.n, H.order
     if H.normal:
-        return H, SeriesMap.identity(n, order)
-    # p = phi(0, z_n, z') over (z, w)
-    big = 2 * n
-    p = compose(H.phi, SeriesMap.from_slots(big, order, [*[None] * (n - 1), n - 1, *range(n - 1)]))
+        return SeriesMap.identity(n, order)
     # psi over (z'_1..z'_{n-1}, z_n, y): phi(0, y, z') - z_n
     m = n + 1
     relabel = SeriesMap.from_slots(m, order, [*range(n - 1), n, *[None] * n])
-    psi = compose(p, relabel) - TruncatedSeries.variable(m, order, n - 1)
-    if psi.coefficient(unit_exponent(m, n)).is_zero():
-        raise GeometryError(
-            "cannot establish normal coordinates: graph series has a "
-            "degenerate linear part in the graph variable"
-        )
+    psi = compose(_axis_graph(H), relabel) - TruncatedSeries.variable(m, order, n - 1)
     t = implicit_solve(psi, n)  # over (z'_1..z'_{n-1}, z_n), preserves origin
-    change = SeriesMap.from_slots(n, order, [*range(n - 1), t])
-
-    # substitute z_n := p and its conjugate, read on the w side, for w_n
-    pbar = compose(p.conjugate(), SeriesMap.from_slots(big, order, [*range(n, big), *range(n)]))
-    outer = SeriesMap.from_slots(big, order, [*range(n - 1), p, *range(n, big - 1), pbar])
-    rho2 = compose(H.rho, outer)
-    H2 = from_defining(
-        rho2, n, provenance=H.provenance + ("normalized by graph substitution",)
-    )
-    if not H2.normal:
-        raise GeometryError(
-            "the graph substitution did not yield normal coordinates for "
-            "this input; its normal form needs more than one step"
-        )
-    return H2, change
+    return SeriesMap.from_slots(n, order, [*range(n - 1), t])
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +333,12 @@ class MinimalityVerdict:
 
 
 def is_minimal(H: Hypersurface) -> MinimalityVerdict:
-    triple = segre_maps(H)
+    return _minimality(H, segre_maps(H))
+
+
+def _minimality(H: Hypersurface, triple: SegreTriple) -> MinimalityVerdict:
+    """The verdict of ``is_minimal`` from H's Segre triple, built once by
+    the caller."""
     result = generic_rank(triple.v2)
     return MinimalityVerdict(
         minimal=result.rank == H.n,

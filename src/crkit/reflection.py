@@ -21,6 +21,7 @@ from fractions import Fraction
 from .errors import PrerequisiteError
 from .hypersurface import (
     Hypersurface,
+    _minimality,
     degeneracy,
     is_minimal,
     phi_family,
@@ -276,7 +277,8 @@ def segre_reflection_identity(fm: FormalMap) -> SegreIdentityVerdict:
         )
     if not fm.source.normal:
         raise PrerequisiteError("source must be in normal coordinates")
-    minimality = is_minimal(fm.source)
+    triple = segre_maps(fm.source)
+    minimality = _minimality(fm.source, triple)
     if not minimality.minimal or minimality.certificate.status != CERTIFIED:
         raise PrerequisiteError(
             "source must be minimal with a certified rank at this order"
@@ -284,7 +286,6 @@ def segre_reflection_identity(fm: FormalMap) -> SegreIdentityVerdict:
     n = fm.n
     m = n - 1
     src = 3 * m
-    triple = segre_maps(fm.source)
     r = reflection_function(fm)
     along = fm.f.conjugate().compose(triple.v2.conjugate())  # over (xi, eta)
     lifted = along.compose(SeriesMap.from_slots(src, along.order, range(m, src))).components

@@ -14,6 +14,7 @@ order, which makes serialization and reporting bit-reproducible.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import operator
@@ -134,6 +135,14 @@ def _exponents(key: int, base: int, nvars: int) -> tuple[int, ...]:
     for i in range(nvars - 1, -1, -1):
         key, e[i] = divmod(key, base)
     return tuple(e)
+
+
+def _coefficient(den: int, a: int, b: int) -> GaussRational:
+    """The coefficient (a + b i) / den of one row."""
+    return GaussRational._trusted(
+        Fraction(a, den) if a else _FRACTION_ZERO,
+        Fraction(b, den) if b else _FRACTION_ZERO,
+    )
 
 
 def _rebase(form, old: int, base: int, nvars: int):
@@ -281,14 +290,8 @@ class TruncatedSeries:
         view = self._view
         if view is None:
             den, rows, _ = self._form
-            base, nvars, trusted = self.order + 2, self.nvars, GaussRational._trusted
-            view = {
-                _exponents(k, base, nvars): trusted(
-                    Fraction(a, den) if a else _FRACTION_ZERO,
-                    Fraction(b, den) if b else _FRACTION_ZERO,
-                )
-                for _, k, a, b in rows
-            }
+            base, nvars = self.order + 2, self.nvars
+            view = {_exponents(k, base, nvars): _coefficient(den, a, b) for _, k, a, b in rows}
             object.__setattr__(self, "_view", view)
         return view
 
@@ -334,10 +337,26 @@ class TruncatedSeries:
         return list(self._terms.items())
 
     def coefficient(self, exponents) -> GaussRational:
-        return self._terms.get(tuple(exponents), ZERO)
+        """The coefficient of x^exponents, ZERO when none is stored.
+
+        A point read: it bisects the rows for the packed key and decodes
+        that one row, never the whole view.
+        """
+        exponents = tuple(exponents)
+        degree = sum(exponents)
+        if len(exponents) != self.nvars or degree > self.order or min(exponents, default=0) < 0:
+            return ZERO
+        key = sum(map(operator.mul, exponents, _weights(self.order + 2, self.nvars)))
+        den, rows, _ = self._form
+        i = bisect.bisect_left(rows, (degree, key))
+        if i < len(rows) and rows[i][:2] == (degree, key):
+            return _coefficient(den, *rows[i][2:])
+        return ZERO
 
     def constant_term(self) -> GaussRational:
-        return self._terms.get((0,) * self.nvars, ZERO)
+        # a degree-0 row can only be the first
+        den, rows, _ = self._form
+        return _coefficient(den, *rows[0][2:]) if rows and not rows[0][0] else ZERO
 
     def is_zero(self) -> bool:
         return not self._form[1]
@@ -349,7 +368,11 @@ class TruncatedSeries:
 
     def least_term(self):
         """Graded-lex-least stored term as (exponents, coefficient), or None."""
-        return next(iter(self._terms.items()), None)
+        den, rows, _ = self._form
+        if not rows:
+            return None
+        _, k, a, b = rows[0]
+        return _exponents(k, self.order + 2, self.nvars), _coefficient(den, a, b)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -719,12 +742,13 @@ def compose(outer: TruncatedSeries, vmap: SeriesMap) -> TruncatedSeries:
         return _sum_of_products([(left, _ONE_FORM)], src, order)
 
     one = TruncatedSeries._trusted(src, order, _ONE_FORM)
-    powers = {i: [one] for i in general_slots}
+    # each cache starts at the slot's own series, so no power is one * Y
+    powers = {i: [one, vmap.components[i].truncate(order)] for i in general_slots}
 
     def power(i: int, k: int) -> TruncatedSeries:
         cache = powers[i]
         while len(cache) <= k:
-            cache.append(cache[-1] * vmap.components[i].truncate(order))
+            cache.append(cache[-1] * cache[1])
         return cache[k]
 
     # outer terms grouped by their exponents on the general slots; each

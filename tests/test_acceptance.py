@@ -99,7 +99,7 @@ def test_criterion_02_segre_closure(capsys):
     with verdict(capsys, 2, "third Segre map closes over the first, exactly"):
         for name, surface in corpus_surfaces():
             if not surface.normal:
-                surface, _ = normalize(surface)
+                surface = normalize(surface)
             residual = segre_closure_residual(segre_maps(surface))
             assert all(c.is_zero() for c in residual.components), name
 

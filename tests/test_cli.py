@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+import crkit.hypersurface
 import crkit.rank
+import crkit.reflection
 from crkit.cli import _build_arg_parser, main
 from crkit.documents import parse_document
 
@@ -224,6 +226,26 @@ def test_check_map_dilation_passes(capsys):
     assert "order checked: 8" in out
     assert "biholomorphism: yes" in out
     assert "segre reflection identity: pass" in out
+
+
+def test_check_map_builds_the_segre_triple_once(monkeypatch, capsys):
+    # the identity's minimality prerequisite reads the triple it then uses
+    built = []
+    original = crkit.hypersurface.segre_maps
+
+    def counting(surface):
+        built.append(surface)
+        return original(surface)
+
+    for module in (crkit.hypersurface, crkit.reflection):
+        monkeypatch.setattr(module, "segre_maps", counting)
+    sphere = CORPUS / "sphere.crkit"
+    code, out, _ = run(
+        capsys, "check-map", "-s", sphere, "-t", sphere, "-f", CORPUS / "sphere_dilation.crkit"
+    )
+    assert code == 0
+    assert "segre reflection identity: pass" in out
+    assert len(built) == 1
 
 
 def test_check_map_corrupted_fails_with_monomial(capsys):

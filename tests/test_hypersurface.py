@@ -10,6 +10,7 @@ from crkit.hypersurface import (
     graph_residual,
     is_minimal,
     normalize,
+    normalizing_change,
     phi_family,
     reality_defect,
     segre_closure_residual,
@@ -163,7 +164,8 @@ def test_graph_residual_vanishes(sphere, quadric, perturbed_sphere):
 
 
 def test_normalize_perturbed_recovers_sphere(sphere, perturbed_sphere):
-    norm, change = normalize(perturbed_sphere)
+    norm = normalize(perturbed_sphere)
+    change = normalizing_change(perturbed_sphere)
     assert norm.normal
     assert norm.rho == sphere.rho
     # the change fixes z1 and sends z2 to z2 + z1^2
@@ -172,14 +174,15 @@ def test_normalize_perturbed_recovers_sphere(sphere, perturbed_sphere):
 
 
 def test_normalize_is_idempotent(sphere):
-    norm, change = normalize(sphere)
+    norm = normalize(sphere)
+    change = normalizing_change(sphere)
     assert norm is sphere
     assert change == SeriesMap.identity(2, sphere.order)
 
 
 def test_normalize_determinism(perturbed_sphere):
-    a = normalize(perturbed_sphere)
-    b = normalize(perturbed_sphere)
+    a = normalize(perturbed_sphere), normalizing_change(perturbed_sphere)
+    b = normalize(perturbed_sphere), normalizing_change(perturbed_sphere)
     assert a[0] == b[0]
     assert a[1] == b[1]
 

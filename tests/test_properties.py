@@ -9,7 +9,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from crkit import corpus
 from crkit.documents import parse_document, serialize
-from crkit.hypersurface import from_defining, graph_residual, normalize
+from crkit.hypersurface import (
+    from_defining, graph_residual, normalize, normalizing_change, reality_defect,
+)
 from crkit.linalg import determinant
 from crkit.rank import CERTIFIED, generic_rank
 from crkit.rational import GaussRational, ONE, ZERO
@@ -555,7 +557,7 @@ def test_accepted_germs_satisfy_the_graph_identity(case):
 
 # normalize does not take the determinant of its change: t solves
 # phi(0, t, z') = z_n with c = dphi/dw_n(0) nonzero, so the linear part is
-# triangular with determinant 1/c (see the normalize docstring)
+# triangular with determinant 1/c (see the normalizing_change docstring)
 
 
 @settings(max_examples=60, deadline=None)
@@ -564,12 +566,77 @@ def test_accepted_germs_satisfy_the_graph_identity(case):
 def test_normalizing_change_has_determinant_one_over_c(case):
     rho, n = case
     surface = from_defining(rho, n)
-    normalized, change = normalize(surface)
+    normalized = normalize(surface)
+    change = normalizing_change(surface)
     assert normalized.normal
     c = surface.phi.coefficient(unit_exponent(2 * n - 1, n - 1))
     det = determinant(change.linear_matrix())
     assert not det.is_zero()
     assert det == ONE / c
+
+
+# normalize returns only the germ and normalizing_change only the change.
+# Their agreement: the inverse of the change is the substitution normalize
+# makes, z on the z side and its conjugate on the w side.
+
+
+@settings(max_examples=40, deadline=None)
+@given(real_germs(straight_axis=True))
+@example((corpus.perturbed_sphere().rho, 2))
+def test_normalize_agrees_with_its_change(case):
+    rho, n = case
+    surface = from_defining(rho, n)
+    inverse = invert_map(normalizing_change(surface))
+    big, order = 2 * n, surface.order
+    z_side = inverse.compose(SeriesMap.from_slots(big, order, range(n)))
+    w_side = inverse.conjugate().compose(SeriesMap.from_slots(big, order, range(n, big)))
+    substituted = compose(rho, SeriesMap([*z_side.components, *w_side.components]))
+    assert substituted == normalize(surface).rho
+
+
+# reality_defect reads the integer form: each row against the row at its
+# mirrored key. The reference is the term-by-term loop on the view.
+
+
+def ref_reality_defect(rho, n):
+    terms = dict(rho.terms)
+    for exponents, actual in terms.items():
+        mirror = exponents[n:] + exponents[:n]
+        expected = terms.get(mirror, ZERO).conjugate()
+        if actual != expected:
+            return exponents, actual, expected
+    return None
+
+
+@st.composite
+def perturbed_real_germs(draw):
+    """A real germ with one coefficient moved, which may break reality."""
+    rho, n = draw(real_germs())
+    exponents = draw(st.sampled_from(multi_indices(2 * n, rho.order)))
+    delta = TruncatedSeries.monomial(2 * n, rho.order, exponents, draw(nonzero_rationals))
+    return rho + delta, n
+
+
+SPHERE_RHO = corpus.sphere().rho
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed_real_germs())
+@example((SPHERE_RHO, 2))
+# z1^2 has no mirror term w1^2
+@example((SPHERE_RHO + TruncatedSeries.monomial(4, 8, (2, 0, 0, 0)), 2))
+# z1 w1 is its own mirror, so an imaginary part breaks reality
+@example((SPHERE_RHO + TruncatedSeries.monomial(4, 8, (1, 0, 1, 0), GaussRational(0, 1)), 2))
+# the same, but a real part keeps it
+@example((SPHERE_RHO + TruncatedSeries.monomial(4, 8, (1, 0, 1, 0), GaussRational(3)), 2))
+def test_reality_defect_matches_the_term_loop(case):
+    rho, n = case
+    defect = reality_defect(rho, n)
+    reference = ref_reality_defect(rho, n)
+    assert defect == reference
+    if defect is not None:
+        assert type(defect[0]) is tuple
+        assert [repr(c) for c in defect[1:]] == [repr(c) for c in reference[1:]]
 
 
 # partial_convergence does not climb the rank of g again: g has the r
@@ -796,3 +863,37 @@ def test_terms_iterate_in_graded_lex_order_however_built(operands, rnd):
         assert list(s.terms) == expected
         assert [e for e, _ in s.sorted_terms()] == expected
         assert s.least_term() == least
+
+
+# coefficient, constant_term and least_term are point reads: they bisect the
+# rows and decode the one row they need, and leave the view unbuilt
+
+
+@st.composite
+def any_series(draw):
+    nvars = draw(st.integers(0, 3))
+    return draw(kernel_series(nvars, draw(st.integers(0, 5))))
+
+
+@given(any_series())
+@example(TruncatedSeries(0, 0))
+@example(TruncatedSeries(2, 3))
+@example(TruncatedSeries(2, 0, {(0, 0): GaussRational(0, Fraction(1, 3))}))
+def test_point_reads_match_the_view_and_leave_it_unbuilt(s):
+    nvars, order = s.nvars, s.order
+    probes = multi_indices(nvars, order)  # every stored and absent exponent
+    probes += [(0,) * (nvars + 1), (1,) * (nvars + 1)]  # wrong arity
+    if nvars:
+        probes += [e for e in multi_indices(nvars, order + 1) if sum(e) > order]
+        probes += [(0,) * (nvars - 1), (-1,) + (1,) * (nvars - 1)]
+    coefficients = [s.coefficient(e) for e in probes]
+    constant, least = s.constant_term(), s.least_term()
+    assert s._view is None
+    view = s.terms
+    for e, c in zip(probes, coefficients):
+        expected = view.get(e, ZERO)
+        assert (c, repr(c)) == (expected, repr(expected)), e
+        assert type(c.re) is Fraction and type(c.im) is Fraction
+    assert constant == view.get((0,) * nvars, ZERO)
+    first = next(iter(view.items()), None)
+    assert least == first and repr(least) == repr(first)
