@@ -1,54 +1,75 @@
 """Exact dense linear algebra over Gaussian rationals.
 
-Matrices are lists of lists of GaussRational. One forward Gaussian
-elimination, taking the first nonzero pivot in each column and reducing
-only the rows below it, underlies the rank, the determinant and the
-inverse, so every result is exact and every pivot choice deterministic.
-The determinant of a matrix of series, by cofactor expansion, lives here
-too.
+Matrices are lists of lists of Gaussian rationals; ``int`` and
+``Fraction`` entries are read as such. The determinant and the inverse
+share one fraction-free elimination over Gaussian integers (Bareiss,
+1968): the entries are put over one common denominator once, and each
+step is integer multiplication plus an exact division by the previous
+pivot. It takes the first nonzero pivot in each column, so every result
+is exact and every pivot choice deterministic, and results become
+Gaussian rationals only on the way out. The determinant of a matrix of
+series, by cofactor expansion, lives here too.
 """
 
 from __future__ import annotations
 
-from .rational import GaussRational, ONE, ZERO
+import math
+from fractions import Fraction
+
+from .rational import GaussRational, ZERO
 from .series import TruncatedSeries
 
 
-def _eliminate(matrix):
-    """Row echelon form of ``matrix`` by forward elimination.
+def _integer_rows(matrix):
+    """(den, rows): every entry times the lcm ``den`` of all denominators,
+    as a Gaussian integer (a, b) standing for a + b i."""
+    entries = [[GaussRational.coerce(c) for c in row] for row in matrix]
+    den = math.lcm(*[f.denominator for row in entries for c in row for f in (c.re, c.im)])
+    return den, [
+        [
+            (c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator))
+            for c in row
+        ]
+        for row in entries
+    ]
 
-    Returns (rows, order, pivot_cols, sign): the echelon rows, the original
-    index of each of them, the pivot column of each leading row, and the
-    sign of the row permutation. Elimination stops once every row holds a
-    pivot.
+
+def _eliminate(rows, n: int):
+    """Fraction-free Gauss-Jordan elimination on the first ``n`` columns of
+    the Gaussian-integer ``rows``, in place.
+
+    Step k takes the first row from k on with a nonzero entry in column k
+    as the pivot row, swaps it to row k, and replaces every other row by
+    (pivot * row - row[k] * pivot row) / previous pivot. The division is
+    exact, by the conjugate over the norm: each entry is then a minor of
+    the input. Afterwards the first ``n`` columns are the last pivot times
+    the identity, and that pivot is the determinant of the row-permuted
+    input. Returns (sign of the permutation, last pivot), or None when a
+    column has no pivot, that is, the first ``n`` columns are singular.
     """
-    rows = [list(row) for row in matrix]
-    order = list(range(len(rows)))
-    ncols = len(rows[0]) if rows else 0
-    pivot_cols: list[int] = []
-    sign = 1
-    r = 0
-    for col in range(ncols):
-        if r == len(rows):
-            break
-        pivot = next((i for i in range(r, len(rows)) if not rows[i][col].is_zero()), None)
+    sign, prev = 1, (1, 0)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if rows[i][k] != (0, 0)), None)
         if pivot is None:
-            continue
-        if pivot != r:
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            order[r], order[pivot] = order[pivot], order[r]
+            return None
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
             sign = -sign
-        head = rows[r]
-        inv = ONE / head[col]
-        for row in rows[r + 1 :]:
-            if row[col].is_zero():
+        head = rows[k]
+        (p, q), (s, t) = head[k], prev
+        norm = s * s + t * t
+        for i, row in enumerate(rows):
+            if i == k:
                 continue
-            factor = row[col] * inv
-            for j in range(col, ncols):
-                row[j] = row[j] - factor * head[j]
-        pivot_cols.append(col)
-        r += 1
-    return rows, order, pivot_cols, sign
+            u, v = row[k]
+            reduced = []
+            for (a, b), (c, d) in zip(row, head):
+                re = p * a - q * b - u * c + v * d
+                im = p * b + q * a - u * d - v * c
+                reduced.append(((re * s + im * t) // norm, (im * s - re * t) // norm))
+            rows[i] = reduced
+        prev = head[k]
+    return sign, prev
 
 
 def _require_square(matrix, what: str) -> int:
@@ -60,35 +81,41 @@ def _require_square(matrix, what: str) -> int:
 
 def determinant(matrix) -> GaussRational:
     n = _require_square(matrix, "determinant")
-    rows, _, pivot_cols, sign = _eliminate(matrix)
-    if len(pivot_cols) < n:
+    den, rows = _integer_rows(matrix)
+    result = _eliminate(rows, n)
+    if result is None:
         return ZERO
-    det = ONE if sign > 0 else -ONE
-    for i in range(n):
-        det = det * rows[i][i]
-    return det
+    sign, (p, q) = result
+    # det(den * A) = den^n det(A)
+    scale = sign * den**n
+    return GaussRational._trusted(Fraction(p, scale), Fraction(q, scale))
 
 
 def inverse(matrix) -> list[list[GaussRational]]:
-    """Inverse by elimination on [A | I] and back-substitution."""
+    """Inverse by elimination on [den * A | I].
+
+    The elimination leaves [p I | T] with T den A = p I, so A^-1 is
+    den T / p.
+    """
     n = _require_square(matrix, "inverse")
-    augmented = [
-        list(row) + [ONE if i == j else ZERO for j in range(n)]
-        for i, row in enumerate(matrix)
-    ]
-    rows, _, pivot_cols, _ = _eliminate(augmented)
-    if pivot_cols != list(range(n)):
+    den, rows = _integer_rows(matrix)
+    for i, row in enumerate(rows):
+        row.extend((1, 0) if j == i else (0, 0) for j in range(n))
+    result = _eliminate(rows, n)
+    if result is None:
         raise ValueError("matrix is singular")
-    out: list = [None] * n
-    for i in reversed(range(n)):
-        row = rows[i]
-        acc = row[n:]
-        for k in range(i + 1, n):
-            if not row[k].is_zero():
-                acc = [a - row[k] * b for a, b in zip(acc, out[k])]
-        inv = ONE / row[i]
-        out[i] = [a * inv for a in acc]
-    return out
+    _, (p, q) = result
+    norm = p * p + q * q
+    # (a + b i) / (p + q i) = (a + b i)(p - q i) / norm
+    return [
+        [
+            GaussRational._trusted(
+                Fraction(den * (a * p + b * q), norm), Fraction(den * (b * p - a * q), norm)
+            )
+            for a, b in row[n:]
+        ]
+        for row in rows
+    ]
 
 
 def _series_det(matrix: list[list[TruncatedSeries]]) -> TruncatedSeries:

@@ -342,16 +342,22 @@ class TruncatedSeries:
         A point read: it bisects the rows for the packed key and decodes
         that one row, never the whole view.
         """
+        row = self._row(exponents)
+        return ZERO if row is None else _coefficient(*row)
+
+    def _row(self, exponents):
+        """The coefficient of x^exponents as (den, a, b), standing for
+        (a + b i) / den, or None when none is stored."""
         exponents = tuple(exponents)
         degree = sum(exponents)
         if len(exponents) != self.nvars or degree > self.order or min(exponents, default=0) < 0:
-            return ZERO
+            return None
         key = sum(map(operator.mul, exponents, _weights(self.order + 2, self.nvars)))
         den, rows, _ = self._form
         i = bisect.bisect_left(rows, (degree, key))
         if i < len(rows) and rows[i][:2] == (degree, key):
-            return _coefficient(den, *rows[i][2:])
-        return ZERO
+            return (den, *rows[i][2:])
+        return None
 
     def constant_term(self) -> GaussRational:
         # a degree-0 row can only be the first
@@ -766,6 +772,23 @@ def compose(outer: TruncatedSeries, vmap: SeriesMap) -> TruncatedSeries:
         group.sort()
         pairs.append(((den, group, is_complex), series._form_at(base)))
     return _sum_of_products(pairs, src, order)
+
+
+def _inverse_equation(f: TruncatedSeries, i: int) -> TruncatedSeries:
+    """f(y) - x_i over (x, y), where x and y have f.nvars entries each, x
+    first: the i-th equation that an inverse y = g(x) of a map with i-th
+    component f solves.
+
+    At one base, y holds the lowest f.nvars places of a key over (x, y),
+    so the rows of f stand as they are, and -x_i adds one row after the
+    linear ones. The added coefficient is -den, so the form stays
+    primitive. Needs f.order >= 1.
+    """
+    den, rows, is_complex = f._form
+    split = bisect.bisect_left(rows, (2,))
+    minus_x = (1, _weights(f.order + 2, 2 * f.nvars)[i], -den, 0)
+    form = (den, [*rows[:split], minus_x, *rows[split:]], is_complex)
+    return TruncatedSeries._trusted(2 * f.nvars, f.order, form)
 
 
 # ---------------------------------------------------------------------------

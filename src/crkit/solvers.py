@@ -36,8 +36,8 @@ from .series import (
     SeriesMap,
     TruncatedSeries,
     _ONE_FORM,
-    _constant_form,
     _exponents,
+    _inverse_equation,
     _pack,
     _primitive,
     _sum_of_products,
@@ -65,14 +65,18 @@ def implicit_solve(rho: TruncatedSeries, var: int) -> TruncatedSeries:
         raise ValueError("need at least one remaining variable")
     if not rho.constant_term().is_zero():
         raise ValueError("constant term must vanish")
-    c = rho.coefficient(unit_exponent(m, var))
-    if c.is_zero():
+    c = rho._row(unit_exponent(m, var))
+    if c is None:
         raise ValueError(
             "the solved variable must appear with a nonzero linear coefficient"
         )
+    # -1/c for c = (a + b i) / den is -den (a - b i) / (a^2 + b^2)
+    den, a, b = c
+    minus_inverse = (a * a + b * b, [(0, 0, -den * a, den * b)], bool(b))
     order = rho.order
     last = compose(rho, SeriesMap.from_slots(m, order, [*range(var), m - 1, *range(var, m - 1)]))
-    (solution,) = _certified(_OnlineSolve([last], m - 1, order), [[ONE / c]], "implicit solve")
+    online = _OnlineSolve([last], m - 1, order)
+    (solution,) = _certified(online, [[(minus_inverse, 0)]], "implicit solve")
     return solution
 
 
@@ -96,11 +100,8 @@ def invert_map(fmap: SeriesMap) -> SeriesMap:
     except ValueError:
         raise ValueError("linear part is singular, map is not invertible") from None
 
-    # f_i(y) - x_i over (x, y)
-    xs = SeriesMap.from_slots(2 * n, order, range(n)).components
-    on_y = SeriesMap.from_slots(2 * n, order, range(n, 2 * n))
-    equations = [compose(f, on_y) - x for f, x in zip(fmap.components, xs)]
-    return SeriesMap(_certified(_OnlineSolve(equations, n, order), inv, "map inversion"))
+    equations = [_inverse_equation(f, i) for i, f in enumerate(fmap.components)]
+    return SeriesMap(_certified(_OnlineSolve(equations, n, order), _negated(inv), "map inversion"))
 
 
 def newton_extend(system: SeriesMap, solution: SeriesMap, target_order: int) -> SeriesMap:
@@ -162,7 +163,7 @@ def newton_extend(system: SeriesMap, solution: SeriesMap, target_order: int) -> 
             "Jacobian is singular at the origin along the solution; the "
             "degree-by-degree extension is not uniquely determined"
         ) from None
-    increments = _certified(online, j0_inv, "Newton extension")
+    increments = _certified(online, _negated(j0_inv), "Newton extension")
     return SeriesMap(u + c for u, c in zip(increments, y0))
 
 
@@ -199,9 +200,27 @@ def _shift(F: TruncatedSeries, q: int, y0, order: int) -> TruncatedSeries:
     return _sum_of_products(pairs, nvars, order)
 
 
-def _certified(online: "_OnlineSolve", j0_inv, what: str) -> list[TruncatedSeries]:
-    """Settle every open degree, then certify Y by F(x, Y) = 0 at full order."""
-    online.settle(j0_inv)
+def _negated(j0_inv) -> list:
+    """-J0^-1 as ``settle`` takes it: for each row, (constant form, column)
+    of every nonzero entry, the form written from the entry's numerators
+    and denominators."""
+    rows = []
+    for row in j0_inv:
+        operands = []
+        for i, c in enumerate(row):
+            if c:
+                re, im = c.re, c.im
+                den = re.denominator * im.denominator
+                value = (0, 0, -re.numerator * im.denominator, -im.numerator * re.denominator)
+                operands.append(((den, [value], bool(im)), i))
+        rows.append(operands)
+    return rows
+
+
+def _certified(online: "_OnlineSolve", minus_inverse, what: str) -> list[TruncatedSeries]:
+    """Settle every open degree with ``minus_inverse``, -J0^-1 as ``settle``
+    takes it, then certify Y by F(x, Y) = 0 at full order."""
+    online.settle(minus_inverse)
     unknowns = [online.unknown(j) for j in range(len(online.parts))]
     q = online.nparams
     substitution = SeriesMap.from_slots(q, online.order, [*range(q), *unknowns])
@@ -321,12 +340,15 @@ class _OnlineSolve:
                 total.append(part._form)
         return [self._joined(forms) for forms in totals]
 
-    def settle(self, j0_inv) -> None:
-        """Fix Y_d = -J0^-1 R_d for every open degree through the order."""
-        rows = [[(_constant_form(-c), i) for i, c in enumerate(row) if c] for row in j0_inv]
+    def settle(self, minus_inverse) -> None:
+        """Fix Y_d = -J0^-1 R_d for every open degree through the order.
+
+        ``minus_inverse`` holds -J0^-1 by rows, each the (constant integer
+        form, column) of its nonzero entries; a form need not be primitive.
+        """
         for degree in range(len(self.parts[0]), self.order + 1):
             rhs = [res._form for res in self.residual(degree)]
-            for parts, row in zip(self.parts, rows):
+            for parts, row in zip(self.parts, minus_inverse):
                 pairs = [(coeff, rhs[i]) for coeff, i in row]
                 parts.append(_sum_of_products(pairs, self.nparams, self.order)._form)
 

@@ -130,3 +130,146 @@ def test_rank_is_the_largest_nonzero_minor(matrix):
     if largest:
         assert cert.witness_monomial == (0,)
         assert cert.witness_coefficient == minor(matrix, *first)
+
+
+# ---------------------------------------------------------------------------
+# entries that are not GaussRational
+
+
+def test_int_and_fraction_entries_read_as_gaussian_rationals():
+    assert determinant([[1, 2], [3, 4]]) == determinant([[G(1), G(2)], [G(3), G(4)]]) == G(-2)
+    assert repr(inverse([[Fraction(1, 2)]])) == repr(inverse([[G(Fraction(1, 2))]]))
+    mixed = [[1, Fraction(1, 3)], [I, G(2, -1)]]
+    typed = [[GaussRational.coerce(entry) for entry in row] for row in mixed]
+    assert repr(determinant(mixed)) == repr(determinant(typed))
+    assert repr(inverse(mixed)) == repr(inverse(typed))
+
+
+def test_float_entries_are_refused():
+    with pytest.raises(TypeError):
+        determinant([[0.5]])
+    with pytest.raises(TypeError):
+        inverse([[0.5]])
+    with pytest.raises(TypeError):
+        inverse([[ONE, ZERO], [ZERO, 1.0]])
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free core against the former elimination over Gaussian
+# rationals, kept here as the reference: first nonzero pivot in each
+# column, rows below reduced by a GaussRational factor, and
+# back-substitution for the inverse
+
+
+def reference_eliminate(matrix):
+    rows = [list(row) for row in matrix]
+    ncols = len(rows[0]) if rows else 0
+    pivot_cols = []
+    sign = 1
+    r = 0
+    for col in range(ncols):
+        if r == len(rows):
+            break
+        pivot = next((i for i in range(r, len(rows)) if not rows[i][col].is_zero()), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            sign = -sign
+        head = rows[r]
+        inv = ONE / head[col]
+        for row in rows[r + 1 :]:
+            if row[col].is_zero():
+                continue
+            factor = row[col] * inv
+            for j in range(col, ncols):
+                row[j] = row[j] - factor * head[j]
+        pivot_cols.append(col)
+        r += 1
+    return rows, pivot_cols, sign
+
+
+def reference_determinant(matrix):
+    n = len(matrix)
+    rows, pivot_cols, sign = reference_eliminate(matrix)
+    if len(pivot_cols) < n:
+        return ZERO
+    det = ONE if sign > 0 else -ONE
+    for i in range(n):
+        det = det * rows[i][i]
+    return det
+
+
+def reference_inverse(matrix):
+    n = len(matrix)
+    augmented = [
+        list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(matrix)
+    ]
+    rows, pivot_cols, _ = reference_eliminate(augmented)
+    if pivot_cols != list(range(n)):
+        return None
+    out = [None] * n
+    for i in reversed(range(n)):
+        row = rows[i]
+        acc = row[n:]
+        for k in range(i + 1, n):
+            if not row[k].is_zero():
+                acc = [a - row[k] * b for a, b in zip(acc, out[k])]
+        inv = ONE / row[i]
+        out[i] = [a * inv for a in acc]
+    return out
+
+
+# parts over unrelated denominators 1-7, so the common denominator grows
+parts = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+nonzero_parts = parts.filter(bool)
+mixed_entries = st.one_of(
+    st.just(ZERO),
+    st.just(ZERO),
+    st.builds(GaussRational, parts),
+    st.builds(lambda im: GaussRational(0, im), nonzero_parts),  # purely imaginary
+    st.builds(GaussRational, parts, parts),
+)
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(1, 4))
+    matrix = [[draw(mixed_entries) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        # purely imaginary pivots down the diagonal, zeros below
+        for i in range(n):
+            matrix[i][i] = GaussRational(0, draw(nonzero_parts))
+            for k in range(i + 1, n):
+                if draw(st.booleans()):
+                    matrix[k][i] = ZERO
+    if n > 1 and draw(st.booleans()):
+        # the last column a combination of the others: singular only there
+        coeffs = [draw(mixed_entries) for _ in range(n - 1)]
+        for row in matrix:
+            total = ZERO
+            for c, entry in zip(coeffs, row):
+                total = total + c * entry
+            row[-1] = total
+    return matrix
+
+
+@given(square_matrices())
+@example([[I]])
+@example([[ZERO, I], [G(Fraction(1, 7)), ZERO]])
+@example([[G(1), G(2), G(3)], [G(Fraction(1, 2)), G(1), G(5)], [G(0), G(0), G(0, 1)]])
+@example([[G(1), G(2), G(3)], [G(0, 1), G(1), G(1, 1)], [G(1, 1), G(3), G(4, 1)]])
+@example([[ZERO] * 4] * 4)
+def test_elimination_matches_the_fraction_reference(matrix):
+    assert repr(determinant(matrix)) == repr(reference_determinant(matrix))
+    expected = reference_inverse(matrix)
+    if expected is None:
+        with pytest.raises(ValueError, match="^matrix is singular$"):
+            inverse(matrix)
+    else:
+        assert repr(inverse(matrix)) == repr(expected)
+
+
+def test_empty_matrix():
+    assert repr(determinant([])) == repr(ONE)
+    assert inverse([]) == []

@@ -1,12 +1,20 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from crkit import corpus
 from crkit.documents import serialize
 from crkit import linalg, solvers
 from crkit.rational import GaussRational, I, ONE
-from crkit.series import SeriesMap, TruncatedSeries, compose, unit_exponent
+from crkit.series import (
+    SeriesMap,
+    TruncatedSeries,
+    _inverse_equation,
+    compose,
+    multi_indices,
+    unit_exponent,
+)
 from crkit.solvers import implicit_solve, invert_map, newton_extend
 
 N = 8
@@ -489,6 +497,100 @@ def test_invert_map_n3_full_linear_part_matches_reference():
     ident = SeriesMap.identity(3, order)
     assert fmap.compose(inv) == ident
     assert inv.compose(fmap) == ident
+
+
+def G(re, im=0):
+    return GaussRational(Fraction(re), Fraction(im))
+
+
+def is_unit(value):
+    return value in (ONE, -ONE, I, -I)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_invert_map_non_unit_complex_linear_part_matches_reference(n):
+    # linear parts over mixed denominators with determinants 1/3 + i and
+    # 1/2 + 2i, so the inverse has complex entries off the units
+    order = 5 if n == 2 else 4
+    v = [V(n, i, order) for i in range(n)]
+    if n == 2:
+        x, y = v
+        fmap = SeriesMap(
+            [
+                x.scale(Fraction(1, 2)) + y.scale(-I) + (x * y).scale(G(Fraction(2, 5), 1)),
+                x + y.scale(Fraction(2, 3)) + (y ** 3).scale(G(0, Fraction(-1, 7))) - x ** 2,
+            ]
+        )
+        det = G(Fraction(1, 3), 1)
+    else:
+        x, y, z = v
+        fmap = SeriesMap(
+            [
+                x + y.scale(2) + z.scale(G(0, Fraction(1, 2))) + (x * z).scale(Fraction(1, 3)),
+                y.scale(Fraction(1, 3)) + z + (y * y * z).scale(G(1, -1)),
+                x.scale(I) + z + (x * y).scale(G(Fraction(-5, 4), Fraction(1, 6))),
+            ]
+        )
+        det = G(Fraction(1, 2), 2)
+    assert linalg.determinant(fmap.linear_matrix()) == det
+    inv = invert_map(fmap)
+    assert inv == reference_invert_map(fmap)
+    assert not all(is_unit(c) or c.is_zero() for row in inv.linear_matrix() for c in row)
+    ident = SeriesMap.identity(n, order)
+    assert fmap.compose(inv) == ident
+    assert inv.compose(fmap) == ident
+
+
+def complex_pair_system(y0, order=6):
+    """Over (x, y1, y2): G(x, y) - G(0, y0) for
+    G1 = (1 + i) y1 + y2/2 - x + y1 y2/3 + x y2^2 and
+    G2 = 2/5 y1 - i y2 + x^2 - (i/7) y1^3, so y(0) = y0 solves it."""
+    x, y1, y2 = (V(3, i, order) for i in range(3))
+    system = [
+        y1.scale(G(1, 1)) + y2.scale(Fraction(1, 2)) - x
+        + (y1 * y2).scale(Fraction(1, 3)) + x * y2 ** 2,
+        y1.scale(Fraction(2, 5)) + y2.scale(-I) + x ** 2
+        + (y1 ** 3).scale(G(0, Fraction(-1, 7))),
+    ]
+    origin = [G(0)] + list(y0)
+    return SeriesMap(F - value_at(F, origin) for F in system)
+
+
+@pytest.mark.parametrize("y0", [(G(0), G(0)), (G(1), I)])
+def test_newton_extend_non_unit_complex_jacobian_matches_reference(y0):
+    # J0 is [[1 + i, 1/2], [2/5, -i]] at y0 = 0, det 4/5 - i, and
+    # [[1 + 4i/3, 5/6], [2/5 - 3i/7, -i]] at y0 = (1, i), det 1 - 9i/14
+    system = complex_pair_system(y0)
+    origin = [G(0)] + list(y0)
+    j0 = [[value_at(F.derive(1 + j), origin) for j in range(2)] for F in system.components]
+    assert not is_unit(linalg.determinant(j0))
+    seed = SeriesMap([TruncatedSeries.constant(c, 1, 0) for c in y0])
+    extended = newton_extend(system, seed, 6)
+    assert extended == reference_newton_extend(system, seed, 6)
+    for component in system.components:
+        assert substitute_polynomial(component, 1, extended.components, 6).is_zero()
+    assert newton_extend(system, newton_extend(system, seed, 2), 6) == extended
+
+
+@st.composite
+def inverse_equation_cases(draw):
+    n = draw(st.integers(1, 3))
+    order = draw(st.integers(1, 6))
+    part = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    coefficient = st.builds(GaussRational, part, part).filter(bool)
+    chosen = draw(st.lists(st.sampled_from(multi_indices(n, order)), max_size=8, unique=True))
+    f = TruncatedSeries(n, order, {e: draw(coefficient) for e in chosen})
+    return f, draw(st.integers(0, n - 1))
+
+
+@given(inverse_equation_cases())
+def test_inverse_equation_matches_composition(case):
+    # f(y) - x_i written on the integer form equals the composition
+    f, i = case
+    n, order = f.nvars, f.order
+    on_y = SeriesMap.from_slots(2 * n, order, range(n, 2 * n))
+    x_i = SeriesMap.from_slots(2 * n, order, range(n)).components[i]
+    assert _inverse_equation(f, i) == compose(f, on_y) - x_i
 
 
 def shifted_pair_system(order=8):
