@@ -54,7 +54,6 @@ from .hypersurface import (
     segre_maps,
     tangent_fields,
 )
-from .parser import TruncationWarning, normalize_declaration, parse_expr
 from .documents import (
     FORMAT_VERSION,
     parse_document,
@@ -83,9 +82,34 @@ from .reflection import (
     segre_reflection_identity,
     u_family,
 )
-from . import corpus, linalg
+from . import linalg
 
 __version__ = "0.1.0"
+
+# No command parses an expression or builds a corpus object, so the
+# expression parser and the corpus load on first use (PEP 562).
+_LAZY = {
+    "TruncationWarning": "parser",
+    "normalize_declaration": "parser",
+    "parse_expr": "parser",
+}
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    if name == "corpus":
+        return import_module(".corpus", __name__)
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module("." + _LAZY[name], __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
 
 __all__ = [
     "CERTIFIED",

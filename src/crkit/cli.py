@@ -21,10 +21,9 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .corpus import DEFAULT_ORDER
-from .documents import parse_document, serialize, serialize_report, write_atomic
+from .documents import DEFAULT_ORDER, parse_document, serialize, serialize_report, write_atomic
 from .errors import CrkitError, DocumentError, GeometryError, ParseError, PrerequisiteError
 from .hypersurface import Hypersurface, degeneracy, is_minimal, normalize, normalizing_change
 from .rank import CERTIFIED
@@ -38,8 +37,7 @@ from .reflection import (
 from .series import SeriesMap, format_monomial
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Knobs shared by every command; defaults match the shipped corpus."""
 
     order: int | None = None  # None: DEFAULT_ORDER, capped by the inputs
@@ -48,18 +46,28 @@ class RunConfig:
     fmt: str = "text"
     force: bool = False
 
-    def __post_init__(self):
-        order = DEFAULT_ORDER if self.order is None else self.order
-        if order < 2:
-            raise ValueError("order must be at least 2")
-        if self.cutoff is not None and not (1 <= self.cutoff <= order):
-            raise ValueError("cutoff must be between 1 and the order")
-        if self.fmt not in ("text", "doc"):
-            raise ValueError("format must be text or doc")
-
 
 class _InputError(Exception):
     """Anything that makes the request unanswerable: bad files, bad flags."""
+
+
+def _run_config(args) -> RunConfig:
+    """The settings parsed flags ask for; a value no command can run with
+    is an input error."""
+    order = DEFAULT_ORDER if args.order is None else args.order
+    if order < 2:
+        raise _InputError("order must be at least 2")
+    if args.cutoff is not None and not (1 <= args.cutoff <= order):
+        raise _InputError("cutoff must be between 1 and the order")
+    if args.fmt not in ("text", "doc"):
+        raise _InputError("format must be text or doc")
+    return RunConfig(
+        order=args.order,
+        cutoff=args.cutoff,
+        strict=args.strict,
+        fmt=args.fmt,
+        force=getattr(args, "force", False),
+    )
 
 
 def _read(path: str) -> str:
@@ -432,17 +440,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_arg_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            order=args.order,
-            cutoff=args.cutoff,
-            strict=args.strict,
-            fmt=args.fmt,
-            force=getattr(args, "force", False),
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        config = _run_config(args)
         if args.command == "analyze":
             return cmd_analyze(args.hypersurface, config)
         if args.command == "normalize":

@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import os
 
-from .documents import write_document
+from .documents import DEFAULT_ORDER, write_document
 from .hypersurface import Hypersurface, from_defining
 from .parser import parse_expr
 from .rational import I
 from .reflection import exp_of
 from .series import SeriesMap, TruncatedSeries
-
-DEFAULT_ORDER = 8
 
 
 def sphere(order: int = DEFAULT_ORDER) -> Hypersurface:

@@ -44,6 +44,9 @@ from .rational import GaussRational
 from .series import SeriesMap, TruncatedSeries
 
 FORMAT_VERSION = "crkit-series/1"
+# the order the shipped corpus documents are written at, and the order a
+# command reads when none is asked for
+DEFAULT_ORDER = 8
 
 _KINDS = ("series", "map", "hypersurface")
 _GROUP_RE = re.compile(r"([A-Za-z_]+):([1-9][0-9]*)\Z")

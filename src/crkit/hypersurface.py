@@ -17,7 +17,7 @@ is exact to, and identity checks are asserted exactly at that order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import GeometryError, PrerequisiteError
 from .rank import CERTIFIED, generic_rank, matrix_generic_rank
@@ -272,8 +272,7 @@ def normalizing_change(H: Hypersurface) -> SeriesMap:
 # Segre maps and minimality
 
 
-@dataclass(frozen=True)
-class SegreTriple:
+class SegreTriple(NamedTuple):
     """The first three iterated Segre parametrizations of a hypersurface.
 
     v1 sends z' to (z', 0); v2 and v3 substitute the graph into itself once
@@ -321,8 +320,7 @@ def segre_closure_residual(triple: SegreTriple) -> SeriesMap:
     )
 
 
-@dataclass(frozen=True)
-class MinimalityVerdict:
+class MinimalityVerdict(NamedTuple):
     """Whether the second Segre map attains full generic rank at this order."""
 
     minimal: bool
@@ -365,8 +363,7 @@ def phi_family(H: Hypersurface, cutoff: int) -> list[tuple[tuple[int, ...], Trun
     return _dense_family(H.phibar, range(H.n, 2 * H.n - 1), cutoff)
 
 
-@dataclass(frozen=True)
-class DegeneracyResult:
+class DegeneracyResult(NamedTuple):
     """Generic rank of the stacked gradients of the phi family.
 
     ``degeneracy`` is n minus that rank; zero means holomorphically
@@ -435,8 +432,7 @@ def degeneracy(H: Hypersurface, cutoff: int | None = None) -> DegeneracyResult:
 # tangent fields
 
 
-@dataclass(frozen=True)
-class TangentField:
+class TangentField(NamedTuple):
     """The j-th antiholomorphic tangent combination along the hypersurface.
 
     Acts on series over the defining variables as

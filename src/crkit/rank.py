@@ -14,8 +14,8 @@ found, which strict callers treat as a failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .rational import GaussRational
 from .series import SeriesMap, TruncatedSeries
@@ -27,8 +27,7 @@ CERTIFIED = "certified"
 PROBABLE = "probable"
 
 
-@dataclass(frozen=True)
-class RankCertificate:
+class RankCertificate(NamedTuple):
     """Which rows and columns realize the rank, and why it is nonzero.
 
     ``rows`` and ``cols`` are the first minor of the reported size, in
@@ -46,8 +45,7 @@ class RankCertificate:
     status: str
 
 
-@dataclass(frozen=True)
-class RankResult:
+class RankResult(NamedTuple):
     rank: int
     certificate: RankCertificate
 

@@ -15,8 +15,8 @@ over (zp_1..zp_{n-1}).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import PrerequisiteError
 from .hypersurface import (
@@ -107,8 +107,7 @@ class FormalMap:
 # the mapping check
 
 
-@dataclass(frozen=True)
-class MapVerdict:
+class MapVerdict(NamedTuple):
     """Outcome of substituting the map into the target's defining series.
 
     The residual lives over (z_1..z_n, w_1..w_{n-1}) after the source
@@ -252,8 +251,7 @@ def u_family(
 # the identity along the third Segre parametrization
 
 
-@dataclass(frozen=True)
-class SegreIdentityVerdict:
+class SegreIdentityVerdict(NamedTuple):
     passed: bool
     order: int
     lhs: TruncatedSeries
@@ -306,8 +304,7 @@ def segre_reflection_identity(fm: FormalMap) -> SegreIdentityVerdict:
 # growth diagnostics (floats allowed here, and only here)
 
 
-@dataclass(frozen=True)
-class ConvergenceEvidence:
+class ConvergenceEvidence(NamedTuple):
     """Float diagnostic: least r0 with majorant(u_alpha) <= alpha! r0^(|alpha|+1).
 
     ``majorant`` bounds the sup of |u_alpha| on the polydisc of the given
@@ -354,8 +351,7 @@ def convergence_evidence(
 # partial convergence and containment
 
 
-@dataclass(frozen=True)
-class PartialConvergenceResult:
+class PartialConvergenceResult(NamedTuple):
     """A maximal family of composed-graph coefficients, pulled back along f.
 
     ``g`` collects phi-family entries for the degeneracy witnesses, ordered
@@ -440,8 +436,7 @@ def _pivot_order(rows, cols) -> list[int]:
     raise AssertionError("certified minor has no nonzero diagonal; this is a bug")
 
 
-@dataclass(frozen=True)
-class ContainmentResult:
+class ContainmentResult(NamedTuple):
     contained: bool
     order: int
     residuals: tuple[TruncatedSeries, ...]
@@ -476,8 +471,7 @@ def formal_containment(
 # the aggregate report
 
 
-@dataclass(frozen=True)
-class ReflectionReport:
+class ReflectionReport(NamedTuple):
     """Everything the reflect command writes: the reflection series, the
     factorial-scaled coefficient family, and the growth diagnostic. Exact
     content and float diagnostics are kept in separate fields, and the

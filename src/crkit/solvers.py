@@ -31,14 +31,12 @@ import operator
 
 from . import linalg
 from .linalg import _series_det
-from .rational import ONE
 from .series import (
     SeriesMap,
     TruncatedSeries,
     _ONE_FORM,
     _exponents,
     _inverse_equation,
-    _pack,
     _primitive,
     _sum_of_products,
     _weights,
@@ -179,6 +177,12 @@ def _shift(F: TruncatedSeries, q: int, y0, order: int) -> TruncatedSeries:
     if not any(y0):
         return TruncatedSeries._trusted(nvars, order, (den, rows, is_complex))
     weights = _weights(base, nvars)[q:]
+    # y0_j = (re + im i) / d over the Gaussian integers, as _negated writes it
+    roots = [
+        (c.re.numerator * c.im.denominator, c.im.numerator * c.re.denominator,
+         c.re.denominator * c.im.denominator)
+        for c in y0
+    ]
     groups: dict = {}
     for d, k, a, b in rows:
         beta = _exponents(k, base, nvars)[q:]
@@ -187,16 +191,31 @@ def _shift(F: TruncatedSeries, q: int, y0, order: int) -> TruncatedSeries:
         groups.setdefault(beta, []).append((d - sum(beta), k - drop, a, b))
     pairs = []
     for beta, part in groups.items():
-        # unknowns with y0_j = 0 keep their exponent
-        ranges = [range(b + 1) if c else (b,) for b, c in zip(beta, y0)]
+        # d^e (y0_j + u_j)^e is the sum over g of comb(e, g) d^g
+        # (re + im i)^(e - g) u_j^g; unknowns with y0_j = 0 keep their exponent
+        factors = []
+        for e, (re, im, d), w in zip(beta, roots, weights):
+            if not (re or im):
+                factors.append([(e, e * w, 1, 0)])
+                continue
+            terms, x, y = [], 1, 0  # x + y i = (re + im i)^(e - g)
+            for g in range(e, -1, -1):
+                scale = math.comb(e, g) * d ** g
+                terms.append((g, g * w, scale * x, scale * y))
+                x, y = x * re - y * im, x * im + y * re
+            factors.append(terms)
         binomial = []
-        for gamma in itertools.product(*ranges):
-            factor = ONE
-            for b, g, c in zip(beta, gamma, y0):
-                if b > g:
-                    factor = factor * c ** (b - g) * math.comb(b, g)
-            binomial.append(((0,) * q + gamma, factor))
-        pairs.append(((den, part, is_complex), _pack(binomial, nvars, base)))
+        for chosen in itertools.product(*factors):
+            degree = key = 0
+            x, y = 1, 0
+            for g, k, a, b in chosen:
+                degree, key = degree + g, key + k
+                x, y = x * a - y * b, x * b + y * a
+            binomial.append((degree, key, x, y))
+        binomial.sort()
+        binomial_den = math.prod(d ** e for e, (_, _, d) in zip(beta, roots))
+        is_binomial_complex = any(row[3] for row in binomial)
+        pairs.append(((den, part, is_complex), (binomial_den, binomial, is_binomial_complex)))
     return _sum_of_products(pairs, nvars, order)
 
 

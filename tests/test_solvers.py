@@ -1,3 +1,6 @@
+import itertools
+import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -10,7 +13,11 @@ from crkit.rational import GaussRational, I, ONE
 from crkit.series import (
     SeriesMap,
     TruncatedSeries,
+    _exponents,
     _inverse_equation,
+    _pack,
+    _sum_of_products,
+    _weights,
     compose,
     multi_indices,
     unit_exponent,
@@ -657,3 +664,60 @@ def test_newton_extend_power_above_target_matches_reference(target):
     seed = SeriesMap([TruncatedSeries(1, 1, [((1,), ONE)])])
     expected = reference_newton_extend(system, seed, target)
     assert newton_extend(system, seed, target) == expected
+
+
+def reference_shift(F, q, y0, order):
+    """solvers._shift as it was before the binomial factors moved onto
+    Gaussian integers: each factor multiplied out in GaussRational."""
+    nvars, base = F.nvars, order + 2
+    den, rows, is_complex = F._form_at(base)
+    if not any(y0):
+        return TruncatedSeries._trusted(nvars, order, (den, rows, is_complex))
+    weights = _weights(base, nvars)[q:]
+    groups = {}
+    for d, k, a, b in rows:
+        beta = _exponents(k, base, nvars)[q:]
+        drop = sum(map(operator.mul, beta, weights))
+        groups.setdefault(beta, []).append((d - sum(beta), k - drop, a, b))
+    pairs = []
+    for beta, part in groups.items():
+        ranges = [range(b + 1) if c else (b,) for b, c in zip(beta, y0)]
+        binomial = []
+        for gamma in itertools.product(*ranges):
+            factor = ONE
+            for b, g, c in zip(beta, gamma, y0):
+                if b > g:
+                    factor = factor * c ** (b - g) * math.comb(b, g)
+            binomial.append(((0,) * q + gamma, factor))
+        pairs.append(((den, part, is_complex), _pack(binomial, nvars, base)))
+    return _sum_of_products(pairs, nvars, order)
+
+
+# y0 entries: zero, real, purely imaginary and complex, over unrelated denominators
+_SHIFT_PART = st.builds(
+    Fraction, st.integers(-4, 4).filter(bool), st.sampled_from([1, 2, 3, 5, 7, 9, 11])
+)
+_SHIFT_ROOT = st.one_of(
+    st.just(G(0)),
+    st.builds(G, _SHIFT_PART),
+    st.builds(lambda im: G(0, im), _SHIFT_PART),
+    st.builds(G, _SHIFT_PART, _SHIFT_PART),
+)
+
+
+@st.composite
+def shift_cases(draw):
+    q, r = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    order = draw(st.integers(1, 4))
+    part = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    coefficient = st.builds(GaussRational, part, part).filter(bool)
+    chosen = draw(st.lists(st.sampled_from(multi_indices(q + r, order)), max_size=10, unique=True))
+    F = TruncatedSeries(q + r, order, {e: draw(coefficient) for e in chosen})
+    y0 = draw(st.lists(_SHIFT_ROOT, min_size=r, max_size=r))
+    return F, q, y0, order + draw(st.integers(0, 2))
+
+
+@given(shift_cases())
+def test_shift_matches_the_gauss_rational_expansion(case):
+    F, q, y0, order = case
+    assert solvers._shift(F, q, y0, order)._form == reference_shift(F, q, y0, order)._form
