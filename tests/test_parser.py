@@ -1,11 +1,14 @@
+import re
 import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crkit.errors import ParseError
 from crkit.parser import TruncationWarning, normalize_declaration, parse_expr
 from crkit.rational import GaussRational, I, ONE
+from crkit.series import TruncatedSeries
 
 
 # frozen expected coefficients of the sphere defining series, verified by
@@ -152,3 +155,110 @@ def test_big_expansion_is_exact():
     series = parse_expr("(z1 + w1)^6", "z:1,w:1", 6)
     assert series.coefficient((3, 3)) == GaussRational(20)
     assert series.coefficient((6, 0)) == ONE
+
+
+# ---------------------------------------------------------------------------
+# expression trees, rendered to text and built with the series API
+#
+# A tree is a tuple: ("num", n), ("i",), ("var", name, slot), ("neg", t),
+# ("+" | "-" | "*", a, b), ("/", a, divisor) with a nonzero constant divisor,
+# or ("^", t, k). Every operand is rendered in parentheses, so the text
+# means exactly the tree.
+
+DECLARATION = (("z", 2), ("w", 1))
+VARIABLES = [("z1", 0), ("z2", 1), ("w1", 2)]
+
+numbers = st.builds(lambda n: ("num", n), st.integers(0, 12))
+divisors = st.one_of(
+    st.builds(lambda n: ("num", n), st.integers(1, 7)),
+    st.just(("i",)),
+    st.builds(lambda n: ("+", ("num", n), ("i",)), st.integers(0, 3)),
+)
+leaves = st.one_of(
+    numbers,
+    st.just(("i",)),
+    st.sampled_from(VARIABLES).map(lambda v: ("var", *v)),
+)
+
+
+def extend(children):
+    return st.one_of(
+        st.builds(lambda t: ("neg", t), children),
+        st.builds(lambda op, a, b: (op, a, b), st.sampled_from("+-*"), children, children),
+        st.builds(lambda a, d: ("/", a, d), children, divisors),
+        st.builds(lambda t, k: ("^", t, k), children, st.integers(0, 3)),
+    )
+
+
+trees = st.recursive(leaves, extend, max_leaves=6)
+
+
+def render(tree) -> str:
+    kind = tree[0]
+    if kind == "num":
+        return str(tree[1])
+    if kind == "i":
+        return "i"
+    if kind == "var":
+        return tree[1]
+    if kind == "neg":
+        return f"-({render(tree[1])})"
+    if kind == "^":
+        return f"({render(tree[1])})^{tree[2]}"
+    return f"({render(tree[1])}) {kind} ({render(tree[2])})"
+
+
+def degree_bound(tree) -> int:
+    kind = tree[0]
+    if kind == "var":
+        return 1
+    if kind in ("num", "i"):
+        return 0
+    if kind == "neg":
+        return degree_bound(tree[1])
+    if kind == "^":
+        return degree_bound(tree[1]) * max(tree[2], 1)
+    if kind == "*":
+        return degree_bound(tree[1]) + degree_bound(tree[2])
+    return max(degree_bound(tree[1]), degree_bound(tree[2]))
+
+
+def build(tree, order: int) -> TruncatedSeries:
+    """The tree's series over three variables, through ``order``."""
+    kind = tree[0]
+    if kind == "num":
+        return TruncatedSeries.constant(tree[1], 3, order)
+    if kind == "i":
+        return TruncatedSeries.constant(I, 3, order)
+    if kind == "var":
+        return TruncatedSeries.variable(3, order, tree[2])
+    if kind == "neg":
+        return -build(tree[1], order)
+    if kind == "^":
+        return build(tree[1], order) ** tree[2]
+    left, right = build(tree[1], order), build(tree[2], order)
+    if kind == "+":
+        return left + right
+    if kind == "-":
+        return left - right
+    if kind == "*":
+        return left * right
+    return left.scale(ONE / right.constant_term())
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees, st.integers(0, 4))
+def test_parse_expr_matches_the_series_api(tree, order):
+    exact = build(tree, max(order, degree_bound(tree)))
+    expected = exact.truncate(order)
+    above = sum(1 for exponents in exact.terms if sum(exponents) > order)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        parsed = parse_expr(render(tree), DECLARATION, order)
+    assert parsed == expected
+    dropped = [
+        int(re.match(r"(\d+) term\(s\) above order", str(w.message))[1])
+        for w in caught
+        if issubclass(w.category, TruncationWarning)
+    ]
+    assert dropped == ([above] if above else [])
