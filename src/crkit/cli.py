@@ -20,10 +20,18 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from typing import NamedTuple
 
-from .documents import DEFAULT_ORDER, parse_document, serialize, serialize_report, write_atomic
+from .documents import (
+    DEFAULT_ORDER,
+    _frame,
+    parse_document,
+    serialize,
+    serialize_report,
+    write_atomic,
+)
 from .errors import CrkitError, DocumentError, GeometryError, ParseError, PrerequisiteError
 from .hypersurface import Hypersurface, degeneracy, is_minimal, normalize, normalizing_change
 from .rank import CERTIFIED
@@ -34,7 +42,7 @@ from .reflection import (
     partial_convergence,
     segre_reflection_identity,
 )
-from .series import SeriesMap, format_monomial
+from .series import SeriesMap, format_monomial, format_series
 
 
 class RunConfig(NamedTuple):
@@ -115,16 +123,8 @@ def _effective_order(config: RunConfig, *orders: int) -> int:
 
 
 def _guard_overwrite(path: str, config: RunConfig) -> None:
-    import os
-
     if os.path.exists(path) and not config.force:
         raise _InputError(f"{path}: exists (pass --force to overwrite)")
-
-
-def _doc_lines(kind: str, rows: list[str]) -> str:
-    from .documents import FORMAT_VERSION
-
-    return "\n".join([FORMAT_VERSION, f"kind {kind}", *rows, "end"]) + "\n"
 
 
 def _alpha_text(alpha) -> str:
@@ -174,7 +174,7 @@ def cmd_analyze(path: str, config: RunConfig) -> int:
         rows.extend(
             "witness " + " ".join(str(a) for a in alpha) for alpha in ranks.witnesses
         )
-        sys.stdout.write(_doc_lines("analysis-report", rows))
+        sys.stdout.write(_frame("analysis-report", rows))
     else:
         yes = lambda flag: "yes" if flag else "no"
         print(f"hypersurface: {path}")
@@ -224,8 +224,6 @@ def cmd_normalize(path: str, out: str | None, config: RunConfig) -> int:
     if config.fmt == "doc":
         sys.stdout.write(data)
     else:
-        from .series import format_series
-
         names = _names("z", surface.n)
         print(f"hypersurface: {path}")
         if surface.normal:
@@ -269,7 +267,7 @@ def cmd_check_map(source: str, target: str, mappath: str, config: RunConfig) -> 
             rows.append(f"identity {'true' if identity.passed else 'false'}")
         elif verdict.passed:
             rows.append("identity skipped")
-        sys.stdout.write(_doc_lines("map-report", rows))
+        sys.stdout.write(_frame("map-report", rows))
     else:
         print(f"map: {mappath}")
         print(f"source: {source}")
@@ -313,8 +311,6 @@ def _build_formal_map(source, target, mappath, config):
 
 
 def cmd_reflect(source, target, mappath, outdir, config: RunConfig) -> int:
-    import os
-
     fm, order = _build_formal_map(source, target, mappath, config)
     verdict = check_maps_into(fm)
     if not verdict.passed and not config.force:
@@ -361,7 +357,7 @@ def cmd_reflect(source, target, mappath, outdir, config: RunConfig) -> int:
         rows.append(f"r0 {report.evidence.r0:.12e}")
         rows.append(f"polynomial {'true' if report.evidence.polynomial else 'false'}")
         rows.append("files " + " ".join(written))
-        sys.stdout.write(_doc_lines("reflect-summary", rows))
+        sys.stdout.write(_frame("reflect-summary", rows))
     else:
         print(f"map: {mappath}")
         print(f"reflection order: {report.order}; family cutoff: {report.cutoff}")

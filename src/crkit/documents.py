@@ -28,7 +28,9 @@ every exponent and both p/q tokens canonical, and gcd(p, q) must be 1
 for both parts; no Fraction is built. Any other line is rejected, and
 its tokens are then checked one by one only to word each problem. The
 terms of a valid block go to ``TruncatedSeries._from_lowest_terms``,
-which packs them straight into a series' integer form.
+which packs them straight into a series' integer form. Writing reads that
+form too: each row (degree, key, a, b) over den becomes one term line,
+with no GaussRational built.
 """
 
 from __future__ import annotations
@@ -40,8 +42,7 @@ import re
 from fractions import Fraction
 
 from .errors import DocumentError
-from .rational import GaussRational
-from .series import SeriesMap, TruncatedSeries
+from .series import SeriesMap, TruncatedSeries, _exponents
 
 FORMAT_VERSION = "crkit-series/1"
 # the order the shipped corpus documents are written at, and the order a
@@ -60,29 +61,50 @@ def _fraction_token(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _term_line(exponents, coeff: GaussRational) -> str:
-    parts = ["term"]
-    parts.extend(str(e) for e in exponents)
-    parts.append(_fraction_token(coeff.re))
-    parts.append(_fraction_token(coeff.im))
-    return " ".join(parts)
+def _frame(kind: str, lines) -> str:
+    """The document of ``kind`` holding ``lines``: the version line, the
+    kind line, ``lines`` and 'end', each ended by LF."""
+    return "\n".join([FORMAT_VERSION, f"kind {kind}", *lines, "end"]) + "\n"
 
 
-def _vars_line(groups) -> str:
+def _vars_line(groups, nvars: int, holder: str) -> str:
+    """The 'vars' line of ``groups``, which must declare ``nvars`` slots in
+    groups that ``_parse_vars`` reads back. ``holder`` words the count error."""
+    seen = set()
+    for name, arity in groups:
+        piece = f"{name}:{arity}"
+        if not _GROUP_RE.fullmatch(piece) or name == "i" or name in seen:
+            raise ValueError(f"variable group {piece!r} would not parse back")
+        seen.add(name)
+    total = sum(arity for _, arity in groups)
+    if total != nvars:
+        raise ValueError(f"variable groups declare {total} slots, {holder} {nvars}")
     return "vars " + " ".join(f"{name}:{arity}" for name, arity in groups)
 
 
-def _series_block(series: TruncatedSeries, groups) -> list[str]:
-    total = sum(arity for _, arity in groups)
-    if total != series.nvars:
-        raise ValueError(
-            f"variable groups declare {total} slots, series has {series.nvars}"
-        )
-    lines = [_vars_line(groups), f"order {series.order}"]
-    terms = series.sorted_terms()
-    lines.append(f"terms {len(terms)}")
-    lines.extend(_term_line(e, c) for e, c in terms)
+def _terms_block(series: TruncatedSeries) -> list[str]:
+    """The 'terms' count line and one term line per row of the integer form.
+
+    A row (degree, key, a, b) over den is the coefficient a/den + b/den i;
+    each part is written in lowest terms, dividing by its gcd with den. The
+    series has at least one variable, as ``_vars_line`` requires.
+    """
+    den, rows, _ = series._form
+    base, nvars = series.order + 2, series.nvars
+    lines = [f"terms {len(rows)}"]
+    for _, key, a, b in rows:
+        exponents = " ".join(map(str, _exponents(key, base, nvars)))
+        ga, gb = math.gcd(a, den), math.gcd(b, den)
+        lines.append(f"term {exponents} {a // ga}/{den // ga} {b // gb}/{den // gb}")
     return lines
+
+
+def _series_block(series: TruncatedSeries, groups) -> list[str]:
+    return [
+        _vars_line(groups, series.nvars, "series has"),
+        f"order {series.order}",
+        *_terms_block(series),
+    ]
 
 
 def _default_groups(nvars: int):
@@ -95,43 +117,34 @@ def serialize(obj, variables=None) -> str:
     ``variables`` optionally names the variable groups for series and
     maps, as ((name, arity), ...) summing to the variable count; the
     default is a single group x:nvars. Hypersurfaces always use z:n w:n.
-    Equal values produce identical bytes.
+    Equal values produce identical bytes. A group that ``parse_document``
+    would reject raises ValueError, so every document written parses back.
     """
-    lines = [FORMAT_VERSION]
     if isinstance(obj, TruncatedSeries):
-        groups = variables or _default_groups(obj.nvars)
-        lines.append("kind series")
-        lines.extend(_series_block(obj, groups))
-    elif isinstance(obj, SeriesMap):
-        groups = variables or _default_groups(obj.source_nvars)
-        lines.append("kind map")
-        lines.append(_vars_line(groups))
-        total = sum(arity for _, arity in groups)
-        if total != obj.source_nvars:
-            raise ValueError(
-                f"variable groups declare {total} slots, map reads {obj.source_nvars}"
-            )
-        lines.append(f"order {obj.order}")
-        lines.append(f"components {obj.target_nvars}")
+        return _frame("series", _series_block(obj, variables or _default_groups(obj.nvars)))
+    if isinstance(obj, SeriesMap):
+        nvars = obj.source_nvars
+        lines = [
+            _vars_line(variables or _default_groups(nvars), nvars, "map reads"),
+            f"order {obj.order}",
+            f"components {obj.target_nvars}",
+        ]
         for index, component in enumerate(obj.components, start=1):
             lines.append(f"component {index}")
-            terms = component.sorted_terms()
-            lines.append(f"terms {len(terms)}")
-            lines.extend(_term_line(e, c) for e, c in terms)
-    else:
-        # duck-typed hypersurface: n, rho, normal
-        try:
-            n, rho, normal = obj.n, obj.rho, obj.normal
-        except AttributeError:
-            raise TypeError(f"cannot serialize {type(obj).__name__}") from None
-        if variables is not None:
-            raise ValueError("hypersurface documents fix their variable names")
-        lines.append("kind hypersurface")
-        lines.append(f"n {n}")
-        lines.extend(_series_block(rho, (("z", n), ("w", n))))
-        lines.append(f"normal {'true' if normal else 'false'}")
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+            lines.extend(_terms_block(component))
+        return _frame("map", lines)
+    # duck-typed hypersurface: n, rho, normal
+    try:
+        n, rho, normal = obj.n, obj.rho, obj.normal
+    except AttributeError:
+        raise TypeError(f"cannot serialize {type(obj).__name__}") from None
+    if variables is not None:
+        raise ValueError("hypersurface documents fix their variable names")
+    return _frame("hypersurface", [
+        f"n {n}",
+        *_series_block(rho, (("z", n), ("w", n))),
+        f"normal {'true' if normal else 'false'}",
+    ])
 
 
 def serialize_report(report) -> str:
@@ -142,21 +155,21 @@ def serialize_report(report) -> str:
     formatted with %.12e and appear nowhere else in the format.
     """
     n = report.n
-    lines = [FORMAT_VERSION, "kind reflection-report"]
-    lines.append(f"n {n}")
-    lines.append(f"order {report.order}")
-    lines.append(f"cutoff {report.cutoff}")
-    lines.append(f"radius {_fraction_token(report.evidence.radius)}")
-    lines.append("reflection")
-    lines.extend(_series_block(report.reflection, (("z", n), ("lambda", n - 1))))
-    lines.append(f"family {len(report.family)}")
+    lines = [
+        f"n {n}",
+        f"order {report.order}",
+        f"cutoff {report.cutoff}",
+        f"radius {_fraction_token(report.evidence.radius)}",
+        "reflection",
+        *_series_block(report.reflection, (("z", n), ("lambda", n - 1))),
+        f"family {len(report.family)}",
+    ]
     for alpha, series in report.family:
         lines.append("entry " + " ".join(str(a) for a in alpha))
         lines.extend(_series_block(series, (("zp", n - 1),)))
     lines.append(f"r0 {report.evidence.r0:.12e}")
     lines.append(f"polynomial {'true' if report.evidence.polynomial else 'false'}")
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    return _frame("reflection-report", lines)
 
 
 # ---------------------------------------------------------------------------

@@ -19,15 +19,22 @@ power operator, so ``-z1^2`` means ``(-z1)^2``.
 Expansion is exact over Gaussian rationals. Terms above the requested
 truncation order are dropped with a TruncationWarning rather than
 silently discarded.
+
+No syntax tree is built. The recursive descent reads the tokens twice,
+computing as it goes: the first pass bounds the degree of every
+subexpression, and the second expands the series at that bound, so each
+step is exact. Every syntax error is found by the first pass, before any
+expansion. Operands are expanded left to right, so when an expression
+divides by a non-constant more than once, the first such ``/`` in
+reading order is the one reported.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 import warnings
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .errors import ParseError
 from .rational import I, ONE
@@ -108,69 +115,12 @@ class _Layout:
 
 
 # ---------------------------------------------------------------------------
-# AST
-
-@dataclass(frozen=True)
-class RationalLit:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class ImaginaryUnit:
-    pass
-
-
-@dataclass(frozen=True)
-class VarRef:
-    name: str
-    slot: int
-
-
-@dataclass(frozen=True)
-class Negate:
-    child: object
-
-
-@dataclass(frozen=True)
-class Sum:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Difference:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Product:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Quotient:
-    left: object
-    right: object
-    line: int
-    column: int
-
-
-@dataclass(frozen=True)
-class Power:
-    child: object
-    exponent: int
-
-
-# ---------------------------------------------------------------------------
 # tokenizer
 
 _TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z_0-9]*|[-+*/^()]")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # number | name | op | end
     text: str
     line: int
@@ -215,13 +165,70 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 # ---------------------------------------------------------------------------
-# recursive descent
+# recursive descent, computing with a "values" object as it reads
+
+
+class _DegreeBound:
+    """An upper bound on the degree of every subexpression."""
+
+    add = sub = staticmethod(max)
+    mul = staticmethod(operator.add)
+
+    def constant(self, value) -> int:
+        return 0
+
+    def variable(self, slot: int) -> int:
+        return 1
+
+    def negate(self, x: int) -> int:
+        return x
+
+    def div(self, x: int, y: int, token: _Token) -> int:
+        return max(x, y)
+
+    def power(self, x: int, k: int) -> int:
+        return max(x, x * k)
+
+
+class _Expansion:
+    """Series over ``nvars`` variables at an ``order`` no subexpression
+    exceeds, so every operation is exact."""
+
+    negate = staticmethod(operator.neg)
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    power = staticmethod(operator.pow)
+
+    def __init__(self, nvars: int, order: int):
+        self.nvars = nvars
+        self.order = order
+
+    def constant(self, value) -> TruncatedSeries:
+        return TruncatedSeries.constant(value, self.nvars, self.order)
+
+    def variable(self, slot: int) -> TruncatedSeries:
+        return TruncatedSeries.variable(self.nvars, self.order, slot)
+
+    def div(self, x, y, token: _Token):
+        # a nonzero constant is exactly one row, of degree 0
+        rows = y._form[1]
+        if len(rows) != 1 or rows[0][0]:
+            raise ParseError(
+                "division is only defined by a nonzero constant", token.line, token.column
+            )
+        return x.scale(ONE / y.constant_term())
+
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], layout: _Layout):
+    """One pass over the tokens; each construct is handed to ``values``,
+    left operand first."""
+
+    def __init__(self, tokens: list[_Token], layout: _Layout, values):
         self.tokens = tokens
         self.pos = 0
         self.layout = layout
+        self.values = values
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -236,127 +243,75 @@ class _Parser:
         raise ParseError(message, token.line, token.column)
 
     def parse(self):
-        node = self.expr()
+        value = self.expr()
         if self.peek().kind != "end":
             self.fail(f"unexpected {self.peek().text!r} after the expression")
-        return node
+        return value
 
     def expr(self):
-        node = self.term()
+        value = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.advance().text
             right = self.term()
-            node = Sum(node, right) if op == "+" else Difference(node, right)
-        return node
+            value = self.values.add(value, right) if op == "+" else self.values.sub(value, right)
+        return value
 
     def term(self):
-        node = self.factor()
+        value = self.factor()
         while self.peek().kind == "op" and self.peek().text in "*/":
             token = self.advance()
             right = self.factor()
             if token.text == "*":
-                node = Product(node, right)
+                value = self.values.mul(value, right)
             else:
-                node = Quotient(node, right, token.line, token.column)
-        return node
+                value = self.values.div(value, right, token)
+        return value
 
     def factor(self):
-        node = self.base()
+        value = self.base()
         if self.peek().kind == "op" and self.peek().text == "^":
             self.advance()
             token = self.peek()
             if token.kind != "number":
                 self.fail("exponent must be a nonnegative integer literal", token)
             self.advance()
-            node = Power(node, int(token.text))
-        return node
+            value = self.values.power(value, int(token.text))
+        return value
 
     def base(self):
         token = self.peek()
         if token.kind == "number":
             self.advance()
-            return RationalLit(Fraction(int(token.text)))
+            return self.values.constant(int(token.text))
         if token.kind == "name":
             self.advance()
             if token.text == "i":
-                return ImaginaryUnit()
-            return self.resolve(token)
+                return self.values.constant(I)
+            return self.values.variable(self.resolve(token))
         if token.kind == "op" and token.text == "-":
             self.advance()
-            return Negate(self.base())
+            return self.values.negate(self.base())
         if token.kind == "op" and token.text == "(":
             self.advance()
-            node = self.expr()
+            value = self.expr()
             closing = self.peek()
             if not (closing.kind == "op" and closing.text == ")"):
                 self.fail("expected ')'", closing)
             self.advance()
-            return node
+            return value
         if token.kind == "end":
             self.fail("unexpected end of expression", token)
         self.fail(f"unexpected {token.text!r}", token)
 
-    def resolve(self, token: _Token) -> VarRef:
+    def resolve(self, token: _Token) -> int:
+        """The slot of the variable ``token`` names."""
         match = _IDENT_RE.fullmatch(token.text)
         if match is None:
             self.fail(f"undeclared identifier {token.text!r}", token)
-        name, index = match.group(1), int(match.group(2))
-        slot = self.layout.resolve(name, index)
+        slot = self.layout.resolve(match.group(1), int(match.group(2)))
         if slot is None:
             self.fail(f"undeclared identifier {token.text!r}", token)
-        return VarRef(token.text, slot)
-
-
-# ---------------------------------------------------------------------------
-# exact polynomial evaluation
-
-def _degree_bound(node) -> int:
-    """An upper bound on the degree of ``node`` and of every subexpression."""
-    if isinstance(node, VarRef):
-        return 1
-    if isinstance(node, Negate):
-        return _degree_bound(node.child)
-    if isinstance(node, Power):
-        child = _degree_bound(node.child)
-        return max(child, child * node.exponent)
-    if isinstance(node, Product):
-        return _degree_bound(node.left) + _degree_bound(node.right)
-    if isinstance(node, (Sum, Difference, Quotient)):
-        return max(_degree_bound(node.left), _degree_bound(node.right))
-    return 0
-
-
-def _evaluate(node, nvars: int, order: int) -> TruncatedSeries:
-    """Expand ``node`` at an ``order`` no subexpression exceeds, so exactly."""
-    if isinstance(node, RationalLit):
-        return TruncatedSeries.constant(node.value, nvars, order)
-    if isinstance(node, ImaginaryUnit):
-        return TruncatedSeries.constant(I, nvars, order)
-    if isinstance(node, VarRef):
-        return TruncatedSeries.variable(nvars, order, node.slot)
-    if isinstance(node, Negate):
-        return -_evaluate(node.child, nvars, order)
-    if isinstance(node, Power):
-        return _evaluate(node.child, nvars, order) ** node.exponent
-    if isinstance(node, Sum):
-        return _evaluate(node.left, nvars, order) + _evaluate(node.right, nvars, order)
-    if isinstance(node, Product):
-        return _evaluate(node.left, nvars, order) * _evaluate(node.right, nvars, order)
-    # a difference or a quotient expands its right operand first, which
-    # decides which of two bad divisors is reported
-    right = _evaluate(node.right, nvars, order)
-    if isinstance(node, Difference):
-        return _evaluate(node.left, nvars, order) - right
-    if isinstance(node, Quotient):
-        divisor = right.constant_term()
-        if len(right.terms) != 1 or divisor.is_zero():
-            raise ParseError(
-                "division is only defined by a nonzero constant",
-                node.line,
-                node.column,
-            )
-        return _evaluate(node.left, nvars, order).scale(ONE / divisor)
-    raise AssertionError(f"unhandled node {node!r}")
+        return slot
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +326,10 @@ def parse_expr(text: str, variables: Declaration, order: int) -> TruncatedSeries
     The warning counts the dropped terms exactly, so the whole expression
     is expanded first: the work follows the expression's full degree, not
     ``order``.
+
+    Syntax errors are reported before division errors. Of several bad
+    divisions, the error names the first ``/`` in reading order: in
+    ``1/z1 - 1/z2``, column 2.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -379,8 +338,8 @@ def parse_expr(text: str, variables: Declaration, order: int) -> TruncatedSeries
     tokens = _tokenize(text)
     if tokens[0].kind == "end":
         raise ParseError("empty expression", tokens[0].line, tokens[0].column)
-    ast = _Parser(tokens, layout).parse()
-    expanded = _evaluate(ast, layout.nvars, max(order, _degree_bound(ast)))
+    bound = _Parser(tokens, layout, _DegreeBound()).parse()
+    expanded = _Parser(tokens, layout, _Expansion(layout.nvars, max(order, bound))).parse()
     result = expanded.truncate(order)
     dropped = len(expanded._form[1]) - len(result._form[1])
     if dropped:

@@ -15,6 +15,7 @@ over (zp_1..zp_{n-1}).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -335,10 +336,9 @@ def convergence_evidence(
             continue
         if sum(alpha) == cutoff:
             top_alive = True
-        majorant = sum(
-            coeff.modulus_float() * scale ** sum(exponents)
-            for exponents, coeff in series.terms.items()
-        )
+        # each row's modulus |a + b i| / den, read from the integer form
+        den, terms, _ = series._form
+        majorant = sum(math.hypot(a / den, b / den) * scale ** d for d, _, a, b in terms)
         fitted = (majorant / multi_factorial(alpha)) ** (1.0 / (sum(alpha) + 1))
         rows.append((alpha, majorant, fitted))
         r0 = max(r0, fitted)

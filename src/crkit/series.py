@@ -145,6 +145,14 @@ def _coefficient(den: int, a: int, b: int) -> GaussRational:
     )
 
 
+def _gaussian_integers(c: GaussRational) -> tuple[int, int, int]:
+    """(a, b, den) with c = (a + b i) / den, the inverse of ``_coefficient``;
+    den is the product of the two parts' denominators."""
+    re, im = c.re, c.im
+    den = re.denominator * im.denominator
+    return re.numerator * im.denominator, im.numerator * re.denominator, den
+
+
 def _rebase(form, old: int, base: int, nvars: int):
     """The rows of ``form`` through degree base - 2, keys moved from base
     ``old`` to ``base``. The result need not be primitive."""
@@ -811,18 +819,18 @@ def format_monomial(exponents: tuple[int, ...], names: Sequence[str]) -> str:
 def format_series(series: TruncatedSeries, names: Sequence[str] | None = None) -> str:
     if names is None:
         names = default_names(series.nvars)
-    if series.is_zero():
+    den, rows, _ = series._form
+    if not rows:
         return "0"
+    base, nvars = series.order + 2, series.nvars
     chunks = []
-    for exponents, coeff in series.sorted_terms():
-        mono = format_monomial(exponents, names)
+    for _, key, a, b in rows:
+        mono = format_monomial(_exponents(key, base, nvars), names)
         if mono == "1":
-            chunks.append(str(coeff))
-        elif coeff == ONE:
-            chunks.append(mono)
-        elif coeff == -ONE:
-            chunks.append(f"-{mono}")
-        else:
-            chunks.append(f"{coeff}*{mono}")
+            chunks.append(str(_coefficient(den, a, b)))
+        elif b or abs(a) != den:
+            chunks.append(f"{_coefficient(den, a, b)}*{mono}")
+        else:  # the coefficient is 1 or -1
+            chunks.append(mono if a > 0 else f"-{mono}")
     text = " + ".join(chunks)
     return text.replace("+ -", "- ")

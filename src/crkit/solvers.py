@@ -36,6 +36,7 @@ from .series import (
     TruncatedSeries,
     _ONE_FORM,
     _exponents,
+    _gaussian_integers,
     _inverse_equation,
     _primitive,
     _sum_of_products,
@@ -177,12 +178,8 @@ def _shift(F: TruncatedSeries, q: int, y0, order: int) -> TruncatedSeries:
     if not any(y0):
         return TruncatedSeries._trusted(nvars, order, (den, rows, is_complex))
     weights = _weights(base, nvars)[q:]
-    # y0_j = (re + im i) / d over the Gaussian integers, as _negated writes it
-    roots = [
-        (c.re.numerator * c.im.denominator, c.im.numerator * c.re.denominator,
-         c.re.denominator * c.im.denominator)
-        for c in y0
-    ]
+    # y0_j = (re + im i) / d over the Gaussian integers
+    roots = [_gaussian_integers(c) for c in y0]
     groups: dict = {}
     for d, k, a, b in rows:
         beta = _exponents(k, base, nvars)[q:]
@@ -228,10 +225,8 @@ def _negated(j0_inv) -> list:
         operands = []
         for i, c in enumerate(row):
             if c:
-                re, im = c.re, c.im
-                den = re.denominator * im.denominator
-                value = (0, 0, -re.numerator * im.denominator, -im.numerator * re.denominator)
-                operands.append(((den, [value], bool(im)), i))
+                a, b, den = _gaussian_integers(c)
+                operands.append(((den, [(0, 0, -a, -b)], bool(b)), i))
         rows.append(operands)
     return rows
 

@@ -10,6 +10,7 @@ import crkit.rank
 import crkit.reflection
 from crkit.cli import _build_arg_parser, main
 from crkit.documents import parse_document
+from crkit.series import TruncatedSeries
 
 ROOT = Path(__file__).parent.parent
 CORPUS = ROOT / "corpus"
@@ -563,3 +564,48 @@ def test_self_map_on_one_path_matches_a_copied_target(tmp_path, capsys, command,
     assert same == copied
     assert same[0] == (1 if mapname == "sphere_corrupted" else 0)
     assert len(same[3]) == (4 if command == "reflect" else 0)
+
+
+# ---------------------------------------------------------------------------
+# the commands read series only through the integer form
+
+
+HYPERSURFACES = sorted(
+    path.name for path in CORPUS.glob("*.crkit")
+    if parse_document(path.read_text()).__class__.__name__ == "Hypersurface"
+)
+MAP_CASES = [
+    ("sphere.crkit", "sphere.crkit", "sphere_dilation.crkit"),
+    ("sphere.crkit", "sphere.crkit", "sphere_rotation.crkit"),
+    ("sphere.crkit", "sphere.crkit", "sphere_corrupted.crkit"),
+    ("degenerate_quadric.crkit", "degenerate_quadric.crkit", "exp_shear.crkit"),
+    ("degenerate_quadric.crkit", "degenerate_quadric.crkit", "exp_shear_double.crkit"),
+]
+
+
+def test_commands_never_decode_the_terms_view(monkeypatch, tmp_path, capsys):
+    reads = []
+    decode = TruncatedSeries._terms.fget
+
+    def counting(series):
+        reads.append(series)
+        return decode(series)
+
+    monkeypatch.setattr(TruncatedSeries, "_terms", property(counting))
+    codes = []
+    for fmt in ("text", "doc"):
+        for name in HYPERSURFACES:
+            out = tmp_path / f"{fmt}-{name}"
+            codes.append(run(capsys, "analyze", CORPUS / name, "--no-strict", "--format", fmt)[0])
+            codes.append(run(capsys, "normalize", CORPUS / name, "-o", out, "--format", fmt)[0])
+        for index, (source, target, fmap) in enumerate(MAP_CASES):
+            triple = ["-s", CORPUS / source, "-t", CORPUS / target, "-f", CORPUS / fmap]
+            codes.append(run(capsys, "check-map", *triple, "--format", fmt)[0])
+            outdir = tmp_path / f"{fmt}-reflect-{index}"
+            codes.append(run(capsys, "reflect", *triple, "-o", outdir, "--force", "--format", fmt)[0])
+    assert set(codes) <= {0, 1}
+    assert codes.count(0) > len(codes) // 2
+    assert reads == []
+    # the counter sees a read when one happens
+    TruncatedSeries.constant(1, 1, 1).sorted_terms()
+    assert len(reads) == 1

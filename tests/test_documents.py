@@ -2,6 +2,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crkit.corpus import sphere, sphere_dilation, write_corpus
 from crkit.documents import (
@@ -16,7 +17,7 @@ from crkit.documents import (
 from crkit.hypersurface import Hypersurface
 from crkit.rational import GaussRational, I, ONE
 from crkit.reflection import FormalMap, build_reflection_report
-from crkit.series import SeriesMap, TruncatedSeries
+from crkit.series import SeriesMap, TruncatedSeries, multi_indices
 
 GOLDEN = Path(__file__).parent / "golden" / "crkit-series-1"
 CORPUS = Path(__file__).parent.parent / "corpus"
@@ -465,3 +466,66 @@ def test_map_with_unrelated_denominators_round_trips_byte_for_byte():
         TruncatedSeries(2, 3, dict(component.terms)) for component in parsed.components
     )
     assert serialize(parsed) == text
+
+
+# ---------------------------------------------------------------------------
+# serialize writes only documents that parse back
+
+
+@pytest.mark.parametrize("obj, variables, group", [
+    (TruncatedSeries.constant(3, 0, 2), None, "x:0"),
+    (SeriesMap([TruncatedSeries.constant(1, 0, 2)]), None, "x:0"),
+    (TruncatedSeries.variable(2, 2, 0), (("z", 2), ("w", 0)), "w:0"),
+    (TruncatedSeries.variable(2, 2, 0), (("i", 2),), "i:2"),
+    (TruncatedSeries.variable(2, 2, 0), (("z", 1), ("z", 1)), "z:1"),
+    (TruncatedSeries.variable(2, 2, 0), (("z1", 2),), "z1:2"),
+    (SeriesMap.identity(2, 2), (("w", 1), ("i", 1)), "i:1"),
+    (SeriesMap.identity(2, 2), (("lambda3", 2),), "lambda3:2"),
+])
+def test_serialize_refuses_groups_parse_rejects(obj, variables, group):
+    with pytest.raises(ValueError, match=f"variable group '{group}'"):
+        serialize(obj, variables)
+
+
+GROUP_NAMES = ["z", "w", "zp", "lambda", "_q", "Z", "i", "z1", "x y", ""]
+coefficients = st.builds(
+    GaussRational,
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+)
+
+
+@st.composite
+def small_series(draw, nvars, order):
+    chosen = draw(st.lists(st.sampled_from(multi_indices(nvars, order)), max_size=5, unique=True))
+    return TruncatedSeries(nvars, order, {e: draw(coefficients) for e in chosen})
+
+
+def readable(groups, nvars):
+    if groups is None:
+        return nvars > 0
+    names = [name for name, _ in groups]
+    return len(set(names)) == len(names) and all(
+        name.replace("_", "a").isalpha() and name.isascii() and name != "i" and arity > 0
+        for name, arity in groups
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_every_document_serialize_writes_parses_back(data):
+    groups = data.draw(st.none() | st.lists(
+        st.tuples(st.sampled_from(GROUP_NAMES), st.integers(0, 2)), min_size=1, max_size=3
+    ).map(tuple))
+    nvars = data.draw(st.integers(0, 3)) if groups is None else sum(a for _, a in groups)
+    order = data.draw(st.integers(0, 3))
+    components = data.draw(st.lists(small_series(nvars, order), min_size=1, max_size=2))
+    obj = components[0] if data.draw(st.booleans()) else SeriesMap(components)
+    if not readable(groups, nvars):
+        with pytest.raises(ValueError, match="variable group"):
+            serialize(obj, groups)
+        return
+    text = serialize(obj, groups)
+    parsed = parse_document(text)
+    assert parsed == obj
+    assert serialize(parsed, groups) == text

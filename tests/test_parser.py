@@ -262,3 +262,24 @@ def test_parse_expr_matches_the_series_api(tree, order):
         if issubclass(w.category, TruncationWarning)
     ]
     assert dropped == ([above] if above else [])
+
+
+def test_first_bad_division_in_reading_order_is_reported():
+    cases = {
+        "1/z1 - 1/z2": 2,
+        "1/z1 + 1/z2": 2,
+        "(1/z1)*(1/z2)": 3,
+        "z2/(1 - 1) / z1": 3,
+        "-(z1/z2) - (1/(z1 - z1))": 5,
+    }
+    for text, column in cases.items():
+        with pytest.raises(ParseError) as info:
+            parse_expr(text, "z:2", 3)
+        assert "nonzero constant" in str(info.value)
+        assert (info.value.line, info.value.column) == (1, column), text
+
+
+def test_syntax_errors_come_before_division_errors():
+    with pytest.raises(ParseError, match="expected '\\)'") as info:
+        parse_expr("1/z1 + (z2", "z:2", 3)
+    assert info.value.column == 11

@@ -1,5 +1,6 @@
 """Randomized algebraic laws, checked exactly on every generated case."""
 
+import copy
 import math
 import random
 from fractions import Fraction
@@ -8,16 +9,17 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from crkit import corpus
-from crkit.documents import parse_document, serialize
+from crkit.documents import FORMAT_VERSION, parse_document, serialize
 from crkit.hypersurface import (
     from_defining, graph_residual, normalize, normalizing_change, reality_defect,
 )
 from crkit.linalg import determinant
 from crkit.rank import CERTIFIED, generic_rank
 from crkit.rational import GaussRational, ONE, ZERO
-from crkit.reflection import FormalMap, partial_convergence
+from crkit.reflection import FormalMap, convergence_evidence, partial_convergence
 from crkit.series import (
-    SeriesMap, TruncatedSeries, compose, grlex_key, multi_indices, unit_exponent,
+    SeriesMap, TruncatedSeries, compose, format_monomial, format_series, grlex_key,
+    multi_factorial, multi_indices, unit_exponent,
 )
 from crkit.solvers import implicit_solve, invert_map
 
@@ -897,3 +899,69 @@ def test_point_reads_match_the_view_and_leave_it_unbuilt(s):
     assert constant == view.get((0,) * nvars, ZERO)
     first = next(iter(view.items()), None)
     assert least == first and repr(least) == repr(first)
+
+
+# ---------------------------------------------------------------------------
+# writers read the integer form; references decode every term first
+
+
+def ref_document(s):
+    lines = [FORMAT_VERSION, "kind series", f"vars x:{s.nvars}", f"order {s.order}"]
+    terms = s.sorted_terms()
+    lines.append(f"terms {len(terms)}")
+    for e, c in terms:
+        parts = ["term", *map(str, e)]
+        parts += [f"{c.re.numerator}/{c.re.denominator}", f"{c.im.numerator}/{c.im.denominator}"]
+        lines.append(" ".join(parts))
+    return "\n".join([*lines, "end"]) + "\n"
+
+
+def ref_format(s, names):
+    if s.is_zero():
+        return "0"
+    chunks = []
+    for e, c in s.sorted_terms():
+        mono = format_monomial(e, names)
+        if mono == "1":
+            chunks.append(str(c))
+        elif c == ONE:
+            chunks.append(mono)
+        elif c == -ONE:
+            chunks.append(f"-{mono}")
+        else:
+            chunks.append(f"{c}*{mono}")
+    return " + ".join(chunks).replace("+ -", "- ")
+
+
+def ref_evidence_rows(family, radius):
+    scale = float(radius)
+    rows = []
+    for alpha, s in family:
+        if s.is_zero():
+            continue
+        majorant = sum(c.modulus_float() * scale ** sum(e) for e, c in s.sorted_terms())
+        rows.append((alpha, majorant, (majorant / multi_factorial(alpha)) ** (1.0 / (sum(alpha) + 1))))
+    return tuple(rows)
+
+
+@st.composite
+def written_series(draw):
+    nvars = draw(st.integers(1, 4))
+    return draw(kernel_series(nvars, draw(st.integers(0, 4))))
+
+
+@settings(deadline=None)
+@given(st.lists(written_series(), min_size=1, max_size=4),
+       st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(2), Fraction(7, 5)]))
+def test_writers_match_the_decoded_terms(family_series, radius):
+    for s in family_series:
+        assert serialize(s) == ref_document(s)
+        names = [f"v{i}" for i in range(s.nvars)]
+        assert format_series(s, names) == ref_format(s, names)
+        assert str(s) == ref_format(s, [f"x{i + 1}" for i in range(s.nvars)])
+    family = list(zip(multi_indices(2, 3), family_series))
+    forms = copy.deepcopy([s._form for s in family_series])
+    evidence = convergence_evidence(family, radius)
+    assert evidence.rows == ref_evidence_rows(family, radius)
+    assert evidence.r0 == max((row[2] for row in evidence.rows), default=0.0)
+    assert [s._form for s in family_series] == forms

@@ -57,3 +57,12 @@ def test_cli_import_loads_no_dataclasses_parser_or_corpus():
     assert report["unbound"] == []
     assert report["missing"] == "module 'crkit' has no attribute 'no_such_name'"
     assert report["default_order"] == 8
+
+
+def test_expression_parser_loads_no_dataclasses():
+    report = fresh_interpreter(
+        "import json, sys\n"
+        "import crkit.parser\n"
+        "print(json.dumps({'dataclasses': 'dataclasses' in sys.modules}))\n"
+    )
+    assert report == {"dataclasses": False}
