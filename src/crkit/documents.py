@@ -79,6 +79,8 @@ def _vars_line(groups, nvars: int, holder: str) -> str:
     total = sum(arity for _, arity in groups)
     if total != nvars:
         raise ValueError(f"variable groups declare {total} slots, {holder} {nvars}")
+    if not groups:
+        raise ValueError("variable groups declare none; an empty 'vars' line would not parse back")
     return "vars " + " ".join(f"{name}:{arity}" for name, arity in groups)
 
 
@@ -121,11 +123,13 @@ def serialize(obj, variables=None) -> str:
     would reject raises ValueError, so every document written parses back.
     """
     if isinstance(obj, TruncatedSeries):
-        return _frame("series", _series_block(obj, variables or _default_groups(obj.nvars)))
+        groups = _default_groups(obj.nvars) if variables is None else variables
+        return _frame("series", _series_block(obj, groups))
     if isinstance(obj, SeriesMap):
         nvars = obj.source_nvars
+        groups = _default_groups(nvars) if variables is None else variables
         lines = [
-            _vars_line(variables or _default_groups(nvars), nvars, "map reads"),
+            _vars_line(groups, nvars, "map reads"),
             f"order {obj.order}",
             f"components {obj.target_nvars}",
         ]

@@ -113,7 +113,8 @@ class Hypersurface:
     def truncate(self, order: int) -> "Hypersurface":
         """The same germ at a lower order. The graph is truncated, not
         solved again: the truncated graph solves the truncated defining
-        series, so only the normal flag is decided anew."""
+        series, so only the normal flag is decided anew, by the same scan
+        of the graph's rows that ``from_defining`` makes."""
         if order == self.order:
             return self
         rho = self.rho.truncate(order)
@@ -133,10 +134,12 @@ def from_defining(rho: TruncatedSeries, n: int, provenance=("defining series",))
     """Build a hypersurface from its defining series.
 
     Checks, in this order: arity, vanishing at the origin, reality, a
-    nonzero linear coefficient on z_n. Then solves for z_n, with the
-    solver's certificate that rho(z', phi(w, z'), w) = 0 through the full
-    order, and records whether the graph is in normal form, meaning
-    phi(w', w_n, 0) = w_n and phi(0, w_n, z') = w_n hold exactly at order.
+    nonzero linear coefficient on z_n. Then solves for z_n, reading z_n in
+    place and writing phi over (w, z') directly, with the solver's
+    certificate that rho(z', phi(w, z'), w) = 0 through the full order:
+    the one composition the build makes. Records whether the graph is in
+    normal form, meaning phi(w', w_n, 0) = w_n and phi(0, w_n, z') = w_n
+    hold exactly at order, by a scan of phi's rows.
 
     The graph identity phi(w', phibar(z, w'), z') = z_n (graph_residual)
     is not checked again, because those two facts prove it. Conjugating
@@ -169,20 +172,25 @@ def from_defining(rho: TruncatedSeries, n: int, provenance=("defining series",))
         raise GeometryError(
             "degenerate normal direction: no linear term on the graph variable"
         )
-    solved = implicit_solve(rho, n - 1)
-    # solved is over (z_1..z_{n-1}, w_1..w_n); rearrange to (w, z')
-    slots = [*range(n, 2 * n - 1), *range(n)]
-    phi = compose(solved, SeriesMap.from_slots(2 * n - 1, rho.order, slots))
+    # solve for z_n with the result over (w, z') directly
+    phi = implicit_solve(rho, n - 1, rest=(*range(n, 2 * n), *range(n - 1)))
     return Hypersurface(n, rho, phi, _is_normal(phi, n), provenance)
 
 
 def _is_normal(phi: TruncatedSeries, n: int) -> bool:
-    """phi(w', w_n, 0) = w_n and phi(0, w_n, z') = w_n, exactly at order."""
-    m, order = 2 * n - 1, phi.order
-    axis = TruncatedSeries.monomial(m, order, unit_exponent(m, n - 1))
-    zp_zero = SeriesMap.from_slots(m, order, [*range(n), *[None] * (n - 1)])
-    wp_zero = SeriesMap.from_slots(m, order, [*[None] * (n - 1), *range(n - 1, m)])
-    return compose(phi, zp_zero) == axis and compose(phi, wp_zero) == axis
+    """phi(w', w_n, 0) = w_n and phi(0, w_n, z') = w_n, exactly at order.
+
+    One scan of the integer form, with no series built. At base
+    b = order + 2, w_n's key is b^(n-1); a row has z' = 0 exactly when its
+    key is a multiple of b^(n-1), and w' = 0 exactly when its key is below
+    b^n. Both identities hold exactly when the only row in either set is
+    w_n with coefficient 1.
+    """
+    den, rows, _ = phi._form
+    base = phi.order + 2
+    axis, split = base ** (n - 1), base ** n
+    on_axes = [row for row in rows if row[1] % axis == 0 or row[1] < split]
+    return on_axes == [(1, axis, den, 0)]
 
 
 def graph_residual(phi: TruncatedSeries, n: int) -> TruncatedSeries:

@@ -3,12 +3,14 @@
 Three operations live here: solving one scalar equation for one variable
 (implicit function), inverting an origin-preserving map with invertible
 linear part, and extending a truncated solution of a square polynomial
-system. Each writes its problem in one shape: series F_1 .. F_r over
-(x, y), the parameters x first and the r unknowns y last, and Y(x) with
-Y(0) = 0 and F(x, Y(x)) = 0 to find, where J0, the Jacobian of F in y at
-the origin, is invertible. ``implicit_solve`` moves the solved variable
-last, ``invert_map`` writes f(y) - x, and ``newton_extend`` shifts
-y = y0 + u, where y0 is the constant part of the given solution.
+system. Each writes its problem in one shape: series F_1 .. F_r whose
+variables are the q parameters x and the r unknowns y, at positions the
+caller names, and Y(x) with Y(0) = 0 and F(x, Y(x)) = 0 to find, where
+J0, the Jacobian of F in y at the origin, is invertible. The solver
+reads each unknown where it stands and writes the result over x in the
+order the parameters are named. ``implicit_solve`` hands rho over as it
+is, ``invert_map`` writes f(y) - x over (x, y), and ``newton_extend``
+shifts y = y0 + u, where y0 is the constant part of the given solution.
 
 The solve is online, one homogeneous degree at a time. Write F as
 sum over beta of F_beta(x) y^beta. The degree-d part of F(x, Y) is
@@ -19,8 +21,8 @@ every power product F needs are kept and extended as each degree
 settles, so each homogeneous product is formed exactly once.
 
 The construction is not its own proof. One certificate covers all three
-solvers: every F is composed with (x, Y) at full order, and the solve
-raises unless each result vanishes.
+solvers: every F is composed with x and Y in their places at full order,
+and the solve raises unless each result vanishes.
 """
 
 from __future__ import annotations
@@ -48,20 +50,28 @@ from .series import (
 _ZERO_FORM = (1, [], False)
 
 
-def implicit_solve(rho: TruncatedSeries, var: int) -> TruncatedSeries:
+def implicit_solve(rho: TruncatedSeries, var: int, *, rest=None) -> TruncatedSeries:
     """Solve rho = 0 for the variable at index ``var``.
 
     Requires rho(0) = 0 and a nonzero linear coefficient c on the solved
-    variable. Returns the unique series S in the remaining variables, in
-    their original order, with S(0) = 0 and rho(..., S, ...) = 0 through
-    degree rho.order. Each degree d of S is settled once, as -R_d / c, and
-    the result is certified by substituting it back into rho.
+    variable. Returns the unique series S with S(0) = 0 and
+    rho(..., S, ...) = 0 through degree rho.order. S is over the remaining
+    variables, in the order ``rest`` lists their indices, by default their
+    original order; a ``rest`` that is not an ordering of the remaining
+    indices raises ValueError. Each degree d of S is settled once, as
+    -R_d / c, and the result is certified by substituting it back into rho.
     """
     m = rho.nvars
     if not 0 <= var < m:
         raise ValueError(f"variable index {var} out of range")
     if m < 2:
         raise ValueError("need at least one remaining variable")
+    others = [i for i in range(m) if i != var]
+    rest = others if rest is None else tuple(rest)
+    if sorted(rest) != others:
+        raise ValueError(
+            f"rest must list each variable index other than {var} once, got {list(rest)}"
+        )
     if not rho.constant_term().is_zero():
         raise ValueError("constant term must vanish")
     c = rho._row(unit_exponent(m, var))
@@ -72,9 +82,7 @@ def implicit_solve(rho: TruncatedSeries, var: int) -> TruncatedSeries:
     # -1/c for c = (a + b i) / den is -den (a - b i) / (a^2 + b^2)
     den, a, b = c
     minus_inverse = (a * a + b * b, [(0, 0, -den * a, den * b)], bool(b))
-    order = rho.order
-    last = compose(rho, SeriesMap.from_slots(m, order, [*range(var), m - 1, *range(var, m - 1)]))
-    online = _OnlineSolve([last], m - 1, order)
+    online = _OnlineSolve([rho], rest, [var], rho.order)
     (solution,) = _certified(online, [[(minus_inverse, 0)]], "implicit solve")
     return solution
 
@@ -100,7 +108,8 @@ def invert_map(fmap: SeriesMap) -> SeriesMap:
         raise ValueError("linear part is singular, map is not invertible") from None
 
     equations = [_inverse_equation(f, i) for i, f in enumerate(fmap.components)]
-    return SeriesMap(_certified(_OnlineSolve(equations, n, order), _negated(inv), "map inversion"))
+    online = _OnlineSolve(equations, range(n), range(n, 2 * n), order)
+    return SeriesMap(_certified(online, _negated(inv), "map inversion"))
 
 
 def newton_extend(system: SeriesMap, solution: SeriesMap, target_order: int) -> SeriesMap:
@@ -136,7 +145,7 @@ def newton_extend(system: SeriesMap, solution: SeriesMap, target_order: int) -> 
     # 1, so that the partials below can be taken
     lift = max(target_order, system.order, 1)
     equations = [_shift(F, q, y0, lift) for F in system.components]
-    online = _OnlineSolve(equations, q, target_order, solution.components)
+    online = _OnlineSolve(equations, range(q), range(q, q + r), target_order, solution.components)
     defect = next((res for res in online.residuals_through(given) if not res.is_zero()), None)
     if defect is not None:
         raise ValueError(
@@ -151,7 +160,9 @@ def newton_extend(system: SeriesMap, solution: SeriesMap, target_order: int) -> 
         # J0 is the constant term of the Jacobian determinant along the
         # solution; name which of the two ways the extension is undetermined
         partials = [F.derive(q + j) for F in equations for j in range(r)]
-        along = _OnlineSolve(partials, q, given, solution.components).residuals_through(given)
+        along = _OnlineSolve(
+            partials, range(q), range(q, q + r), given, solution.components
+        ).residuals_through(given)
         matrix = [along[i * r : (i + 1) * r] for i in range(r)]
         if _series_det(matrix).is_zero():
             raise ValueError(
@@ -233,11 +244,17 @@ def _negated(j0_inv) -> list:
 
 def _certified(online: "_OnlineSolve", minus_inverse, what: str) -> list[TruncatedSeries]:
     """Settle every open degree with ``minus_inverse``, -J0^-1 as ``settle``
-    takes it, then certify Y by F(x, Y) = 0 at full order."""
+    takes it, then certify Y by F(x, Y) = 0 at full order: each F is
+    composed with x_i at its i-th parameter's place and Y_j at its j-th
+    unknown's."""
     online.settle(minus_inverse)
     unknowns = [online.unknown(j) for j in range(len(online.parts))]
-    q = online.nparams
-    substitution = SeriesMap.from_slots(q, online.order, [*range(q), *unknowns])
+    slots = [None] * (online.nparams + len(unknowns))
+    for i, place in enumerate(online.params):
+        slots[place] = i
+    for Y, place in zip(unknowns, online.unknowns):
+        slots[place] = Y
+    substitution = SeriesMap.from_slots(online.nparams, online.order, slots)
     for F in online.system:
         if not compose(F, substitution).is_zero():
             raise AssertionError(f"{what} failed its back-substitution; this is a bug")
@@ -248,25 +265,32 @@ def _certified(online: "_OnlineSolve", minus_inverse, what: str) -> list[Truncat
 # the online core
 
 
-def _graded(series: TruncatedSeries, nparams: int, order: int) -> dict:
+def _graded(series: TruncatedSeries, params, unknowns, order: int) -> dict:
     """The rows of ``series`` over (x, y) as {beta: {|alpha|: form}}.
 
-    A term x^alpha y^beta sits under its exponents beta in the unknowns,
-    the variables after the first ``nparams``, then under |alpha|. Each
+    ``params`` and ``unknowns`` are the positions of x_1, x_2, .. and of
+    y_1, y_2, .. among the series' variables. A term x^alpha y^beta sits
+    under its exponents beta in the unknowns, then under |alpha|. Each
     form holds the x^alpha rows of degree |alpha| <= ``order``, keys at
-    base order + 2; it need not be primitive.
+    base order + 2 over x in the order of ``params``; it need not be
+    primitive. The key is one weighted sum over all exponents, with
+    weight 0 on the unknowns.
     """
     den, rows, is_complex = series._form
     own, nvars = series.order + 2, series.nvars
-    weights = _weights(order + 2, nparams)
+    weights = [0] * nvars
+    for place, weight in zip(params, _weights(order + 2, len(params))):
+        weights[place] = weight
+    beta_of = operator.itemgetter(*unknowns)
+    single = len(unknowns) == 1
     groups: dict = {}
-    for _, k, a, b in rows:
+    for d, k, a, b in rows:
         e = _exponents(k, own, nvars)
-        alpha = e[:nparams]
-        size = sum(alpha)
+        beta = (beta_of(e),) if single else beta_of(e)
+        size = d - sum(beta)
         if size <= order:
-            key = sum(map(operator.mul, alpha, weights))
-            groups.setdefault(e[nparams:], {}).setdefault(size, []).append((size, key, a, b))
+            key = sum(map(operator.mul, e, weights))
+            groups.setdefault(beta, {}).setdefault(size, []).append((size, key, a, b))
     return {
         beta: {size: (den, part, is_complex) for size, part in by_size.items()}
         for beta, by_size in groups.items()
@@ -276,11 +300,13 @@ def _graded(series: TruncatedSeries, nparams: int, order: int) -> dict:
 class _OnlineSolve:
     """Y(x) for F(x, Y(x)) = 0, settled one homogeneous degree at a time.
 
-    ``equations`` are the series F_i over (x, y): ``nparams`` parameters x
-    first, then the unknowns y. Their stored terms are read as
-    polynomials, grouped once by ``_graded``. ``known`` optionally fixes
-    Y_1 .. Y_s: series over x, read the same way, whose parts of degrees 1
-    through their order are taken and whose constant terms are ignored.
+    ``equations`` are the series F_i over (x, y): ``params`` and
+    ``unknowns`` give the positions of x_1, x_2, .. and of y_1, y_2, ..
+    among their variables, and Y is written over x in the order of
+    ``params``. Their stored terms are read as polynomials, grouped once
+    by ``_graded``. ``known`` optionally fixes Y_1 .. Y_s: series over x,
+    whose parts of degrees 1 through their order are taken and whose
+    constant terms are ignored.
 
     The degree-d parts of each needed power product Y^beta, |beta| >= 2,
     are formed as Y^(beta - e_j) Y_j, so the set of products kept is
@@ -293,11 +319,12 @@ class _OnlineSolve:
     increasing order, once each; ``settle`` calls it.
     """
 
-    def __init__(self, equations, nparams: int, order: int, known=()):
+    def __init__(self, equations, params, unknowns, order: int, known=()):
         self.system = list(equations)
-        self.nparams = nparams
+        self.params, self.unknowns = tuple(params), tuple(unknowns)
+        self.nparams = len(self.params)
         self.order = order
-        self.equations = [_graded(F, nparams, order) for F in self.system]
+        self.equations = [_graded(F, self.params, self.unknowns, order) for F in self.system]
         # reach[beta]: the highest degree of Y^beta that some residual uses
         reach: dict = {}
         for groups in self.equations:
@@ -310,10 +337,16 @@ class _OnlineSolve:
                 parent, _ = _lower(beta)
                 reach[parent] = max(reach.get(parent, 0), reach[beta] - 1)
         self.reach = reach
-        self.parts = [[_ZERO_FORM] for _ in range(self.system[0].nvars - nparams)]
+        self.parts = [[_ZERO_FORM] for _ in self.unknowns]
         for parts, series in zip(self.parts, known):
-            by_degree = _graded(series, nparams, order).get((), {})
-            parts.extend(by_degree.get(d, _ZERO_FORM) for d in range(1, series.order + 1))
+            den, rows, is_complex = series._form_at(order + 2)
+            by_degree: dict = {}
+            for row in rows:
+                by_degree.setdefault(row[0], []).append(row)
+            parts.extend(
+                (den, by_degree[d], is_complex) if d in by_degree else _ZERO_FORM
+                for d in range(1, series.order + 1)
+            )
         self.powers = {beta: [_ZERO_FORM] * sum(beta) for beta in reach}
 
     def _power(self, beta):

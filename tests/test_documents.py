@@ -487,6 +487,22 @@ def test_serialize_refuses_groups_parse_rejects(obj, variables, group):
         serialize(obj, variables)
 
 
+@pytest.mark.parametrize("empty", [(), []])
+@pytest.mark.parametrize("obj, holder", [
+    (TruncatedSeries.variable(2, 2, 0), "series has"),
+    (SeriesMap.identity(2, 2), "map reads"),
+])
+def test_serialize_takes_an_empty_declaration_as_given(obj, holder, empty):
+    # an empty declaration is a declaration of 0 slots, not the default x:n
+    with pytest.raises(ValueError, match=f"variable groups declare 0 slots, {holder} 2"):
+        serialize(obj, empty)
+
+
+def test_serialize_refuses_an_empty_declaration_over_no_variables():
+    with pytest.raises(ValueError, match="variable groups declare none"):
+        serialize(TruncatedSeries.constant(3, 0, 2), ())
+
+
 GROUP_NAMES = ["z", "w", "zp", "lambda", "_q", "Z", "i", "z1", "x y", ""]
 coefficients = st.builds(
     GaussRational,
@@ -504,6 +520,8 @@ def small_series(draw, nvars, order):
 def readable(groups, nvars):
     if groups is None:
         return nvars > 0
+    if not groups:
+        return False
     names = [name for name, _ in groups]
     return len(set(names)) == len(names) and all(
         name.replace("_", "a").isalpha() and name.isascii() and name != "i" and arity > 0
@@ -515,7 +533,7 @@ def readable(groups, nvars):
 @given(st.data())
 def test_every_document_serialize_writes_parses_back(data):
     groups = data.draw(st.none() | st.lists(
-        st.tuples(st.sampled_from(GROUP_NAMES), st.integers(0, 2)), min_size=1, max_size=3
+        st.tuples(st.sampled_from(GROUP_NAMES), st.integers(0, 2)), max_size=3
     ).map(tuple))
     nvars = data.draw(st.integers(0, 3)) if groups is None else sum(a for _, a in groups)
     order = data.draw(st.integers(0, 3))

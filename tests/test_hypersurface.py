@@ -2,6 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+import crkit.hypersurface
+import crkit.series
+import crkit.solvers
+from crkit import corpus
 from crkit.errors import GeometryError, PrerequisiteError
 from crkit.hypersurface import (
     Hypersurface,
@@ -112,6 +116,24 @@ def test_truncate_matches_solving_again(sphere, levi_flat, quadric, perturbed_sp
 def test_truncate_decides_the_normal_flag_again():
     H = from_defining(parse_expr(FLAG_CHANGING, "z:2,w:2", 6), 2)
     assert [H.truncate(k).normal for k in range(2, 7)] == [True, False, False, False, False]
+
+
+@pytest.mark.parametrize("name", sorted(corpus.HYPERSURFACES))
+def test_from_defining_makes_one_composition(monkeypatch, name):
+    # the solve reads z_n in place and writes (w, z') directly, and the
+    # normal flag is a scan of rows, so the certificate is the one compose
+    rho = corpus.HYPERSURFACES[name]().rho
+    calls = []
+    original = crkit.series.compose
+
+    def counting(outer, vmap):
+        calls.append(vmap)
+        return original(outer, vmap)
+
+    for module in (crkit.series, crkit.solvers, crkit.hypersurface):
+        monkeypatch.setattr(module, "compose", counting)
+    from_defining(rho, rho.nvars // 2)
+    assert len(calls) == 1
 
 
 def test_truncate_errors_and_provenance(sphere):

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from crkit import corpus
 from crkit.documents import FORMAT_VERSION, parse_document, serialize
 from crkit.hypersurface import (
-    from_defining, graph_residual, normalize, normalizing_change, reality_defect,
+    _is_normal, from_defining, graph_residual, normalize, normalizing_change, reality_defect,
 )
 from crkit.linalg import determinant
 from crkit.rank import CERTIFIED, generic_rank
@@ -555,6 +555,99 @@ def test_accepted_germs_satisfy_the_graph_identity(case):
     rho, n = case
     surface = from_defining(rho, n)
     assert graph_residual(surface.phi, n).is_zero()
+
+
+# implicit_solve writes its result over the remaining variables in the
+# order ``rest`` names, which is the default result relabelled
+
+
+@st.composite
+def implicit_solves_with_rest(draw):
+    rho, var = draw(implicit_equations() | real_germs().map(lambda case: (case[0], case[1] - 1)))
+    rest = draw(st.permutations([i for i in range(rho.nvars) if i != var]))
+    return rho, var, rest
+
+
+@settings(max_examples=60, deadline=None)
+@given(implicit_solves_with_rest())
+def test_implicit_solve_writes_the_order_rest_names(case):
+    rho, var, rest = case
+    others = [i for i in range(rho.nvars) if i != var]
+    # the default result's i-th variable is others[i], which rest moves
+    relabel = SeriesMap.from_slots(len(rest), rho.order, [rest.index(i) for i in others])
+    assert implicit_solve(rho, var, rest=rest) == compose(implicit_solve(rho, var), relabel)
+
+
+# over (z1, z2, w1, w2), solving for z2, rest must order (0, 2, 3)
+@pytest.mark.parametrize("rest", [
+    (0, 0, 3),  # a duplicate
+    (0, 1, 3),  # the solved variable itself
+    (0, 2),  # too short
+    (0, 2, 3, 3),  # too long
+    (0, 2, 4),  # out of range
+])
+def test_implicit_solve_refuses_a_bad_rest(rest):
+    with pytest.raises(ValueError, match="rest must list each variable index other than 1 once"):
+        implicit_solve(corpus.sphere().rho, 1, rest=rest)
+
+
+# _is_normal scans phi's rows; the reference restricts phi to z' = 0 and to
+# w' = 0 by composition and compares each with w_n
+
+
+def ref_is_normal(phi, n):
+    m, order = 2 * n - 1, phi.order
+    axis = TruncatedSeries.monomial(m, order, unit_exponent(m, n - 1))
+    zp_zero = SeriesMap.from_slots(m, order, [*range(n), *[None] * (n - 1)])
+    wp_zero = SeriesMap.from_slots(m, order, [*[None] * (n - 1), *range(n - 1, m)])
+    return compose(phi, zp_zero) == axis and compose(phi, wp_zero) == axis
+
+
+@st.composite
+def graphs_near_normal(draw):
+    """Graphs of drawn germs, normalized when one step can, as they are or
+    with a near miss: w_n's coefficient 2 or i, or one extra term in the
+    rows free of z' or of w'."""
+    straight = draw(st.booleans())
+    rho, n = draw(real_germs(straight_axis=straight))
+    H = from_defining(rho, n)
+    phi = normalize(H).phi if straight else H.phi
+    m, order = 2 * n - 1, phi.order
+    axis = unit_exponent(m, n - 1)
+    miss = draw(st.sampled_from(["none", "w_n coefficient", "z'-free row", "w'-free row"]))
+    if miss == "w_n coefficient":
+        c = draw(st.sampled_from([GaussRational(2), GaussRational(0, 1)]))
+        phi = phi + TruncatedSeries.monomial(m, order, axis, c - phi.coefficient(axis))
+    elif miss != "none":
+        free = slice(n, m) if miss == "z'-free row" else slice(0, n - 1)
+        rows = [e for e in multi_indices(m, order) if not any(e[free])]
+        extra = TruncatedSeries.monomial(m, order, draw(st.sampled_from(rows)), draw(nonzero_rationals))
+        phi = phi + extra
+    return phi, n
+
+
+@settings(max_examples=120, deadline=None)
+@given(graphs_near_normal())
+@example((corpus.sphere().phi, 2))
+@example((corpus.perturbed_sphere().phi, 2))
+@example((corpus.degenerate_quadric().phi, 3))
+def test_is_normal_scan_matches_the_restrictions(case):
+    phi, n = case
+    assert _is_normal(phi, n) == ref_is_normal(phi, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(real_germs() | real_germs(straight_axis=True).map(
+    lambda case: (normalize(from_defining(*case)).rho, case[1])
+))
+def test_truncation_matches_solving_again(case):
+    rho, n = case
+    H = from_defining(rho, n)
+    for k in range(2, H.order + 1):
+        truncated, solved = H.truncate(k), from_defining(rho.truncate(k), n)
+        assert truncated == solved
+        assert truncated.phi == solved.phi
+        assert truncated.normal == solved.normal
 
 
 # normalize does not take the determinant of its change: t solves
