@@ -621,8 +621,8 @@ def graphs_near_normal(draw):
     elif miss != "none":
         free = slice(n, m) if miss == "z'-free row" else slice(0, n - 1)
         rows = [e for e in multi_indices(m, order) if not any(e[free])]
-        extra = TruncatedSeries.monomial(m, order, draw(st.sampled_from(rows)), draw(nonzero_rationals))
-        phi = phi + extra
+        exponents = draw(st.sampled_from(rows))
+        phi = phi + TruncatedSeries.monomial(m, order, exponents, draw(nonzero_rationals))
     return phi, n
 
 
