@@ -4,9 +4,10 @@ Three operations live here: solving one scalar equation for one variable
 (implicit function), inverting an origin-preserving map with invertible
 linear part, and extending a truncated solution of a square polynomial
 system. Each writes its problem in one shape: series F_1 .. F_r whose
-variables are the q parameters x and the r unknowns y, at positions the
-caller names, and Y(x) with Y(0) = 0 and F(x, Y(x)) = 0 to find, where
-J0, the Jacobian of F in y at the origin, is invertible. The solver
+variables are the q parameters x, at positions the caller names, and the
+r unknowns y, at the remaining positions, and Y(x) with Y(0) = 0 and
+F(x, Y(x)) = 0 to find, where J0, the Jacobian of F in y at the origin,
+is invertible. The solver
 reads each unknown where it stands and writes the result over x in the
 order the parameters are named. ``implicit_solve`` hands rho over as it
 is, ``invert_map`` writes f(y) - x over (x, y), and ``newton_extend``
@@ -68,7 +69,7 @@ def implicit_solve(rho: TruncatedSeries, var: int, *, rest=None) -> TruncatedSer
         raise ValueError("need at least one remaining variable")
     others = [i for i in range(m) if i != var]
     rest = others if rest is None else tuple(rest)
-    if sorted(rest) != others:
+    if not all(type(i) is int for i in rest) or sorted(rest) != others:
         raise ValueError(
             f"rest must list each variable index other than {var} once, got {list(rest)}"
         )
@@ -82,7 +83,7 @@ def implicit_solve(rho: TruncatedSeries, var: int, *, rest=None) -> TruncatedSer
     # -1/c for c = (a + b i) / den is -den (a - b i) / (a^2 + b^2)
     den, a, b = c
     minus_inverse = (a * a + b * b, [(0, 0, -den * a, den * b)], bool(b))
-    online = _OnlineSolve([rho], rest, [var], rho.order)
+    online = _OnlineSolve([rho], rest, rho.order)
     (solution,) = _certified(online, [[(minus_inverse, 0)]], "implicit solve")
     return solution
 
@@ -108,7 +109,7 @@ def invert_map(fmap: SeriesMap) -> SeriesMap:
         raise ValueError("linear part is singular, map is not invertible") from None
 
     equations = [_inverse_equation(f, i) for i, f in enumerate(fmap.components)]
-    online = _OnlineSolve(equations, range(n), range(n, 2 * n), order)
+    online = _OnlineSolve(equations, range(n), order)
     return SeriesMap(_certified(online, _negated(inv), "map inversion"))
 
 
@@ -145,7 +146,7 @@ def newton_extend(system: SeriesMap, solution: SeriesMap, target_order: int) -> 
     # 1, so that the partials below can be taken
     lift = max(target_order, system.order, 1)
     equations = [_shift(F, q, y0, lift) for F in system.components]
-    online = _OnlineSolve(equations, range(q), range(q, q + r), target_order, solution.components)
+    online = _OnlineSolve(equations, range(q), target_order, solution.components)
     defect = next((res for res in online.residuals_through(given) if not res.is_zero()), None)
     if defect is not None:
         raise ValueError(
@@ -160,9 +161,8 @@ def newton_extend(system: SeriesMap, solution: SeriesMap, target_order: int) -> 
         # J0 is the constant term of the Jacobian determinant along the
         # solution; name which of the two ways the extension is undetermined
         partials = [F.derive(q + j) for F in equations for j in range(r)]
-        along = _OnlineSolve(
-            partials, range(q), range(q, q + r), given, solution.components
-        ).residuals_through(given)
+        extend = _OnlineSolve(partials, range(q), given, solution.components)
+        along = extend.residuals_through(given)
         matrix = [along[i * r : (i + 1) * r] for i in range(r)]
         if _series_det(matrix).is_zero():
             raise ValueError(
@@ -300,11 +300,11 @@ def _graded(series: TruncatedSeries, params, unknowns, order: int) -> dict:
 class _OnlineSolve:
     """Y(x) for F(x, Y(x)) = 0, settled one homogeneous degree at a time.
 
-    ``equations`` are the series F_i over (x, y): ``params`` and
-    ``unknowns`` give the positions of x_1, x_2, .. and of y_1, y_2, ..
-    among their variables, and Y is written over x in the order of
-    ``params``. Their stored terms are read as polynomials, grouped once
-    by ``_graded``. ``known`` optionally fixes Y_1 .. Y_s: series over x,
+    ``equations`` are the series F_i over (x, y): ``params`` gives the
+    positions of x_1, x_2, .. among their variables, and Y is written
+    over x in that order; y_1, y_2, .. are the remaining positions, in
+    increasing order. The stored terms of each F_i are read as
+    polynomials, grouped once by ``_graded``. ``known`` optionally fixes Y_1 .. Y_s: series over x,
     whose parts of degrees 1 through their order are taken and whose
     constant terms are ignored.
 
@@ -319,9 +319,11 @@ class _OnlineSolve:
     increasing order, once each; ``settle`` calls it.
     """
 
-    def __init__(self, equations, params, unknowns, order: int, known=()):
+    def __init__(self, equations, params, order: int, known=()):
         self.system = list(equations)
-        self.params, self.unknowns = tuple(params), tuple(unknowns)
+        self.params = tuple(params)
+        taken = set(self.params)
+        self.unknowns = tuple(i for i in range(self.system[0].nvars) if i not in taken)
         self.nparams = len(self.params)
         self.order = order
         self.equations = [_graded(F, self.params, self.unknowns, order) for F in self.system]

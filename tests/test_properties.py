@@ -585,6 +585,7 @@ def test_implicit_solve_writes_the_order_rest_names(case):
     (0, 2),  # too short
     (0, 2, 3, 3),  # too long
     (0, 2, 4),  # out of range
+    (0, 2.0, 3),  # equal to an index but not one
 ])
 def test_implicit_solve_refuses_a_bad_rest(rest):
     with pytest.raises(ValueError, match="rest must list each variable index other than 1 once"):
