@@ -448,16 +448,10 @@ def main(argv=None) -> int:
                 args.source, args.target, args.mapfile, args.outdir, config
             )
         raise AssertionError(f"unhandled command {args.command!r}")
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GeometryError as exc:
+    except GeometryError as exc:  # a CrkitError, so it comes first
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CrkitError as exc:
+    except (_InputError, OSError, CrkitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

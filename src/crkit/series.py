@@ -145,12 +145,12 @@ def _coefficient(den: int, a: int, b: int) -> GaussRational:
     )
 
 
-def _gaussian_integers(c: GaussRational) -> tuple[int, int, int]:
-    """(a, b, den) with c = (a + b i) / den, the inverse of ``_coefficient``;
-    den is the product of the two parts' denominators."""
-    re, im = c.re, c.im
-    den = re.denominator * im.denominator
-    return re.numerator * im.denominator, im.numerator * re.denominator, den
+def _integer(value, what: str) -> int:
+    """``value`` as an int, for anything that stands for one exactly."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _rebase(form, old: int, base: int, nvars: int):
@@ -232,6 +232,7 @@ class TruncatedSeries:
     __slots__ = ("nvars", "order", "_form", "_view")
 
     def __init__(self, nvars: int, order: int, terms=()):
+        nvars, order = _integer(nvars, "nvars"), _integer(order, "truncation order")
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
         if order < 0:
@@ -239,7 +240,10 @@ class TruncatedSeries:
         data = {}
         items = terms.items() if hasattr(terms, "items") else terms
         for exponents, coeff in items:
-            exponents = tuple(int(e) for e in exponents)
+            try:
+                exponents = tuple(map(operator.index, exponents))
+            except TypeError:
+                raise TypeError(f"exponent tuple {exponents!r} must hold integers") from None
             if len(exponents) != nvars:
                 raise ValueError(
                     f"exponent tuple {exponents} has arity {len(exponents)}, expected {nvars}"
@@ -595,6 +599,7 @@ class SeriesMap:
         component: a source-variable index (that variable; zero at order 0),
         None for zero, or a series over ``nvars`` variables, which is
         truncated to ``order``."""
+        nvars, order = _integer(nvars, "nvars"), _integer(order, "truncation order")
         weights = _weights(order + 2, nvars)
         components = []
         for slot in slots:
@@ -603,6 +608,8 @@ class SeriesMap:
                     raise ValueError(f"variable index {slot} out of range for {nvars} variables")
                 rows = [(1, weights[slot], 1, 0)] if slot is not None and order else []
                 components.append(TruncatedSeries._trusted(nvars, order, (1, rows, False)))
+            elif not isinstance(slot, TruncatedSeries):
+                raise TypeError(f"slot {slot!r} is not a variable index, None or a series")
             elif slot.nvars != nvars:
                 raise ValueError(f"slot series has {slot.nvars} variables, expected {nvars}")
             else:

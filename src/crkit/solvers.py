@@ -7,11 +7,15 @@ system. Each writes its problem in one shape: series F_1 .. F_r whose
 variables are the q parameters x, at positions the caller names, and the
 r unknowns y, at the remaining positions, and Y(x) with Y(0) = 0 and
 F(x, Y(x)) = 0 to find, where J0, the Jacobian of F in y at the origin,
-is invertible. The solver
-reads each unknown where it stands and writes the result over x in the
-order the parameters are named. ``implicit_solve`` hands rho over as it
-is, ``invert_map`` writes f(y) - x over (x, y), and ``newton_extend``
-shifts y = y0 + u, where y0 is the constant part of the given solution.
+is invertible. The solver reads each unknown where it stands and writes
+the result over x in the order the parameters are named.
+``implicit_solve`` hands rho over as it is, ``invert_map`` writes
+f(y) - x over (x, y), and ``newton_extend`` shifts y = y0 + u, where y0
+is the constant part of the given solution, with powers of y0 + u in the
+product kernel. Every solve starts from Y = 0: ``newton_extend`` checks
+the given u by composition and then solves for u afresh, whose degrees
+through the given order are the given ones, since the solution is
+unique.
 
 The solve is online, one homogeneous degree at a time. Write F as
 sum over beta of F_beta(x) y^beta. The degree-d part of F(x, Y) is
@@ -28,7 +32,6 @@ and the solve raises unless each result vanishes.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 
@@ -39,7 +42,6 @@ from .series import (
     TruncatedSeries,
     _ONE_FORM,
     _exponents,
-    _gaussian_integers,
     _inverse_equation,
     _primitive,
     _sum_of_products,
@@ -122,11 +124,14 @@ def newton_extend(system: SeriesMap, solution: SeriesMap, target_order: int) -> 
     terms of ``system`` are treated as an exact polynomial description.
 
     The system is first shifted to y = y0 + u, with y0 the constant part
-    of ``solution``, by exact binomial expansion. Then each new degree of u
-    enters linearly through the Jacobian in y at the origin and is settled
-    once, as u_d = -J0^-1 R_d. The extension is certified by substituting
-    it back into the shifted system. Output is independent of how the
-    degrees are scheduled: extending to 4 and then 6 equals extending to 6.
+    of ``solution``, by exact binomial expansion, and the given u is
+    checked by composing each shifted equation with it. Then u is solved
+    from zero, each degree settled once as u_d = -J0^-1 R_d. The
+    degree-by-degree solution is unique, so its degrees through
+    solution.order are the given ones, and the output is independent of
+    how the degrees are scheduled: extending to 4 and then 6 equals
+    extending to 6. The extension is certified by substituting it back
+    into the shifted system.
     """
     r = system.target_nvars
     q = system.source_nvars - r
@@ -142,17 +147,20 @@ def newton_extend(system: SeriesMap, solution: SeriesMap, target_order: int) -> 
 
     given = solution.order
     y0 = [c.constant_term() for c in solution.components]
-    # an order no stored term exceeds keeps the polynomial whole; at least
-    # 1, so that the partials below can be taken
-    lift = max(target_order, system.order, 1)
+    # above every stored term, the polynomial stays whole; one above the
+    # target, each partial in y keeps an order >= target >= given
+    lift = max(target_order, system.order) + 1
     equations = [_shift(F, q, y0, lift) for F in system.components]
-    online = _OnlineSolve(equations, range(q), target_order, solution.components)
-    defect = next((res for res in online.residuals_through(given) if not res.is_zero()), None)
-    if defect is not None:
-        raise ValueError(
-            "input does not solve the system through its stated order, first "
-            f"defect at {defect.least_term()[0]}"
-        )
+    along = SeriesMap.from_slots(
+        q, given, [*range(q), *(c - c0 for c, c0 in zip(solution.components, y0))]
+    )
+    for F in equations:
+        defect = compose(F, along)
+        if not defect.is_zero():
+            raise ValueError(
+                "input does not solve the system through its stated order, first "
+                f"defect at {defect.least_term()[0]}"
+            )
 
     j0 = [[F.coefficient(unit_exponent(q + r, q + j)) for j in range(r)] for F in equations]
     try:
@@ -160,10 +168,7 @@ def newton_extend(system: SeriesMap, solution: SeriesMap, target_order: int) -> 
     except ValueError:
         # J0 is the constant term of the Jacobian determinant along the
         # solution; name which of the two ways the extension is undetermined
-        partials = [F.derive(q + j) for F in equations for j in range(r)]
-        extend = _OnlineSolve(partials, range(q), given, solution.components)
-        along = extend.residuals_through(given)
-        matrix = [along[i * r : (i + 1) * r] for i in range(r)]
+        matrix = [[compose(F.derive(q + j), along) for j in range(r)] for F in equations]
         if _series_det(matrix).is_zero():
             raise ValueError(
                 "Jacobian determinant vanishes along the solution at every degree "
@@ -173,6 +178,7 @@ def newton_extend(system: SeriesMap, solution: SeriesMap, target_order: int) -> 
             "Jacobian is singular at the origin along the solution; the "
             "degree-by-degree extension is not uniquely determined"
         ) from None
+    online = _OnlineSolve(equations, range(q), target_order)
     increments = _certified(online, _negated(j0_inv), "Newton extension")
     return SeriesMap(u + c for u, c in zip(increments, y0))
 
@@ -181,16 +187,17 @@ def _shift(F: TruncatedSeries, q: int, y0, order: int) -> TruncatedSeries:
     """F(x, y0 + u) over (x, u) at ``order``, by exact binomial expansion.
 
     The stored terms of F are read as a polynomial, so ``order`` must be
-    at least F.order. Each F_beta(x) u^0 is multiplied by (y0 + u)^beta
-    in one pass of the product kernel.
+    at least F.order. Grouped by their exponents beta in the unknowns, the
+    terms F_beta(x) are multiplied by (y0 + u)^beta, each a product of
+    powers of the roots y0_j + u_j in the product kernel, and summed in
+    one pass of that kernel.
     """
     nvars, base = F.nvars, order + 2
     den, rows, is_complex = F._form_at(base)
     if not any(y0):
         return TruncatedSeries._trusted(nvars, order, (den, rows, is_complex))
     weights = _weights(base, nvars)[q:]
-    # y0_j = (re + im i) / d over the Gaussian integers
-    roots = [_gaussian_integers(c) for c in y0]
+    roots = [TruncatedSeries.variable(nvars, order, q + j) + c for j, c in enumerate(y0)]
     groups: dict = {}
     for d, k, a, b in rows:
         beta = _exponents(k, base, nvars)[q:]
@@ -199,31 +206,12 @@ def _shift(F: TruncatedSeries, q: int, y0, order: int) -> TruncatedSeries:
         groups.setdefault(beta, []).append((d - sum(beta), k - drop, a, b))
     pairs = []
     for beta, part in groups.items():
-        # d^e (y0_j + u_j)^e is the sum over g of comb(e, g) d^g
-        # (re + im i)^(e - g) u_j^g; unknowns with y0_j = 0 keep their exponent
-        factors = []
-        for e, (re, im, d), w in zip(beta, roots, weights):
-            if not (re or im):
-                factors.append([(e, e * w, 1, 0)])
-                continue
-            terms, x, y = [], 1, 0  # x + y i = (re + im i)^(e - g)
-            for g in range(e, -1, -1):
-                scale = math.comb(e, g) * d ** g
-                terms.append((g, g * w, scale * x, scale * y))
-                x, y = x * re - y * im, x * im + y * re
-            factors.append(terms)
-        binomial = []
-        for chosen in itertools.product(*factors):
-            degree = key = 0
-            x, y = 1, 0
-            for g, k, a, b in chosen:
-                degree, key = degree + g, key + k
-                x, y = x * a - y * b, x * b + y * a
-            binomial.append((degree, key, x, y))
-        binomial.sort()
-        binomial_den = math.prod(d ** e for e, (_, _, d) in zip(beta, roots))
-        is_binomial_complex = any(row[3] for row in binomial)
-        pairs.append(((den, part, is_complex), (binomial_den, binomial, is_binomial_complex)))
+        binomial = None
+        for root, e in zip(roots, beta):
+            if e:
+                factor = root ** e
+                binomial = factor if binomial is None else binomial * factor
+        pairs.append(((den, part, is_complex), _ONE_FORM if binomial is None else binomial._form))
     return _sum_of_products(pairs, nvars, order)
 
 
@@ -236,7 +224,10 @@ def _negated(j0_inv) -> list:
         operands = []
         for i, c in enumerate(row):
             if c:
-                a, b, den = _gaussian_integers(c)
+                # c = (a + b i) / den over the product of its parts' denominators
+                re, im = c.re, c.im
+                den = re.denominator * im.denominator
+                a, b = re.numerator * im.denominator, im.numerator * re.denominator
                 operands.append(((den, [(0, 0, -a, -b)], bool(b)), i))
         rows.append(operands)
     return rows
@@ -304,9 +295,8 @@ class _OnlineSolve:
     positions of x_1, x_2, .. among their variables, and Y is written
     over x in that order; y_1, y_2, .. are the remaining positions, in
     increasing order. The stored terms of each F_i are read as
-    polynomials, grouped once by ``_graded``. ``known`` optionally fixes Y_1 .. Y_s: series over x,
-    whose parts of degrees 1 through their order are taken and whose
-    constant terms are ignored.
+    polynomials, grouped once by ``_graded``. Every solve starts from
+    Y = 0 and settles degrees 1 through ``order``.
 
     The degree-d parts of each needed power product Y^beta, |beta| >= 2,
     are formed as Y^(beta - e_j) Y_j, so the set of products kept is
@@ -319,7 +309,7 @@ class _OnlineSolve:
     increasing order, once each; ``settle`` calls it.
     """
 
-    def __init__(self, equations, params, order: int, known=()):
+    def __init__(self, equations, params, order: int):
         self.system = list(equations)
         self.params = tuple(params)
         taken = set(self.params)
@@ -340,15 +330,6 @@ class _OnlineSolve:
                 reach[parent] = max(reach.get(parent, 0), reach[beta] - 1)
         self.reach = reach
         self.parts = [[_ZERO_FORM] for _ in self.unknowns]
-        for parts, series in zip(self.parts, known):
-            den, rows, is_complex = series._form_at(order + 2)
-            by_degree: dict = {}
-            for row in rows:
-                by_degree.setdefault(row[0], []).append(row)
-            parts.extend(
-                (den, by_degree[d], is_complex) if d in by_degree else _ZERO_FORM
-                for d in range(1, series.order + 1)
-            )
         self.powers = {beta: [_ZERO_FORM] * sum(beta) for beta in reach}
 
     def _power(self, beta):
@@ -360,8 +341,8 @@ class _OnlineSolve:
         return self.powers.get(beta, ())
 
     def residual(self, degree: int) -> list[TruncatedSeries]:
-        """Degree-``degree`` part of each F_i(x, Y) from the parts of Y known
-        so far: R_d while Y_d is open, the full residual once it is known."""
+        """R_d, the degree-``degree`` part of each F_i(x, Y) from the parts
+        of Y below that degree, Y_d being still open."""
         nparams, order = self.nparams, self.order
         for beta, top in self.reach.items():
             if sum(beta) <= degree <= top:
@@ -381,34 +362,23 @@ class _OnlineSolve:
             out.append(_sum_of_products(pairs, nparams, order))
         return out
 
-    def residuals_through(self, top: int) -> list[TruncatedSeries]:
-        """Each F_i(x, Y) through degree ``top``, for Y known that far."""
-        totals = [[] for _ in self.equations]
-        for degree in range(top + 1):
-            for total, part in zip(totals, self.residual(degree)):
-                total.append(part._form)
-        return [self._joined(forms) for forms in totals]
-
     def settle(self, minus_inverse) -> None:
-        """Fix Y_d = -J0^-1 R_d for every open degree through the order.
+        """Fix Y_d = -J0^-1 R_d for every degree from 1 through the order.
 
         ``minus_inverse`` holds -J0^-1 by rows, each the (constant integer
         form, column) of its nonzero entries; a form need not be primitive.
         """
-        for degree in range(len(self.parts[0]), self.order + 1):
+        for degree in range(1, self.order + 1):
             rhs = [res._form for res in self.residual(degree)]
             for parts, row in zip(self.parts, minus_inverse):
                 pairs = [(coeff, rhs[i]) for coeff, i in row]
                 parts.append(_sum_of_products(pairs, self.nparams, self.order)._form)
 
     def unknown(self, j: int) -> TruncatedSeries:
-        """Every settled part of Y_j as one series."""
-        return self._joined(self.parts[j])
-
-    def _joined(self, forms) -> TruncatedSeries:
-        """One series from integer forms at the solve's base, each
-        homogeneous and in increasing degree, over the lcm of their
-        denominators and reduced by one content gcd."""
+        """Every settled part of Y_j as one series: the homogeneous parts'
+        forms, in increasing degree, over the lcm of their denominators
+        and reduced by one content gcd."""
+        forms = self.parts[j]
         den = math.lcm(*[form[0] for form in forms])
         rows = []
         for part_den, part_rows, _ in forms:

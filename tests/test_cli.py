@@ -10,6 +10,7 @@ import crkit.rank
 import crkit.reflection
 from crkit.cli import _build_arg_parser, main
 from crkit.documents import parse_document
+from crkit.errors import GeometryError, PrerequisiteError
 from crkit.series import TruncatedSeries
 
 ROOT = Path(__file__).parent.parent
@@ -175,6 +176,21 @@ def test_normalize_refuses_overwrite_without_force(tmp_path, capsys):
     )
     assert code == 0
     assert out_path.read_bytes() == (CORPUS / "sphere.crkit").read_bytes()
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (PrerequisiteError("normalize first"), 2, "error: "),
+    (GeometryError("not real"), 1, "check failed: "),
+])
+def test_a_package_error_from_a_command_sets_the_exit_code(monkeypatch, capsys, error, code, prefix):
+    # a CrkitError that no command turns into a verdict is an error, and a
+    # GeometryError, itself a CrkitError, is a failed check
+    def failing(path, config):
+        raise error
+
+    monkeypatch.setattr("crkit.cli.cmd_analyze", failing)
+    got, out, err = run(capsys, "analyze", CORPUS / "sphere.crkit")
+    assert (got, out, err) == (code, "", f"{prefix}{error}\n")
 
 
 def test_normalize_failed_replace_keeps_the_old_file(tmp_path, monkeypatch, capsys):

@@ -89,6 +89,28 @@ def test_constructor_rejects_bad_terms():
         S(2, -1)  # negative order
 
 
+@pytest.mark.parametrize("args, message", [
+    ((1, 2, {(1.5,): ONE}), r"exponent tuple \(1\.5,\) must hold integers"),
+    ((1, 2, {("2",): ONE}), r"exponent tuple \('2',\) must hold integers"),
+    ((2, 2.5, {(1, 0): ONE}), "truncation order must be an integer, got 2.5"),
+    ((2.0, 2), "nvars must be an integer, got 2.0"),
+], ids=["float exponent", "str exponent", "float order", "float nvars"])
+def test_constructor_takes_only_integers(args, message):
+    # int() would round 1.5 down and read '2'; a float order would build
+    # float keys that serialize writes and no parser reads back
+    with pytest.raises(TypeError, match=message):
+        S(*args)
+
+
+def test_from_slots_takes_only_integers_none_or_series():
+    with pytest.raises(TypeError, match=r"slot 1\.0 is not a variable index, None or a series"):
+        SeriesMap.from_slots(2, 3, [0, 1.0])
+    with pytest.raises(TypeError, match="truncation order must be an integer, got 3.0"):
+        SeriesMap.from_slots(2, 3.0, [0, 1])
+    # an int subclass and anything with __index__ stand for their int
+    assert S(1, 2, {(True,): ONE}) == V(1, 2, 0)
+
+
 def test_immutability():
     s = V(2, 4, 0)
     with pytest.raises(AttributeError):

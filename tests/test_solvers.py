@@ -4,7 +4,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from crkit import corpus
 from crkit.documents import serialize
@@ -721,3 +721,61 @@ def shift_cases(draw):
 def test_shift_matches_the_gauss_rational_expansion(case):
     F, q, y0, order = case
     assert solvers._shift(F, q, y0, order)._form == reference_shift(F, q, y0, order)._form
+
+
+# ---------------------------------------------------------------------------
+# newton_extend solves from zero: the given degrees only enter as a check
+
+
+@st.composite
+def square_systems(draw):
+    """(system, y0): r equations y_i + P_i(x, y) - c_i over q parameters and
+    r unknowns, with c_i making y(0) = y0 a root, and J0 invertible there."""
+    q, r = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    order = draw(st.integers(2, 3))
+    part = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    coefficient = st.builds(GaussRational, part, part).filter(bool)
+    monomials = [e for e in multi_indices(q + r, order) if sum(e) >= 2]
+    y0 = draw(st.lists(_SHIFT_ROOT, min_size=r, max_size=r))
+    origin = [G(0)] * q + y0
+    system = []
+    for i in range(r):
+        chosen = draw(st.lists(st.sampled_from(monomials), max_size=5, unique=True))
+        F = TruncatedSeries(q + r, order, {e: draw(coefficient) for e in chosen})
+        F = F + TruncatedSeries.variable(q + r, order, q + i)
+        system.append(F - value_at(F, origin))
+    j0 = [[value_at(F.derive(q + j), origin) for j in range(r)] for F in system]
+    assume(not linalg.determinant(j0).is_zero())
+    return SeriesMap(system), y0
+
+
+@given(square_systems(), st.integers(1, 4), st.integers(0, 3))
+def test_newton_extend_does_not_depend_on_the_seed_order(case, seed_order, beyond):
+    system, y0 = case
+    q = system.source_nvars - system.target_nvars
+    constants = SeriesMap(TruncatedSeries.constant(c, q, 0) for c in y0)
+    seed = newton_extend(system, constants, seed_order)
+    target = seed_order + beyond
+    extended = newton_extend(system, seed, target)
+    assert extended.truncate(seed_order) == seed
+    for k in range(seed_order + 1):
+        assert newton_extend(system, seed.truncate(k), target) == extended
+
+
+def test_newton_extend_reports_a_non_solution_before_a_singular_jacobian():
+    # y^2 + x with seed y = x: the seed leaves x, and dR/dy = 2y vanishes at
+    # the origin; the defect is what the caller must hear about
+    system = SeriesMap([TruncatedSeries(2, 2, [((0, 2), ONE), ((1, 0), ONE)])])
+    seed = SeriesMap([TruncatedSeries(1, 1, [((1,), ONE)])])
+    with pytest.raises(ValueError, match=r"does not solve the system .* first defect at \(1,\)"):
+        newton_extend(system, seed, 3)
+
+
+def test_newton_extend_diagnoses_the_jacobian_through_the_seed_order():
+    # y^2 with seed y = x^3 of order 3: dR/dy = 2y is 2x^3 along the seed,
+    # nonzero in degree 3, so J0 is singular only at the origin; the
+    # partial must keep order 3 although the system has order 2
+    system = SeriesMap([TruncatedSeries(2, 2, [((0, 2), ONE)])])
+    seed = SeriesMap([TruncatedSeries(1, 3, [((3,), ONE)])])
+    with pytest.raises(ValueError, match="singular at the origin"):
+        newton_extend(system, seed, 3)
