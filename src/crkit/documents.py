@@ -159,6 +159,8 @@ def serialize_report(report) -> str:
     formatted with %.12e and appear nowhere else in the format.
     """
     n = report.n
+    # every entry is a series over zp, so its group is validated once
+    zp_vars = _vars_line((("zp", n - 1),), n - 1, "series has")
     lines = [
         f"n {n}",
         f"order {report.order}",
@@ -169,8 +171,10 @@ def serialize_report(report) -> str:
         f"family {len(report.family)}",
     ]
     for alpha, series in report.family:
+        if series.nvars != n - 1:
+            raise ValueError(f"variable groups declare {n - 1} slots, series has {series.nvars}")
         lines.append("entry " + " ".join(str(a) for a in alpha))
-        lines.extend(_series_block(series, (("zp", n - 1),)))
+        lines.extend([zp_vars, f"order {series.order}", *_terms_block(series)])
     lines.append(f"r0 {report.evidence.r0:.12e}")
     lines.append(f"polynomial {'true' if report.evidence.polynomial else 'false'}")
     return _frame("reflection-report", lines)

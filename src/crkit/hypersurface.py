@@ -399,6 +399,16 @@ class DegeneracyResult(NamedTuple):
 
 
 def degeneracy(H: Hypersurface, cutoff: int | None = None) -> DegeneracyResult:
+    """Generic rank of the gradients, in the n w-slots, of the phi family
+    through ``cutoff`` (default: the order); see ``DegeneracyResult``.
+
+    Only the nonzero family entries are differentiated. Each zero entry
+    gets one shared row of zero series, which costs nothing:
+    ``matrix_generic_rank`` drops it as not live, as it would the row of
+    the entry's zero derivatives. So the climb, the certificate, whose
+    rows still index the full family, and ``stabilized`` are those of the
+    dense gradient matrix.
+    """
     if cutoff is None:
         cutoff = H.order
     if cutoff < 1:
@@ -408,7 +418,11 @@ def degeneracy(H: Hypersurface, cutoff: int | None = None) -> DegeneracyResult:
     n = H.n
     effective = min(cutoff, H.order - 1)
     family = phi_family(H, effective)
-    rows = [[series.derive(j) for j in range(n)] for _, series in family]
+    zero_row = [TruncatedSeries.zero(n, 0)] * n
+    rows = [
+        zero_row if series.is_zero() else [series.derive(j) for j in range(n)]
+        for _, series in family
+    ]
     result = matrix_generic_rank(rows)
     witnesses = tuple(family[i][0] for i in result.certificate.rows)
     if effective < 1:

@@ -25,7 +25,6 @@ from .hypersurface import (
     _minimality,
     degeneracy,
     is_minimal,
-    phi_family,
     segre_maps,
 )
 from .rank import CERTIFIED
@@ -59,11 +58,13 @@ def exp_of(series: TruncatedSeries) -> TruncatedSeries:
 class FormalMap:
     """An origin-preserving formal map between two hypersurface germs.
 
-    Instances are immutable, so the mapping check at its default order and
-    the reflection series are computed once, on first request, and kept.
+    Instances are immutable, so three derived objects are computed once,
+    on first request, and kept: the mapping check at its default order,
+    the reflection series, and the lifted map, f read over the 2n - 1
+    variables (z, w') that both of those substitute it into.
     """
 
-    __slots__ = ("f", "source", "target", "_verdict", "_reflection")
+    __slots__ = ("f", "source", "target", "_verdict", "_reflection", "_lifted")
 
     def __init__(self, f: SeriesMap, source: Hypersurface, target: Hypersurface):
         if source.n != target.n:
@@ -80,6 +81,7 @@ class FormalMap:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "_verdict", None)
         object.__setattr__(self, "_reflection", None)
+        object.__setattr__(self, "_lifted", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FormalMap is immutable")
@@ -99,6 +101,17 @@ class FormalMap:
 
     def guaranteed_order(self) -> int:
         return min(self.f.order, self.source.order, self.target.order)
+
+    def _lift(self, order: int) -> SeriesMap:
+        """f over (z_1..z_n, w'_1..w'_{n-1}), truncated to ``order``.
+
+        The relabel is composed once, at f's own order, and kept; a
+        truncation to f's order returns the kept map itself.
+        """
+        if self._lifted is None:
+            relabel = SeriesMap.from_slots(2 * self.n - 1, self.f.order, range(self.n))
+            object.__setattr__(self, "_lifted", self.f.compose(relabel))
+        return self._lifted.truncate(order)
 
     def __repr__(self):
         return f"FormalMap(n={self.n}, order={self.f.order})"
@@ -147,7 +160,7 @@ def _check_maps_into(fm: FormalMap, order: int) -> MapVerdict:
     common = min(fm.f.order, fm.source.order)
     # w_n := source graph, substituted into the conjugated map components
     wmap = SeriesMap.from_slots(m, fm.source.order, [*range(n, m), fm.source.phibar])
-    head = fm.f.compose(SeriesMap.from_slots(m, common, range(n))).components
+    head = fm._lift(common).components
     tail = fm.f.conjugate().compose(wmap).components
     substitution = SeriesMap(head + tail)
     residual = compose(fm.target.rho, substitution).truncate(order)
@@ -175,7 +188,7 @@ def reflection_function(fm: FormalMap) -> TruncatedSeries:
         n = fm.n
         m = 2 * n - 1
         common = min(fm.f.order, fm.target.order)
-        lifted = fm.f.compose(SeriesMap.from_slots(m, common, range(n))).components
+        lifted = fm._lift(common).components
         substitution = SeriesMap.from_slots(m, common, [*lifted, *range(n, m)])
         object.__setattr__(fm, "_reflection", compose(fm.target.phibar, substitution))
     return fm._reflection
@@ -375,6 +388,11 @@ def partial_convergence(
 ) -> PartialConvergenceResult:
     """Pull the target's degeneracy witnesses back along f.
 
+    The witness entries come from the sparse coefficient family of the
+    target's phibar in its z'-slots, the dict that ``phi_family`` pads
+    with zeros: a witness indexes a certified row of nonzero gradients,
+    so its entry is nonzero and always stored there.
+
     The Jacobian of g has rank r = n - bound with no further climb: its r
     rows bound the rank above, and it holds degeneracy's certified minor,
     rows reordered, at the same truncation common - 1, which bounds it below.
@@ -397,7 +415,7 @@ def partial_convergence(
             f"{deg.cutoff_effective}; raise the truncation order"
         )
     n = fm.n
-    family = dict(phi_family(fm.target, deg.cutoff_effective))
+    family = fm.target.phibar.coefficient_family(range(n, 2 * n - 1))
     cols = deg.certificate.cols
     rows = [
         [family[beta].derive(j) for j in cols] for beta in deg.witnesses

@@ -465,18 +465,23 @@ class TruncatedSeries:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("only nonnegative integer powers are defined")
-        result = TruncatedSeries.constant(ONE, self.nvars, self.order)
-        square = self
-        while exponent:
+        if not exponent:
+            return TruncatedSeries.constant(ONE, self.nvars, self.order)
+        # binary powering that starts from the first factor, not from 1 * it
+        result, square = None, self
+        while True:
             if exponent & 1:
-                result = result * square
+                result = square if result is None else result * square
             exponent >>= 1
-            if exponent:
-                square = square * square
-        return result
+            if not exponent:
+                return result
+            square = square * square
 
     def truncate(self, order: int) -> "TruncatedSeries":
         """Forget coefficients above ``order``. Cannot raise the order."""
+        order = _integer(order, "truncation order")
+        if order < 0:
+            raise ValueError("truncation order must be nonnegative")
         if order > self.order:
             raise ValueError(
                 f"cannot extend guaranteed order {self.order} to {order}"
@@ -488,6 +493,7 @@ class TruncatedSeries:
 
     def derive(self, index: int) -> "TruncatedSeries":
         """Exact partial derivative. Costs one order of truncation."""
+        index = _integer(index, "variable index")
         if self.order < 1:
             raise ValueError("cannot differentiate a series of order 0")
         if not 0 <= index < self.nvars:
@@ -525,7 +531,7 @@ class TruncatedSeries:
         over the group exponents that actually occur. Each extracted series
         is guaranteed only to order - |alpha|.
         """
-        group = list(group)
+        group = [_integer(i, "group index") for i in group]
         if len(set(group)) != len(group):
             raise ValueError("group indices must be distinct")
         if not all(0 <= i < self.nvars for i in group):
@@ -562,7 +568,7 @@ def _dense_family(series: TruncatedSeries, group: Sequence[int], cutoff: int) ->
         if entry is None:
             order = series.order - sum(alpha)
             if zero is None or zero.order != order:
-                zero = TruncatedSeries.zero(rest, order)
+                zero = TruncatedSeries._trusted(rest, order, (1, [], False))
             entry = zero
         out.append((alpha, entry))
     return out
@@ -635,6 +641,8 @@ class SeriesMap:
         return SeriesMap(c.conjugate() for c in self.components)
 
     def truncate(self, order: int) -> "SeriesMap":
+        if order == self.order:
+            return self
         return SeriesMap(c.truncate(order) for c in self.components)
 
     def compose(self, inner: "SeriesMap") -> "SeriesMap":

@@ -283,6 +283,24 @@ def test_degeneracy_table(sphere, levi_flat, quadric):
     assert d.stabilized
 
 
+def test_degeneracy_differentiates_only_nonzero_entries(monkeypatch):
+    # at order 20 the quadric's family has 210 entries through cutoff 19,
+    # and only (0, 0) and (1, 1) are nonzero: 2 entries times 3 w-slots
+    quadric = corpus.degenerate_quadric(20)
+    calls = []
+    original = TruncatedSeries.derive
+
+    def counting(series, index):
+        calls.append(index)
+        return original(series, index)
+
+    monkeypatch.setattr(TruncatedSeries, "derive", counting)
+    d = degeneracy(quadric)
+    assert len(phi_family(quadric, d.cutoff_effective)) == 210
+    assert (d.degeneracy, d.witnesses, d.stabilized) == (1, ((0, 0), (1, 1)), True)
+    assert len(calls) == 6
+
+
 def test_degeneracy_cutoff_clamp(sphere):
     # gradients of the top slice carry no information at truncation,
     # so a cutoff at full order quietly steps down one

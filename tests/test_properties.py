@@ -11,10 +11,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 from crkit import corpus
 from crkit.documents import FORMAT_VERSION, parse_document, serialize
 from crkit.hypersurface import (
-    _is_normal, from_defining, graph_residual, normalize, normalizing_change, reality_defect,
+    DegeneracyResult, _is_normal, degeneracy, from_defining, graph_residual, normalize,
+    normalizing_change, phi_family, reality_defect,
 )
 from crkit.linalg import determinant
-from crkit.rank import CERTIFIED, generic_rank
+from crkit.rank import CERTIFIED, generic_rank, matrix_generic_rank
 from crkit.rational import GaussRational, ONE, ZERO
 from crkit.reflection import FormalMap, convergence_evidence, partial_convergence
 from crkit.series import (
@@ -90,6 +91,14 @@ def test_multiplication_associates(a, b, c):
 @given(series(), series(), series())
 def test_distributive_law(a, b, c):
     assert a * (b + c) == a * b + a * c
+
+
+@given(series(nvars=2, order=6), st.integers(0, 9))
+def test_power_matches_repeated_multiplication(a, k):
+    reference = TruncatedSeries.constant(ONE, a.nvars, a.order)
+    for _ in range(k):
+        reference = reference * a
+    assert a ** k == reference
 
 
 @given(series())
@@ -754,6 +763,62 @@ def test_partial_convergence_family_has_full_certified_rank(name, order):
     check = generic_rank(result.g)
     assert check.certificate.status == CERTIFIED
     assert check.rank == fm.n - result.bound
+
+
+# degeneracy differentiates only the nonzero phi-family entries; the
+# reference is its earlier body, which differentiates every entry of the
+# dense family, zeros included
+
+
+def ref_degeneracy(H, cutoff=None):
+    if cutoff is None:
+        cutoff = H.order
+    n = H.n
+    effective = min(cutoff, H.order - 1)
+    family = phi_family(H, effective)
+    rows = [[series.derive(j) for j in range(n)] for _, series in family]
+    result = matrix_generic_rank(rows)
+    witnesses = tuple(family[i][0] for i in result.certificate.rows)
+    if effective < 1:
+        stabilized = False
+    elif result.certificate.status == CERTIFIED and all(
+        sum(alpha) <= effective - 1 for alpha in witnesses
+    ):
+        stabilized = True
+    else:
+        keep = [i for i, (alpha, _) in enumerate(family) if sum(alpha) <= effective - 1]
+        prev = matrix_generic_rank([rows[i] for i in keep])
+        stabilized = prev.rank == result.rank
+    return DegeneracyResult(
+        n=n,
+        degeneracy=n - result.rank,
+        rank=result.rank,
+        cutoff_requested=cutoff,
+        cutoff_effective=effective,
+        stabilized=stabilized,
+        witnesses=witnesses,
+        certificate=result.certificate,
+        order=H.order,
+    )
+
+
+@st.composite
+def germs_with_cutoffs(draw):
+    rho, n = draw(real_germs())
+    H = from_defining(rho, n)
+    return H, draw(st.none() | st.integers(1, H.order))
+
+
+@settings(max_examples=60, deadline=None)
+@given(germs_with_cutoffs())
+@example((corpus.degenerate_quadric(20), None))
+@example((corpus.levi_flat(), 3))
+@example((corpus.sphere(), 1))
+def test_degeneracy_matches_the_dense_gradient_matrix(case):
+    H, cutoff = case
+    result, reference = degeneracy(H, cutoff), ref_degeneracy(H, cutoff)
+    for field in DegeneracyResult._fields:
+        assert getattr(result, field) == getattr(reference, field), field
 
 
 # ---------------------------------------------------------------------------

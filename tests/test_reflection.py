@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+import crkit.reflection
+import crkit.series
+from crkit import corpus
 from crkit.errors import PrerequisiteError
 from crkit.hypersurface import phi_family
 from crkit.parser import parse_expr
@@ -452,3 +455,25 @@ def test_reflection_report(shear_map):
     assert report.reflection == reflection_function(shear_map)
     assert report.evidence.r0 == 0.5 ** (1.0 / 3.0)
     assert report.evidence.polynomial
+
+
+def test_check_and_reflect_lift_the_map_once(monkeypatch):
+    # the mapping check and the reflection series both read f over (z, w');
+    # the relabel is composed once per component of f, at f's order
+    quadric = corpus.degenerate_quadric()
+    fm = FormalMap(corpus.exp_shear(), quadric, quadric)
+    n, m = fm.n, 2 * fm.n - 1
+    lifts = []
+    original = crkit.series.compose
+
+    def counting(outer, vmap):
+        if vmap == SeriesMap.from_slots(m, vmap.order, range(n)):
+            lifts.append(outer)
+        return original(outer, vmap)
+
+    for module in (crkit.series, crkit.reflection):
+        monkeypatch.setattr(module, "compose", counting)
+    assert check_maps_into(fm).passed
+    build_reflection_report(fm)
+    partial_convergence(fm)
+    assert lifts == list(fm.f.components)

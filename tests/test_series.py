@@ -111,6 +111,28 @@ def test_from_slots_takes_only_integers_none_or_series():
     assert S(1, 2, {(True,): ONE}) == V(1, 2, 0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda s: s.truncate(2.5), "truncation order must be an integer, got 2.5"),
+    (lambda s: s.truncate(2.0), "truncation order must be an integer, got 2.0"),
+    (lambda s: s.derive(1.0), "variable index must be an integer, got 1.0"),
+    (lambda s: s.coefficient_family([1.0]), "group index must be an integer, got 1.0"),
+], ids=["truncate 2.5", "truncate 2.0", "derive", "coefficient_family"])
+def test_methods_take_only_integers(call, message):
+    # a float order would build float keys that serialize writes and no
+    # parser reads back; a float index would fail with no value named
+    with pytest.raises(TypeError, match=message):
+        call(S(2, 3, {(1, 0): ONE, (0, 2): ONE}))
+
+
+def test_methods_read_integer_like_arguments_as_their_int():
+    s = S(2, 3, {(1, 0): ONE, (0, 2): ONE})
+    assert s.truncate(True) == s.truncate(1)
+    assert s.derive(True) == s.derive(1)
+    assert s.coefficient_family([True]) == s.coefficient_family([1])
+    with pytest.raises(ValueError, match="truncation order must be nonnegative"):
+        s.truncate(-1)
+
+
 def test_immutability():
     s = V(2, 4, 0)
     with pytest.raises(AttributeError):
@@ -222,7 +244,8 @@ def test_pow():
     s = (x + y) ** 4
     assert s.coefficient((2, 2)) == GaussRational(6)
     assert s.coefficient((4, 0)) == ONE
-    assert ((x + y) ** 0).constant_term() == ONE
+    assert (x + y) ** 0 == TruncatedSeries.constant(ONE, 2, 6)
+    assert (x + y) ** 1 == x + y
     with pytest.raises(ValueError):
         (x + y) ** -1
 
