@@ -467,7 +467,7 @@ class TruncatedSeries:
             raise ValueError("only nonnegative integer powers are defined")
         if not exponent:
             return TruncatedSeries.constant(ONE, self.nvars, self.order)
-        # binary powering that starts from the first factor, not from 1 * it
+        # binary powering from the first factor, so no product by 1
         result, square = None, self
         while True:
             if exponent & 1:
