@@ -6,8 +6,6 @@ verifies the identity along the third Segre parametrization, and then
 extracts the partially convergent family with its exact generators.
 """
 
-from fractions import Fraction
-
 from crkit import (
     FormalMap,
     build_reflection_report,
@@ -62,7 +60,7 @@ def main():
 
     print()
     print("== the growth diagnostic (the one float corner) ==")
-    report = build_reflection_report(shear, radius=Fraction(1, 2))
+    report = build_reflection_report(shear)
     print(f"r0 = {report.evidence.r0:.6f} at radius {report.evidence.radius}")
     print("family is polynomial:", report.evidence.polynomial)
 

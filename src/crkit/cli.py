@@ -7,13 +7,17 @@ Four subcommands drive the library against canonical documents:
     crkit check-map -s <M> -t <M'> -f <F> does F send M into M'?
     crkit reflect -s <M> -t <M'> -f <F> -o <dir>   reflection artifacts
 
+Every command takes ``--order N`` and ``--format text|doc``. The other
+flags belong to the commands that read them: ``--strict/--no-strict`` to
+analyze, ``--cutoff A`` to analyze and reflect, ``--force`` to normalize
+and reflect. Any other flag is a usage error.
+
 Exit codes: 0 all checks passed; 1 a check failed, which includes a
 failed geometric check on a document that parses (say, a defining series
 that is not real); 2 an unreadable file, a malformed document or a bad
 flag. Geometric findings (non-minimal, positive degeneracy, not normal)
 are reported, not treated as failures. All output is
-deterministic for a fixed configuration; the doc format is golden-file
-stable.
+deterministic for fixed flags; the doc format is golden-file stable.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import argparse
 import functools
 import os
 import sys
-from typing import NamedTuple
 
 from .documents import (
     DEFAULT_ORDER,
@@ -45,37 +48,18 @@ from .reflection import (
 from .series import SeriesMap, format_monomial, format_series
 
 
-class RunConfig(NamedTuple):
-    """Knobs shared by every command; defaults match the shipped corpus."""
-
-    order: int | None = None  # None: DEFAULT_ORDER, capped by the inputs
-    cutoff: int | None = None
-    strict: bool = True
-    fmt: str = "text"
-    force: bool = False
-
-
 class _InputError(Exception):
     """Anything that makes the request unanswerable: bad files, bad flags."""
 
 
-def _run_config(args) -> RunConfig:
-    """The settings parsed flags ask for; a value no command can run with
-    is an input error."""
+def _check_flags(args) -> None:
+    """Refuse flag values no command can run with, before any file is read."""
     order = DEFAULT_ORDER if args.order is None else args.order
     if order < 2:
         raise _InputError("order must be at least 2")
-    if args.cutoff is not None and not (1 <= args.cutoff <= order):
+    cutoff = getattr(args, "cutoff", None)  # only analyze and reflect take one
+    if cutoff is not None and not (1 <= cutoff <= order):
         raise _InputError("cutoff must be between 1 and the order")
-    if args.fmt not in ("text", "doc"):
-        raise _InputError("format must be text or doc")
-    return RunConfig(
-        order=args.order,
-        cutoff=args.cutoff,
-        strict=args.strict,
-        fmt=args.fmt,
-        force=getattr(args, "force", False),
-    )
 
 
 def _read(path: str) -> str:
@@ -107,23 +91,23 @@ def _load_map(path: str) -> SeriesMap:
     return obj
 
 
-def _effective_order(config: RunConfig, *orders: int) -> int:
+def _effective_order(requested: int | None, cutoff: int | None, *orders: int) -> int:
     available = min(orders)
-    if config.order is not None and config.order > available:
+    if requested is not None and requested > available:
         raise _InputError(
-            f"inputs only guarantee order {available}, --order {config.order} "
+            f"inputs only guarantee order {available}, --order {requested} "
             "asks for more"
         )
-    eff = min(DEFAULT_ORDER if config.order is None else config.order, available)
-    if config.cutoff is not None and config.cutoff > eff:
+    eff = min(DEFAULT_ORDER if requested is None else requested, available)
+    if cutoff is not None and cutoff > eff:
         raise _InputError(
-            f"--cutoff {config.cutoff} exceeds the effective order {eff}"
+            f"--cutoff {cutoff} exceeds the effective order {eff}"
         )
     return eff
 
 
-def _guard_overwrite(path: str, config: RunConfig) -> None:
-    if os.path.exists(path) and not config.force:
+def _guard_overwrite(path: str, force: bool) -> None:
+    if os.path.exists(path) and not force:
         raise _InputError(f"{path}: exists (pass --force to overwrite)")
 
 
@@ -139,20 +123,20 @@ def _names(prefix: str, count: int) -> list[str]:
 # analyze
 
 
-def cmd_analyze(path: str, config: RunConfig) -> int:
+def cmd_analyze(path: str, order: int | None, cutoff: int | None, strict: bool, fmt: str) -> int:
     surface = _load_hypersurface(path)
-    order = _effective_order(config, surface.order)
+    order = _effective_order(order, cutoff, surface.order)
     surface = surface.truncate(order)
     # minimality and degeneracy are invariants of the germ, so a non-normal
     # input is normalized internally before they are computed
     representative = surface if surface.normal else normalize(surface)
     minimality = is_minimal(representative)
-    ranks = degeneracy(representative, config.cutoff)
+    ranks = degeneracy(representative, cutoff)
     certified = (
         minimality.certificate.status == CERTIFIED
         and ranks.certificate.status == CERTIFIED
     )
-    if config.fmt == "doc":
+    if fmt == "doc":
         rows = [
             f"n {surface.n}",
             f"order {order}",
@@ -200,7 +184,7 @@ def cmd_analyze(path: str, config: RunConfig) -> int:
         )
         if not certified:
             print("rank status: probable only (minor budget exhausted)")
-    if config.strict and not certified:
+    if strict and not certified:
         print("failure: rank not certified; rerun with --no-strict to accept",
               file=sys.stderr)
         return 1
@@ -211,17 +195,17 @@ def cmd_analyze(path: str, config: RunConfig) -> int:
 # normalize
 
 
-def cmd_normalize(path: str, out: str | None, config: RunConfig) -> int:
+def cmd_normalize(path: str, out: str | None, order: int | None, fmt: str, force: bool) -> int:
     surface = _load_hypersurface(path)
-    order = _effective_order(config, surface.order)
+    order = _effective_order(order, None, surface.order)
     surface = surface.truncate(order)
     data = serialize(normalize(surface))
     if out is None:
         sys.stdout.write(data)
         return 0
-    _guard_overwrite(out, config)
+    _guard_overwrite(out, force)
     write_atomic(out, data)
-    if config.fmt == "doc":
+    if fmt == "doc":
         sys.stdout.write(data)
     else:
         names = _names("z", surface.n)
@@ -240,8 +224,8 @@ def cmd_normalize(path: str, out: str | None, config: RunConfig) -> int:
 # check-map
 
 
-def cmd_check_map(source: str, target: str, mappath: str, config: RunConfig) -> int:
-    fm, order = _build_formal_map(source, target, mappath, config)
+def cmd_check_map(source: str, target: str, mappath: str, order: int | None, fmt: str) -> int:
+    fm, order = _build_formal_map(source, target, mappath, order, None)
     verdict = check_maps_into(fm)
     identity = None
     identity_note = ""
@@ -251,7 +235,7 @@ def cmd_check_map(source: str, target: str, mappath: str, config: RunConfig) -> 
         except PrerequisiteError as exc:
             identity_note = str(exc)
     names = _names("z", fm.n) + _names("w", fm.n - 1)
-    if config.fmt == "doc":
+    if fmt == "doc":
         rows = [
             f"n {fm.n}",
             f"order {order}",
@@ -293,11 +277,11 @@ def cmd_check_map(source: str, target: str, mappath: str, config: RunConfig) -> 
     return 0
 
 
-def _build_formal_map(source, target, mappath, config):
+def _build_formal_map(source, target, mappath, order, cutoff):
     # one germ per path: a self-map's source and target are one object
     surfaces = {path: _load_hypersurface(path) for path in dict.fromkeys((source, target))}
     fmap = _load_map(mappath)
-    order = _effective_order(config, *(s.order for s in surfaces.values()), fmap.order)
+    order = _effective_order(order, cutoff, *(s.order for s in surfaces.values()), fmap.order)
     surfaces = {path: s.truncate(order) for path, s in surfaces.items()}
     try:
         fm = FormalMap(fmap.truncate(order), surfaces[source], surfaces[target])
@@ -310,10 +294,10 @@ def _build_formal_map(source, target, mappath, config):
 # reflect
 
 
-def cmd_reflect(source, target, mappath, outdir, config: RunConfig) -> int:
-    fm, order = _build_formal_map(source, target, mappath, config)
+def cmd_reflect(source, target, mappath, outdir, order, cutoff, fmt, force) -> int:
+    fm, order = _build_formal_map(source, target, mappath, order, cutoff)
     verdict = check_maps_into(fm)
-    if not verdict.passed and not config.force:
+    if not verdict.passed and not force:
         print(
             "refusing to reflect: the map does not send the source into the "
             "target (pass --force to override)",
@@ -321,8 +305,8 @@ def cmd_reflect(source, target, mappath, outdir, config: RunConfig) -> int:
         )
         return 1
     try:
-        report = build_reflection_report(fm, cutoff=config.cutoff)
-        partial = partial_convergence(fm, cutoff=config.cutoff)
+        report = build_reflection_report(fm, cutoff)
+        partial = partial_convergence(fm, cutoff)
     except PrerequisiteError as exc:
         print(f"refusing to reflect: {exc}", file=sys.stderr)
         return 1
@@ -337,13 +321,13 @@ def cmd_reflect(source, target, mappath, outdir, config: RunConfig) -> int:
         ),
     ]
     for filename, _ in artifacts:
-        _guard_overwrite(os.path.join(outdir, filename), config)
+        _guard_overwrite(os.path.join(outdir, filename), force)
     os.makedirs(outdir, exist_ok=True)
     written = []
     for filename, data in artifacts:
         write_atomic(os.path.join(outdir, filename), data)
         written.append(filename)
-    if config.fmt == "doc":
+    if fmt == "doc":
         rows = [
             f"n {n}",
             f"order {order}",
@@ -393,20 +377,23 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, cutoff=False, strict=False):
+        """--order and --format, around the flags only some commands read."""
         p.add_argument("--order", type=int, default=None, metavar="N",
                        help=f"truncation order (default {DEFAULT_ORDER})")
-        p.add_argument("--cutoff", type=int, default=None, metavar="A",
-                       help="degeneracy / family cutoff (default: the order)")
-        p.add_argument("--strict", action=argparse.BooleanOptionalAction,
-                       default=True,
-                       help="treat probable (uncertified) ranks as failures")
+        if cutoff:
+            p.add_argument("--cutoff", type=int, default=None, metavar="A",
+                           help="degeneracy / family cutoff (default: the order)")
+        if strict:
+            p.add_argument("--strict", action=argparse.BooleanOptionalAction,
+                           default=True,
+                           help="treat probable (uncertified) ranks as failures")
         p.add_argument("--format", choices=("text", "doc"), default="text",
                        dest="fmt", help="output format")
 
     p = sub.add_parser("analyze", help="invariants of one hypersurface")
     p.add_argument("hypersurface")
-    common(p)
+    common(p, cutoff=True, strict=True)
 
     p = sub.add_parser("normalize", help="rewrite in normal coordinates")
     p.add_argument("hypersurface")
@@ -428,7 +415,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", required=True, dest="outdir")
     p.add_argument("--force", action="store_true",
                    help="reflect even if the mapping check fails")
-    common(p)
+    common(p, cutoff=True)
 
     return parser
 
@@ -436,16 +423,17 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_arg_parser().parse_args(argv)
     try:
-        config = _run_config(args)
+        _check_flags(args)
         if args.command == "analyze":
-            return cmd_analyze(args.hypersurface, config)
+            return cmd_analyze(args.hypersurface, args.order, args.cutoff, args.strict, args.fmt)
         if args.command == "normalize":
-            return cmd_normalize(args.hypersurface, args.out, config)
+            return cmd_normalize(args.hypersurface, args.out, args.order, args.fmt, args.force)
         if args.command == "check-map":
-            return cmd_check_map(args.source, args.target, args.mapfile, config)
+            return cmd_check_map(args.source, args.target, args.mapfile, args.order, args.fmt)
         if args.command == "reflect":
             return cmd_reflect(
-                args.source, args.target, args.mapfile, args.outdir, config
+                args.source, args.target, args.mapfile, args.outdir,
+                args.order, args.cutoff, args.fmt, args.force,
             )
         raise AssertionError(f"unhandled command {args.command!r}")
     except GeometryError as exc:  # a CrkitError, so it comes first

@@ -22,9 +22,9 @@ from typing import NamedTuple
 from .errors import PrerequisiteError
 from .hypersurface import (
     Hypersurface,
+    SegreTriple,
     _minimality,
     degeneracy,
-    is_minimal,
     segre_maps,
 )
 from .rank import CERTIFIED
@@ -59,7 +59,7 @@ class FormalMap:
     """An origin-preserving formal map between two hypersurface germs.
 
     Instances are immutable, so three derived objects are computed once,
-    on first request, and kept: the mapping check at its default order,
+    on first request, and kept: the mapping check,
     the reflection series, and the lifted map, f read over the 2n - 1
     variables (z, w') that both of those substitute it into.
     """
@@ -135,41 +135,34 @@ class MapVerdict(NamedTuple):
     offending: tuple | None
 
 
-def check_maps_into(fm: FormalMap, order: int | None = None) -> MapVerdict:
-    """Does f send the source into the target, through the given order?
+def check_maps_into(fm: FormalMap) -> MapVerdict:
+    """Does f send the source into the target, through the largest order
+    the inputs guarantee?
 
-    Defaults to the largest order the inputs guarantee. Asking beyond that
-    is an error rather than a silently weaker check. The verdict at that
-    default order is computed once per map and then reused.
+    The verdict is computed once per map and then reused. For a check at
+    a lower order k, build the map from f, the source and the target each
+    truncated to k: truncation commutes with origin-preserving
+    composition, so that verdict is this one's through order k.
     """
-    cap = fm.guaranteed_order()
-    if order is None or order == cap:
-        if fm._verdict is None:
-            object.__setattr__(fm, "_verdict", _check_maps_into(fm, cap))
-        return fm._verdict
-    if order > cap:
-        raise ValueError(f"inputs only guarantee order {cap}, not {order}")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    return _check_maps_into(fm, order)
-
-
-def _check_maps_into(fm: FormalMap, order: int) -> MapVerdict:
-    n = fm.n
-    m = 2 * n - 1
-    common = min(fm.f.order, fm.source.order)
-    # w_n := source graph, substituted into the conjugated map components
-    wmap = SeriesMap.from_slots(m, fm.source.order, [*range(n, m), fm.source.phibar])
-    head = fm._lift(common).components
-    tail = fm.f.conjugate().compose(wmap).components
-    substitution = SeriesMap(head + tail)
-    residual = compose(fm.target.rho, substitution).truncate(order)
-    return MapVerdict(
-        passed=residual.is_zero(),
-        order_checked=order,
-        residual=residual,
-        offending=residual.least_term(),
-    )
+    if fm._verdict is None:
+        n = fm.n
+        m = 2 * n - 1
+        order = fm.guaranteed_order()
+        common = min(fm.f.order, fm.source.order)
+        # w_n := source graph, substituted into the conjugated map components
+        wmap = SeriesMap.from_slots(m, fm.source.order, [*range(n, m), fm.source.phibar])
+        head = fm._lift(common).components
+        tail = fm.f.conjugate().compose(wmap).components
+        substitution = SeriesMap(head + tail)
+        residual = compose(fm.target.rho, substitution).truncate(order)
+        verdict = MapVerdict(
+            passed=residual.is_zero(),
+            order_checked=order,
+            residual=residual,
+            offending=residual.least_term(),
+        )
+        object.__setattr__(fm, "_verdict", verdict)
+    return fm._verdict
 
 
 # ---------------------------------------------------------------------------
@@ -208,35 +201,21 @@ def reflection_at_lambda_zero(fm: FormalMap) -> TruncatedSeries:
 
 
 def reflection_on_segre(
-    fm: FormalMap,
-    gamma: tuple[int, ...] | None = None,
-    cutoff: int | None = None,
+    fm: FormalMap, cutoff: int | None = None
 ) -> list[tuple[tuple[int, ...], TruncatedSeries]]:
-    """Coefficient family of a z-derivative of the reflection series,
-    restricted to the first Segre parametrization of the source.
+    """Coefficient family of the reflection series, restricted to the
+    first Segre parametrization of the source.
 
-    Returns (alpha, series over zp) pairs for |alpha| <= cutoff, graded-lex
-    ascending, zero entries included. Entry alpha is exact only to
-    order - |gamma| - |alpha|.
+    Returns (alpha, series over zp) pairs for |alpha| <= cutoff (default:
+    the order), graded-lex ascending, zero entries included. Entry alpha
+    is exact only to order - |alpha|.
     """
     n = fm.n
     if not fm.source.normal:
         raise PrerequisiteError(
             "the Segre restriction needs the source in normal coordinates"
         )
-    if gamma is None:
-        gamma = (0,) * n
-    if len(gamma) != n or any(g < 0 for g in gamma):
-        raise ValueError(f"gamma must be {n} nonnegative integers")
     r = reflection_function(fm)
-    weight = sum(gamma)
-    if weight > r.order:
-        raise ValueError(
-            f"derivative order {weight} exhausts the guaranteed order {r.order}"
-        )
-    for index, count in enumerate(gamma):
-        for _ in range(count):
-            r = r.derive(index)
     # restrict z := (zp, 0), keep lambda
     src = 2 * (n - 1)
     restriction = SeriesMap.from_slots(src, r.order, [*range(n - 1), None, *range(n - 1, src)])
@@ -257,7 +236,7 @@ def u_family(
     """
     return [
         (alpha, series if series.is_zero() else series.scale(multi_factorial(alpha)))
-        for alpha, series in reflection_on_segre(fm, None, cutoff)
+        for alpha, series in reflection_on_segre(fm, cutoff)
     ]
 
 
@@ -271,6 +250,20 @@ class SegreIdentityVerdict(NamedTuple):
     lhs: TruncatedSeries
     rhs: TruncatedSeries
     residual: TruncatedSeries
+
+
+def _minimal_source_triple(source: Hypersurface) -> SegreTriple:
+    """The source's Segre triple, once the source is known to be normal
+    and minimal with a certified rank; PrerequisiteError otherwise."""
+    if not source.normal:
+        raise PrerequisiteError("source must be in normal coordinates")
+    triple = segre_maps(source)
+    minimality = _minimality(source, triple)
+    if not minimality.minimal or minimality.certificate.status != CERTIFIED:
+        raise PrerequisiteError(
+            "source must be minimal with a certified rank at this order"
+        )
+    return triple
 
 
 def segre_reflection_identity(fm: FormalMap) -> SegreIdentityVerdict:
@@ -287,14 +280,7 @@ def segre_reflection_identity(fm: FormalMap) -> SegreIdentityVerdict:
             "mapping check failed; the identity is only meaningful for maps "
             "that send the source into the target"
         )
-    if not fm.source.normal:
-        raise PrerequisiteError("source must be in normal coordinates")
-    triple = segre_maps(fm.source)
-    minimality = _minimality(fm.source, triple)
-    if not minimality.minimal or minimality.certificate.status != CERTIFIED:
-        raise PrerequisiteError(
-            "source must be minimal with a certified rank at this order"
-        )
+    triple = _minimal_source_triple(fm.source)
     n = fm.n
     m = n - 1
     src = 3 * m
@@ -399,13 +385,7 @@ def partial_convergence(
     """
     if not fm.is_biholomorphism:
         raise PrerequisiteError("map must have an invertible linear part")
-    if not fm.source.normal:
-        raise PrerequisiteError("source must be in normal coordinates")
-    minimality = is_minimal(fm.source)
-    if not minimality.minimal or minimality.certificate.status != CERTIFIED:
-        raise PrerequisiteError(
-            "source must be minimal with a certified rank at this order"
-        )
+    _minimal_source_triple(fm.source)
     deg = degeneracy(fm.target, cutoff)
     if deg.certificate.status != CERTIFIED:
         raise PrerequisiteError("target degeneracy rank is not certified")
@@ -503,9 +483,9 @@ class ReflectionReport(NamedTuple):
     evidence: ConvergenceEvidence
 
 
-def build_reflection_report(
-    fm: FormalMap, cutoff: int | None = None, radius: Fraction = Fraction(1, 2)
-) -> ReflectionReport:
+def build_reflection_report(fm: FormalMap, cutoff: int | None = None) -> ReflectionReport:
+    """The reflection series, its u family through the cutoff (default:
+    the order), and the growth diagnostic on the polydisc of radius 1/2."""
     r = reflection_function(fm)
     family = u_family(fm, cutoff)
     top = max(sum(alpha) for alpha, _ in family)
@@ -515,5 +495,5 @@ def build_reflection_report(
         cutoff=top,
         reflection=r,
         family=tuple(family),
-        evidence=convergence_evidence(family, radius),
+        evidence=convergence_evidence(family, Fraction(1, 2)),
     )

@@ -185,7 +185,7 @@ def test_normalize_refuses_overwrite_without_force(tmp_path, capsys):
 def test_a_package_error_from_a_command_sets_the_exit_code(monkeypatch, capsys, error, code, prefix):
     # a CrkitError that no command turns into a verdict is an error, and a
     # GeometryError, itself a CrkitError, is a failed check
-    def failing(path, config):
+    def failing(path, order, cutoff, strict, fmt):
         raise error
 
     monkeypatch.setattr("crkit.cli.cmd_analyze", failing)
@@ -529,11 +529,63 @@ def test_parser_defaults_return_after_flags():
     assert parser is _build_arg_parser()
     default = vars(parser.parse_args(["normalize", "h.crkit"]))
     parser.parse_args(["normalize", "h.crkit", "-o", "x", "--force", "--order", "4",
-                       "--cutoff", "2", "--no-strict", "--format", "doc"])
+                       "--format", "doc"])
     assert vars(parser.parse_args(["normalize", "h.crkit"])) == default
     assert default == {
         "command": "normalize", "hypersurface": "h.crkit", "out": None, "force": False,
-        "order": None, "cutoff": None, "strict": True, "fmt": "text",
+        "order": None, "fmt": "text",
+    }
+
+
+# ---------------------------------------------------------------------------
+# each command takes only the flags it reads
+#
+# --strict/--no-strict belongs to analyze, --cutoff to analyze and reflect.
+# Anywhere else it is an unknown flag, refused by argparse like any other.
+
+SPHERE_SELF_MAP = ["-s", "corpus/sphere.crkit", "-t", "corpus/sphere.crkit",
+                   "-f", "corpus/sphere_dilation.crkit"]
+
+
+@pytest.mark.parametrize("argv, unknown", [
+    (["normalize", "corpus/perturbed_sphere.crkit", "--no-strict"], "--no-strict"),
+    (["normalize", "corpus/perturbed_sphere.crkit", "--cutoff", "2"], "--cutoff 2"),
+    (["check-map", *SPHERE_SELF_MAP, "--cutoff", "2"], "--cutoff 2"),
+    (["check-map", *SPHERE_SELF_MAP, "--no-strict"], "--no-strict"),
+    (["reflect", *SPHERE_SELF_MAP, "-o", "never-written", "--no-strict"], "--no-strict"),
+])
+def test_a_flag_the_command_does_not_read_is_refused(at_root, capsys, argv, unknown):
+    result = in_process(capsys, argv)
+    code, out, err = result
+    assert (code, out) == (2, b"")
+    assert err.endswith(f"crkit: error: unrecognized arguments: {unknown}\n".encode())
+    assert fresh_process(argv) == result
+    assert not (ROOT / "never-written").exists()
+
+
+# Pinned from the last version whose commands all took both flags: the
+# flags that stay print the same bytes and write the same files.
+
+GOLDEN_CLI = ROOT / "tests" / "golden" / "cli"
+QUADRIC_SELF_MAP = ["-s", "corpus/degenerate_quadric.crkit", "-t", "corpus/degenerate_quadric.crkit",
+                    "-f", "corpus/exp_shear.crkit"]
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("analyze_no_strict_cutoff_3", ["analyze", "corpus/levi_flat.crkit", "--no-strict", "--cutoff", "3"]),
+    ("analyze_no_strict_cutoff_3_doc",
+     ["analyze", "corpus/levi_flat.crkit", "--no-strict", "--cutoff", "3", "--format", "doc"]),
+    ("reflect_cutoff_3_doc", ["reflect", *QUADRIC_SELF_MAP, "--cutoff", "3", "--format", "doc"]),
+])
+def test_kept_flags_print_the_pinned_bytes(at_root, tmp_path, capsys, name, argv):
+    golden = GOLDEN_CLI / name
+    outdir = tmp_path / "out"
+    if argv[0] == "reflect":
+        argv = [*argv, "-o", str(outdir)]
+    assert in_process(capsys, argv) == (0, (golden / "stdout.txt").read_bytes(), b"")
+    written = {path.name: path.read_bytes() for path in outdir.glob("*")}
+    assert written == {
+        path.name: path.read_bytes() for path in golden.iterdir() if path.name != "stdout.txt"
     }
 
 

@@ -17,7 +17,9 @@ from crkit.hypersurface import (
 from crkit.linalg import determinant
 from crkit.rank import CERTIFIED, generic_rank, matrix_generic_rank
 from crkit.rational import GaussRational, ONE, ZERO
-from crkit.reflection import FormalMap, convergence_evidence, partial_convergence
+from crkit.reflection import (
+    FormalMap, MapVerdict, check_maps_into, convergence_evidence, partial_convergence,
+)
 from crkit.series import (
     SeriesMap, TruncatedSeries, compose, format_monomial, format_series, grlex_key,
     multi_factorial, multi_indices, unit_exponent,
@@ -819,6 +821,82 @@ def test_degeneracy_matches_the_dense_gradient_matrix(case):
     result, reference = degeneracy(H, cutoff), ref_degeneracy(H, cutoff)
     for field in DegeneracyResult._fields:
         assert getattr(result, field) == getattr(reference, field), field
+
+
+# check_maps_into checks at the guaranteed order only; a check at a lower
+# order k is the same call on f, the source and the target truncated to k.
+# The reference is its earlier body, which took the order as a parameter
+# and truncated the residual of the full-order substitution to it.
+
+
+def ref_check_maps_into(fm, order=None):
+    cap = fm.guaranteed_order()
+    if order is None:
+        order = cap
+    if order > cap:
+        raise ValueError(f"inputs only guarantee order {cap}, not {order}")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    n = fm.n
+    m = 2 * n - 1
+    common = min(fm.f.order, fm.source.order)
+    wmap = SeriesMap.from_slots(m, fm.source.order, [*range(n, m), fm.source.phibar])
+    relabel = SeriesMap.from_slots(m, fm.f.order, range(n))
+    head = fm.f.compose(relabel).truncate(common).components
+    tail = fm.f.conjugate().compose(wmap).components
+    residual = compose(fm.target.rho, SeriesMap(head + tail)).truncate(order)
+    return MapVerdict(
+        passed=residual.is_zero(),
+        order_checked=order,
+        residual=residual,
+        offending=residual.least_term(),
+    )
+
+
+def assert_lower_orders_match_the_reference(f, source, target):
+    fm = FormalMap(f, source, target)
+    for k in range(2, fm.guaranteed_order() + 1):
+        verdict = check_maps_into(FormalMap(f.truncate(k), source.truncate(k), target.truncate(k)))
+        reference = ref_check_maps_into(fm, k)
+        for field in MapVerdict._fields:
+            assert getattr(verdict, field) == getattr(reference, field), (k, field)
+
+
+@pytest.mark.parametrize("name", corpus.MAPS)
+def test_check_at_a_lower_order_is_the_check_of_the_truncations(name):
+    make_map, source, target = corpus.MAPS[name]
+    assert_lower_orders_match_the_reference(
+        make_map(), corpus.HYPERSURFACES[source](), corpus.HYPERSURFACES[target]()
+    )
+
+
+@st.composite
+def drawn_formal_maps(draw):
+    """A corpus map with a drawn term added at some degree, so that its
+    check can fail from that degree on, between its surfaces each at a
+    drawn order; or a drawn invertible map between two drawn germs."""
+    if draw(st.booleans()):
+        make_map, source, target = corpus.MAPS[draw(st.sampled_from(sorted(corpus.MAPS)))]
+        # truncated from the default order: a corpus builder asked for a
+        # low order warns that it drops terms
+        orders = [draw(st.integers(2, 6)) for _ in range(3)]
+        f = make_map().truncate(orders[0])
+        n = f.source_nvars
+        j = draw(st.integers(0, n - 1))
+        extra = draw(series(nvars=n, order=orders[0], min_degree=2))
+        f = SeriesMap(c + extra if i == j else c for i, c in enumerate(f.components))
+        return (f, corpus.HYPERSURFACES[source]().truncate(orders[1]),
+                corpus.HYPERSURFACES[target]().truncate(orders[2]))
+    rho, n = draw(real_germs())
+    sigma, _ = draw(real_germs().filter(lambda case: case[1] == n))
+    f = draw(invertible_maps(nvars=n, order=min(rho.order, 6)))
+    return f, from_defining(rho, n), from_defining(sigma, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn_formal_maps())
+def test_check_at_a_lower_order_matches_the_reference_on_drawn_maps(case):
+    assert_lower_orders_match_the_reference(*case)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ records; a field cannot be assigned; and the repr is ``Name(field=...)``.
 import pytest
 
 from crkit import corpus
-from crkit.cli import RunConfig
 from crkit.hypersurface import degeneracy, is_minimal, segre_maps, tangent_fields
 from crkit.rank import generic_rank
 from crkit.reflection import (
@@ -39,7 +38,6 @@ FIELDS = {
     ),
     "ContainmentResult": ("contained", "order", "residuals"),
     "ReflectionReport": ("n", "order", "cutoff", "reflection", "family", "evidence"),
-    "RunConfig": ("order", "cutoff", "strict", "fmt", "force"),
 }
 
 ORDER = 6
@@ -68,7 +66,6 @@ def run_records() -> dict:
         "PartialConvergenceResult": partial,
         "ContainmentResult": formal_containment(shear.f, list(partial.generators)),
         "ReflectionReport": report,
-        "RunConfig": RunConfig(order=ORDER, cutoff=3, fmt="doc"),
     }
 
 
@@ -121,10 +118,6 @@ def test_record_values_from_the_run(records):
     assert records["ContainmentResult"].contained
     assert records["PartialConvergenceResult"].bound == 1
     assert records["ReflectionReport"].evidence is records["ConvergenceEvidence"]
-    config = RunConfig()
-    assert (config.order, config.cutoff, config.strict, config.fmt, config.force) == (
-        None, None, True, "text", False,
-    )
 
 
 def test_degeneracy_property(records):

@@ -173,14 +173,6 @@ def test_shears_map_into_quadric(shear_map, shear_map_double):
     assert check_maps_into(shear_map_double).passed
 
 
-def test_check_order_parameter(dil):
-    assert check_maps_into(dil, order=4).order_checked == 4
-    with pytest.raises(ValueError, match="guarantee"):
-        check_maps_into(dil, order=9)
-    with pytest.raises(ValueError, match="nonnegative"):
-        check_maps_into(dil, order=-1)
-
-
 # ---------------------------------------------------------------------------
 # the reflection series
 
@@ -207,8 +199,6 @@ def test_default_check_and_reflection_series_are_kept_on_the_map(shear, quadric)
     fm = FormalMap(shear, quadric, quadric)
     verdict = check_maps_into(fm)
     assert check_maps_into(fm) is verdict
-    assert check_maps_into(fm, order=fm.guaranteed_order()) is verdict
-    assert check_maps_into(fm, order=2) is not verdict
     series = reflection_function(fm)
     assert reflection_function(fm) is series
     assert build_reflection_report(fm).reflection is series
