@@ -829,10 +829,8 @@ def test_degeneracy_matches_the_dense_gradient_matrix(case):
 # and truncated the residual of the full-order substitution to it.
 
 
-def ref_check_maps_into(fm, order=None):
+def ref_check_maps_into(fm, order):
     cap = fm.guaranteed_order()
-    if order is None:
-        order = cap
     if order > cap:
         raise ValueError(f"inputs only guarantee order {cap}, not {order}")
     if order < 0:
