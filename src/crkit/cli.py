@@ -368,8 +368,10 @@ def cmd_reflect(source, target, mappath, outdir, order, cutoff, fmt, force) -> i
 def _build_arg_parser() -> argparse.ArgumentParser:
     """The parser, built on the first call and shared by later ones.
 
-    parse_args keeps no state between calls: it fills a fresh namespace,
-    and help and errors are formatted, at their fixed prog, when printed.
+    parse_known_args keeps no state between calls: it fills a fresh
+    namespace, and help and errors are formatted, at their fixed prog, when
+    printed. ``command_parsers`` maps each command to its own parser, whose
+    usage lists the flags that command takes.
     """
     parser = argparse.ArgumentParser(
         prog="crkit",
@@ -417,11 +419,17 @@ def _build_arg_parser() -> argparse.ArgumentParser:
                    help="reflect even if the mapping check fails")
     common(p, cutoff=True)
 
+    parser.command_parsers = sub.choices
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_arg_parser().parse_args(argv)
+    parser = _build_arg_parser()
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        # refused under the usage of the command given, which lists its flags
+        parser.command_parsers[args.command].print_usage(sys.stderr)
+        parser.exit(2, f"{parser.prog}: error: unrecognized arguments: {' '.join(unknown)}\n")
     try:
         _check_flags(args)
         if args.command == "analyze":

@@ -174,13 +174,16 @@ def _primitive(den: int, rows: list):
     return den, rows, any(row[3] for row in rows)
 
 
-def _sum_of_products(pairs, nvars: int, order: int) -> "TruncatedSeries":
-    """The series sum of left * right over ``pairs``, through degree ``order``.
+def _sum_of_products_form(pairs, order: int):
+    """The integer form of the sum of left * right over ``pairs``, through
+    degree ``order``.
 
     Each operand is an integer form with keys at base order + 2, as
     ``TruncatedSeries._form_at`` gives it; a left operand need only be
-    sorted by degree. All products are accumulated as plain ints over one
-    common denominator, and the sum is reduced by one content gcd.
+    sorted by degree, and neither need be primitive. All products are
+    accumulated as plain ints over one common denominator; the content gcd
+    is taken from the accumulators, and the rows are built already divided
+    by it, so the result is primitive and an empty sum is (1, [], False).
     """
     den = math.lcm(*[dl * dr for (dl, _, _), (dr, _, _) in pairs])
     re_acc: dict[int, int] = {}  # holds every key reached, in first-reached order
@@ -192,8 +195,9 @@ def _sum_of_products(pairs, nvars: int, order: int) -> "TruncatedSeries":
             room = order - d1
             if room < 0:
                 break
-            a1 *= scale
-            b1 *= scale
+            if scale != 1:
+                a1 *= scale
+                b1 *= scale
             if b1 or right_complex:
                 for d2, k2, a2, b2 in right:
                     if d2 > room:
@@ -207,14 +211,19 @@ def _sum_of_products(pairs, nvars: int, order: int) -> "TruncatedSeries":
                         break
                     k = k1 + k2
                     re_acc[k] = re_get(k, 0) + a1 * a2
+    g = math.gcd(den, *re_acc.values(), *im_acc.values())
     top = order + 1
-    rows = []
-    for k, a in re_acc.items():
-        b = im_get(k, 0)
-        if a or b:
-            rows.append((k % top, k, a, b))
+    # every key in im_acc is in re_acc too
+    rows = [
+        (k % top, k, a // g, im_get(k, 0) // g) for k, a in re_acc.items() if a or im_get(k, 0)
+    ]
     rows.sort()
-    return TruncatedSeries._trusted(nvars, order, _primitive(den, rows))
+    return den // g, rows, any(im_acc.values())
+
+
+def _sum_of_products(pairs, nvars: int, order: int) -> "TruncatedSeries":
+    """``_sum_of_products_form`` as a series over ``nvars`` variables."""
+    return TruncatedSeries._trusted(nvars, order, _sum_of_products_form(pairs, order))
 
 
 # ---------------------------------------------------------------------------

@@ -17,17 +17,20 @@ the given u by composition and then solves for u afresh, whose degrees
 through the given order are the given ones, since the solution is
 unique.
 
-The solve is online, one homogeneous degree at a time. Write F as
-sum over beta of F_beta(x) y^beta. The degree-d part of F(x, Y) is
-J0 Y_d + R_d, where R_d uses only Y_1 .. Y_{d-1}: a power product Y^beta
-with |beta| >= 2 starts in degree |beta|, so its degree-d part involves Y
-only below degree d. Hence Y_d = -J0^-1 R_d. The degree-graded parts of
-every power product F needs are kept and extended as each degree
-settles, so each homogeneous product is formed exactly once.
+The solve is online, one homogeneous degree at a time. It first folds
+-J0^-1 into the equations, once: G = -J0^-1 F solves the same problem,
+and its Jacobian in y at the origin is -I. Write G as sum over beta of
+G_beta(x) y^beta. The degree-d part of G(x, Y) is -Y_d + R_d, where R_d
+uses only Y_1 .. Y_{d-1}: a power product Y^beta with |beta| >= 2 starts
+in degree |beta|, so its degree-d part involves Y only below degree d.
+Hence Y_d = R_d(G), the residual itself. The degree-graded parts of every
+power product G needs are kept and extended as each degree settles, so
+each homogeneous product is formed exactly once.
 
 The construction is not its own proof. One certificate covers all three
-solvers: every F is composed with x and Y in their places at full order,
-and the solve raises unless each result vanishes.
+solvers: every F the caller wrote, not G, is composed with x and Y in
+their places at full order, and the solve raises unless each result
+vanishes.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .series import (
     _inverse_equation,
     _primitive,
     _sum_of_products,
+    _sum_of_products_form,
     _weights,
     compose,
     unit_exponent,
@@ -61,8 +65,9 @@ def implicit_solve(rho: TruncatedSeries, var: int, *, rest=None) -> TruncatedSer
     rho(..., S, ...) = 0 through degree rho.order. S is over the remaining
     variables, in the order ``rest`` lists their indices, by default their
     original order; a ``rest`` that is not an ordering of the remaining
-    indices raises ValueError. Each degree d of S is settled once, as
-    -R_d / c, and the result is certified by substituting it back into rho.
+    indices raises ValueError. The solve grades -rho / c, so each degree d
+    of S is settled once, as that equation's residual R_d, and the result
+    is certified by substituting it back into rho.
     """
     m = rho.nvars
     if not 0 <= var < m:
@@ -85,8 +90,8 @@ def implicit_solve(rho: TruncatedSeries, var: int, *, rest=None) -> TruncatedSer
     # -1/c for c = (a + b i) / den is -den (a - b i) / (a^2 + b^2)
     den, a, b = c
     minus_inverse = (a * a + b * b, [(0, 0, -den * a, den * b)], bool(b))
-    online = _OnlineSolve([rho], rest, rho.order)
-    (solution,) = _certified(online, [[(minus_inverse, 0)]], "implicit solve")
+    online = _OnlineSolve([rho], rest, rho.order, [[(minus_inverse, 0)]])
+    (solution,) = _certified(online, "implicit solve")
     return solution
 
 
@@ -94,8 +99,9 @@ def invert_map(fmap: SeriesMap) -> SeriesMap:
     """Compositional inverse of an origin-preserving map, to fmap.order.
 
     The linear part A must be invertible. The inverse g solves
-    f(g(x)) - x = 0, settled one degree at a time as g_d = -A^-1 R_d, and
-    is certified by checking f(g) = id through the full order.
+    -A^-1 (f(g(x)) - x) = 0, settled one degree at a time as g_d = R_d,
+    that equation's residual, and is certified by checking f(g) = id
+    through the full order.
     """
     n = fmap.source_nvars
     if fmap.target_nvars != n:
@@ -111,8 +117,8 @@ def invert_map(fmap: SeriesMap) -> SeriesMap:
         raise ValueError("linear part is singular, map is not invertible") from None
 
     equations = [_inverse_equation(f, i) for i, f in enumerate(fmap.components)]
-    online = _OnlineSolve(equations, range(n), order)
-    return SeriesMap(_certified(online, _negated(inv), "map inversion"))
+    online = _OnlineSolve(equations, range(n), order, _negated(inv))
+    return SeriesMap(_certified(online, "map inversion"))
 
 
 def newton_extend(system: SeriesMap, solution: SeriesMap, target_order: int) -> SeriesMap:
@@ -126,7 +132,8 @@ def newton_extend(system: SeriesMap, solution: SeriesMap, target_order: int) -> 
     The system is first shifted to y = y0 + u, with y0 the constant part
     of ``solution``, by exact binomial expansion, and the given u is
     checked by composing each shifted equation with it. Then u is solved
-    from zero, each degree settled once as u_d = -J0^-1 R_d. The
+    from zero for -J0^-1 times the shifted system, each degree settled
+    once as that system's residual u_d = R_d. The
     degree-by-degree solution is unique, so its degrees through
     solution.order are the given ones, and the output is independent of
     how the degrees are scheduled: extending to 4 and then 6 equals
@@ -178,8 +185,8 @@ def newton_extend(system: SeriesMap, solution: SeriesMap, target_order: int) -> 
             "Jacobian is singular at the origin along the solution; the "
             "degree-by-degree extension is not uniquely determined"
         ) from None
-    online = _OnlineSolve(equations, range(q), target_order)
-    increments = _certified(online, _negated(j0_inv), "Newton extension")
+    online = _OnlineSolve(equations, range(q), target_order, _negated(j0_inv))
+    increments = _certified(online, "Newton extension")
     return SeriesMap(u + c for u, c in zip(increments, y0))
 
 
@@ -216,9 +223,9 @@ def _shift(F: TruncatedSeries, q: int, y0, order: int) -> TruncatedSeries:
 
 
 def _negated(j0_inv) -> list:
-    """-J0^-1 as ``settle`` takes it: for each row, (constant form, column)
-    of every nonzero entry, the form written from the entry's numerators
-    and denominators."""
+    """-J0^-1 as ``_OnlineSolve`` takes it: for each row, (constant form,
+    column) of every nonzero entry, the form written from the entry's
+    numerators and denominators. A form need not be primitive."""
     rows = []
     for row in j0_inv:
         operands = []
@@ -233,12 +240,12 @@ def _negated(j0_inv) -> list:
     return rows
 
 
-def _certified(online: "_OnlineSolve", minus_inverse, what: str) -> list[TruncatedSeries]:
-    """Settle every open degree with ``minus_inverse``, -J0^-1 as ``settle``
-    takes it, then certify Y by F(x, Y) = 0 at full order: each F is
-    composed with x_i at its i-th parameter's place and Y_j at its j-th
-    unknown's."""
-    online.settle(minus_inverse)
+def _certified(online: "_OnlineSolve", what: str) -> list[TruncatedSeries]:
+    """Settle every open degree, each as Y_d = R_d(G), then certify Y by
+    F(x, Y) = 0 at full order. The check reads the caller's own F, not
+    G = -J0^-1 F: each F is composed with x_i at its i-th parameter's
+    place and Y_j at its j-th unknown's."""
+    online.settle()
     unknowns = [online.unknown(j) for j in range(len(online.parts))]
     slots = [None] * (online.nparams + len(unknowns))
     for i, place in enumerate(online.params):
@@ -256,19 +263,19 @@ def _certified(online: "_OnlineSolve", minus_inverse, what: str) -> list[Truncat
 # the online core
 
 
-def _graded(series: TruncatedSeries, params, unknowns, order: int) -> dict:
-    """The rows of ``series`` over (x, y) as {beta: {|alpha|: form}}.
+def _graded(form, base: int, nvars: int, params, unknowns, order: int) -> dict:
+    """The rows of ``form``, over (x, y) with keys at ``base``, as
+    {beta: {|alpha|: form}}.
 
     ``params`` and ``unknowns`` are the positions of x_1, x_2, .. and of
-    y_1, y_2, .. among the series' variables. A term x^alpha y^beta sits
+    y_1, y_2, .. among the ``nvars`` variables. A term x^alpha y^beta sits
     under its exponents beta in the unknowns, then under |alpha|. Each
     form holds the x^alpha rows of degree |alpha| <= ``order``, keys at
     base order + 2 over x in the order of ``params``; it need not be
     primitive. The key is one weighted sum over all exponents, with
     weight 0 on the unknowns.
     """
-    den, rows, is_complex = series._form
-    own, nvars = series.order + 2, series.nvars
+    den, rows, is_complex = form
     weights = [0] * nvars
     for place, weight in zip(params, _weights(order + 2, len(params))):
         weights[place] = weight
@@ -276,7 +283,7 @@ def _graded(series: TruncatedSeries, params, unknowns, order: int) -> dict:
     single = len(unknowns) == 1
     groups: dict = {}
     for d, k, a, b in rows:
-        e = _exponents(k, own, nvars)
+        e = _exponents(k, base, nvars)
         beta = (beta_of(e),) if single else beta_of(e)
         size = d - sum(beta)
         if size <= order:
@@ -294,29 +301,46 @@ class _OnlineSolve:
     ``equations`` are the series F_i over (x, y): ``params`` gives the
     positions of x_1, x_2, .. among their variables, and Y is written
     over x in that order; y_1, y_2, .. are the remaining positions, in
-    increasing order. The stored terms of each F_i are read as
-    polynomials, grouped once by ``_graded``. Every solve starts from
-    Y = 0 and settles degrees 1 through ``order``.
+    increasing order. ``minus_inverse`` holds -J0^-1 by rows, each the
+    (constant integer form, column) of its nonzero entries, as
+    ``_negated`` writes them; a form need not be primitive.
+
+    The solve grades G = -J0^-1 F, not F: each G_i is one sum of products
+    in the kernel, formed here, at the lowest order of the F_j. The stored
+    terms of each G_i are read as polynomials, grouped once by
+    ``_graded``. G's Jacobian in y at the origin is -I, so the degree-d
+    part of G(x, Y) is -Y_d + R_d and Y_d is the residual R_d itself.
+    Every solve starts from Y = 0 and settles degrees 1 through ``order``.
 
     The degree-d parts of each needed power product Y^beta, |beta| >= 2,
     are formed as Y^(beta - e_j) Y_j, so the set of products kept is
-    closed under that step even where F skips powers. Each degree-d part,
+    closed under that step even where G skips powers. Each degree-d part,
     of a power product or of a residual, is one sum of products in the
-    series product kernel, at the solve's order, and is kept as its
-    integer form.
+    kernel's form entry, at the solve's order, and is kept as its integer
+    form.
 
-    ``residual(d)`` must be called for every degree from 2 on, in
+    ``residual(d)`` must be called for every degree from 1 on, in
     increasing order, once each; ``settle`` calls it.
     """
 
-    def __init__(self, equations, params, order: int):
+    def __init__(self, equations, params, order: int, minus_inverse):
         self.system = list(equations)
         self.params = tuple(params)
+        nvars = self.system[0].nvars
         taken = set(self.params)
-        self.unknowns = tuple(i for i in range(self.system[0].nvars) if i not in taken)
+        self.unknowns = tuple(i for i in range(nvars) if i not in taken)
         self.nparams = len(self.params)
         self.order = order
-        self.equations = [_graded(F, self.params, self.unknowns, order) for F in self.system]
+        # G = -J0^-1 F at the lowest order of the F_j, which is >= order
+        fold = min(F.order for F in self.system)
+        forms = [F._form_at(fold + 2) for F in self.system]
+        folded = [
+            _sum_of_products_form([(coeff, forms[j]) for coeff, j in row], fold)
+            for row in minus_inverse
+        ]
+        self.equations = [
+            _graded(G, fold + 2, nvars, self.params, self.unknowns, order) for G in folded
+        ]
         # reach[beta]: the highest degree of Y^beta that some residual uses
         reach: dict = {}
         for groups in self.equations:
@@ -340,39 +364,33 @@ class _OnlineSolve:
             return self.parts[beta.index(1)] if size else (_ONE_FORM,)
         return self.powers.get(beta, ())
 
-    def residual(self, degree: int) -> list[TruncatedSeries]:
-        """R_d, the degree-``degree`` part of each F_i(x, Y) from the parts
-        of Y below that degree, Y_d being still open."""
-        nparams, order = self.nparams, self.order
+    def residual(self, degree: int) -> list:
+        """R_d as integer forms, the degree-``degree`` part of each G_i(x, Y)
+        from the parts of Y below that degree, Y_d being still open."""
+        order = self.order
         for beta, top in self.reach.items():
             if sum(beta) <= degree <= top:
                 parent, j = _lower(beta)
                 lower, last = self._power(parent), self.parts[j]
                 pairs = [(lower[d], last[degree - d]) for d in range(sum(parent), degree)]
-                self.powers[beta].append(_sum_of_products(pairs, nparams, order)._form)
+                self.powers[beta].append(_sum_of_products_form(pairs, order))
         out = []
         for groups in self.equations:
             pairs = []
             for beta, by_degree in groups.items():
-                graded = self._power(beta)
+                graded, low = self._power(beta), sum(beta)
                 for d, coeffs in by_degree.items():
                     # parts below degree |beta| are empty; Y_d is missing while open
-                    if 0 <= degree - d < len(graded):
+                    if low <= degree - d < len(graded):
                         pairs.append((coeffs, graded[degree - d]))
-            out.append(_sum_of_products(pairs, nparams, order))
+            out.append(_sum_of_products_form(pairs, order))
         return out
 
-    def settle(self, minus_inverse) -> None:
-        """Fix Y_d = -J0^-1 R_d for every degree from 1 through the order.
-
-        ``minus_inverse`` holds -J0^-1 by rows, each the (constant integer
-        form, column) of its nonzero entries; a form need not be primitive.
-        """
+    def settle(self) -> None:
+        """Fix Y_d = R_d(G) for every degree from 1 through the order."""
         for degree in range(1, self.order + 1):
-            rhs = [res._form for res in self.residual(degree)]
-            for parts, row in zip(self.parts, minus_inverse):
-                pairs = [(coeff, rhs[i]) for coeff, i in row]
-                parts.append(_sum_of_products(pairs, self.nparams, self.order)._form)
+            for parts, part in zip(self.parts, self.residual(degree)):
+                parts.append(part)
 
     def unknown(self, j: int) -> TruncatedSeries:
         """Every settled part of Y_j as one series: the homogeneous parts'

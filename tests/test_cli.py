@@ -518,7 +518,9 @@ def test_main_keeps_no_parse_state_between_calls(at_root, tmp_path, capsys):
     results = [in_process(capsys, argv) for argv in calls]
     codes = [code for code, _, _ in results]
     assert codes == [0, 0, 0, 0, 0, 0, 2, 2, 0]
-    assert results[6][2].startswith(b"usage: crkit [-h] ")
+    # an unknown flag is refused under the command's own usage
+    assert results[6][2].startswith(b"usage: crkit analyze [-h] ")
+    assert results[6][2].endswith(b"crkit: error: unrecognized arguments: --bogus\n")
     assert results[7][2].startswith(b"usage: crkit analyze [-h] ")
     for argv, result in zip(calls, results):
         assert fresh_process(argv) == result, argv
@@ -558,6 +560,8 @@ def test_a_flag_the_command_does_not_read_is_refused(at_root, capsys, argv, unkn
     result = in_process(capsys, argv)
     code, out, err = result
     assert (code, out) == (2, b"")
+    # the usage printed is the command's own, which lists the flags it takes
+    assert err.startswith(f"usage: crkit {argv[0]} [-h] ".encode())
     assert err.endswith(f"crkit: error: unrecognized arguments: {unknown}\n".encode())
     assert fresh_process(argv) == result
     assert not (ROOT / "never-written").exists()

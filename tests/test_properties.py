@@ -16,15 +16,15 @@ from crkit.hypersurface import (
 )
 from crkit.linalg import determinant
 from crkit.rank import CERTIFIED, generic_rank, matrix_generic_rank
-from crkit.rational import GaussRational, ONE, ZERO
+from crkit.rational import GaussRational, I, ONE, ZERO
 from crkit.reflection import (
     FormalMap, MapVerdict, check_maps_into, convergence_evidence, partial_convergence,
 )
 from crkit.series import (
-    SeriesMap, TruncatedSeries, compose, format_monomial, format_series, grlex_key,
-    multi_factorial, multi_indices, unit_exponent,
+    SeriesMap, TruncatedSeries, _exponents, _sum_of_products, _sum_of_products_form, compose,
+    format_monomial, format_series, grlex_key, multi_factorial, multi_indices, unit_exponent,
 )
-from crkit.solvers import implicit_solve, invert_map
+from crkit.solvers import _negated, implicit_solve, invert_map
 
 
 small_fractions = st.fractions(
@@ -1000,6 +1000,85 @@ def test_cancelling_product_is_zero_without_building_the_view(operands):
     assert difference.is_zero()
     assert difference._view is None and p._view is None and q._view is None
     assert not difference.terms
+
+
+# Multi-pair sums in the kernel, through its form entry and through
+# _sum_of_products, against GaussRational arithmetic on the decoded terms.
+# The left operands include constants shaped like the solver's -J0^-1
+# entries and forms scaled by a common factor, neither primitive, and a
+# drawn pair may be followed by its negation, so whole sums cancel.
+
+
+def gauss_terms(form, nvars, base):
+    den, rows, _ = form
+    return {
+        _exponents(k, base, nvars): GaussRational(Fraction(a, den), Fraction(b, den))
+        for _, k, a, b in rows
+    }
+
+
+def ref_sum_of_products(pairs, nvars, order):
+    out = {}
+    for left, right in pairs:
+        for e1, c1 in gauss_terms(left, nvars, order + 2).items():
+            for e2, c2 in gauss_terms(right, nvars, order + 2).items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                if sum(e) <= order:
+                    out[e] = out.get(e, ZERO) + c1 * c2
+    return {e: c for e, c in out.items() if not c.is_zero()}
+
+
+def negated_form(form):
+    den, rows, is_complex = form
+    return den, [(d, k, -a, -b) for d, k, a, b in rows], is_complex
+
+
+@st.composite
+def kernel_sums(draw):
+    nvars, order = draw(st.integers(0, 3)), draw(st.integers(0, 5))
+    pairs = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["series", "minus inverse", "scaled"]))
+        if kind == "minus inverse":
+            ((left, _),) = _negated([[draw(kernel_coefficients.filter(bool))]])[0]
+        else:
+            left = draw(kernel_series(nvars, order))._form
+            if kind == "scaled":
+                k = draw(st.integers(2, 6))
+                den, rows, is_complex = left
+                left = (den * k, [(d, key, a * k, b * k) for d, key, a, b in rows], is_complex)
+        right = draw(kernel_series(nvars, order))._form
+        pairs.append((left, right))
+        if draw(st.booleans()):
+            pairs.append((negated_form(left), right))
+    return nvars, order, pairs
+
+
+HALF_PLUS_HALF_I = _negated([[GaussRational(Fraction(1, 2), Fraction(1, 2))]])[0][0][0]
+
+
+@given(kernel_sums())
+@example((2, 3, [(HALF_PLUS_HALF_I, TruncatedSeries.variable(2, 3, 0)._form)]))  # content 2
+@example((1, 2, [  # every product cancels
+    (HALF_PLUS_HALF_I, TruncatedSeries(1, 2, {(1,): ONE, (2,): I})._form),
+    (negated_form(HALF_PLUS_HALF_I), TruncatedSeries(1, 2, {(1,): ONE, (2,): I})._form),
+]))
+@example((2, 2, [  # real and complex pairs over different denominators
+    (TruncatedSeries(2, 2, {(1, 0): GaussRational(Fraction(1, 3))})._form,
+     TruncatedSeries(2, 2, {(0, 1): GaussRational(0, Fraction(2, 5))})._form),
+    ((4, [(0, 0, 6, 0)], False), TruncatedSeries(2, 2, {(1, 1): GaussRational(Fraction(1, 7))})._form),
+]))
+def test_kernel_sums_match_the_gauss_rational_reference(case):
+    nvars, order, pairs = case
+    form = _sum_of_products_form(pairs, order)
+    wrapped = _sum_of_products(pairs, nvars, order)
+    assert wrapped._form == form and wrapped.order == order
+    assert_primitive(wrapped)
+    expected = ref_sum_of_products(pairs, nvars, order)
+    assert form == TruncatedSeries(nvars, order, expected)._form
+    if not expected:
+        assert form == (1, [], False)
+    assert wrapped.terms == expected
 
 
 def ref_truncate(a, order):

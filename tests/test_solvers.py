@@ -4,19 +4,21 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from crkit import corpus
 from crkit.documents import serialize
-from crkit import linalg, solvers
+from crkit import linalg, series, solvers
 from crkit.rational import GaussRational, I, ONE
 from crkit.series import (
     SeriesMap,
     TruncatedSeries,
+    _ONE_FORM,
     _exponents,
     _inverse_equation,
     _pack,
     _sum_of_products,
+    _sum_of_products_form,
     _weights,
     compose,
     multi_indices,
@@ -728,10 +730,12 @@ def test_shift_matches_the_gauss_rational_expansion(case):
 
 
 @st.composite
-def square_systems(draw):
+def square_systems(draw, r=None):
     """(system, y0): r equations y_i + P_i(x, y) - c_i over q parameters and
-    r unknowns, with c_i making y(0) = y0 a root, and J0 invertible there."""
-    q, r = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    r unknowns, with c_i making y(0) = y0 a root, and J0 invertible there.
+    r is drawn from 1 and 2 unless given."""
+    q = draw(st.integers(1, 2))
+    r = draw(st.integers(1, 2)) if r is None else r
     order = draw(st.integers(2, 3))
     part = st.fractions(min_value=-2, max_value=2, max_denominator=3)
     coefficient = st.builds(GaussRational, part, part).filter(bool)
@@ -779,3 +783,225 @@ def test_newton_extend_diagnoses_the_jacobian_through_the_seed_order():
     seed = SeriesMap([TruncatedSeries(1, 3, [((3,), ONE)])])
     with pytest.raises(ValueError, match="singular at the origin"):
         newton_extend(system, seed, 3)
+
+
+# ---------------------------------------------------------------------------
+# -J0^-1 is folded into the equations once; the bytes are those of settling
+# each degree as -J0^-1 R_d
+#
+# Before the fold, the online solve graded F itself and settled degree d
+# as Y_d = -J0^-1 R_d(F), one kernel call per unknown and degree. That
+# loop is kept here as ``ref_settle``. It runs on an online solve given
+# the identity in place of -J0^-1, which therefore grades F unchanged.
+
+
+def ref_settle(online, minus_inverse):
+    for degree in range(1, online.order + 1):
+        rhs = online.residual(degree)
+        for parts, row in zip(online.parts, minus_inverse):
+            pairs = [(coeff, rhs[i]) for coeff, i in row]
+            parts.append(_sum_of_products_form(pairs, online.order))
+
+
+def ref_solve(equations, params, order, minus_inverse):
+    identity = [[(_ONE_FORM, i)] for i in range(len(equations))]
+    online = solvers._OnlineSolve(equations, params, order, identity)
+    ref_settle(online, minus_inverse)
+    return [online.unknown(j) for j in range(len(equations))]
+
+
+def same_bytes(got, expected):
+    def key(s):
+        return s.nvars, s.order, s._form
+
+    return list(map(key, got)) == list(map(key, expected))
+
+
+_SOLVE_PART = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+_SOLVE_COEFFICIENT = st.builds(GaussRational, _SOLVE_PART, _SOLVE_PART).filter(bool)
+
+
+def drawn_terms(draw, nvars, low, high, size=6):
+    """Up to ``size`` drawn terms of degree ``low`` through ``high``."""
+    monomials = [e for e in multi_indices(nvars, high) if sum(e) >= low]
+    chosen = draw(st.lists(st.sampled_from(monomials), max_size=size, unique=True))
+    return {e: draw(_SOLVE_COEFFICIENT) for e in chosen}
+
+
+@st.composite
+def implicit_cases(draw):
+    """(rho, var, rest): rho(0) = 0 over 2 to 4 variables, with a nonzero
+    complex linear coefficient on ``var``."""
+    m, order = draw(st.integers(2, 4)), draw(st.integers(1, 5))
+    var = draw(st.integers(0, m - 1))
+    terms = drawn_terms(draw, m, 1, order, size=8)
+    terms[unit_exponent(m, var)] = draw(_SOLVE_COEFFICIENT)
+    rest = draw(st.permutations([i for i in range(m) if i != var]))
+    return TruncatedSeries(m, order, terms), var, rest
+
+
+@st.composite
+def dense_maps(draw):
+    """An invertible map, n = 2 or 3, whose linear part has every entry
+    complex with nonzero real and imaginary parts, so none is a unit."""
+    n = draw(st.sampled_from([2, 3]))
+    order = draw(st.integers(2, 5 if n == 2 else 4))
+    entry = st.builds(GaussRational, _SOLVE_PART.filter(bool), _SOLVE_PART.filter(bool))
+    components = []
+    for i in range(n):
+        terms = drawn_terms(draw, n, 2, order)
+        terms.update({unit_exponent(n, j): draw(entry) for j in range(n)})
+        components.append(TruncatedSeries(n, order, terms))
+    fmap = SeriesMap(components)
+    assume(not linalg.determinant(fmap.linear_matrix()).is_zero())
+    return fmap
+
+
+@settings(max_examples=60, deadline=None)
+@given(implicit_cases())
+def test_folded_implicit_solve_matches_the_per_degree_settle(case):
+    rho, var, rest = case
+    c = rho.coefficient(unit_exponent(rho.nvars, var))
+    minus_inverse = solvers._negated(linalg.inverse([[c]]))
+    expected = ref_solve([rho], rest, rho.order, minus_inverse)
+    assert same_bytes([implicit_solve(rho, var, rest=rest)], expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense_maps())
+def test_folded_invert_map_matches_the_per_degree_settle(fmap):
+    n = fmap.source_nvars
+    equations = [_inverse_equation(f, i) for i, f in enumerate(fmap.components)]
+    minus_inverse = solvers._negated(linalg.inverse(fmap.linear_matrix()))
+    expected = ref_solve(equations, range(n), fmap.order, minus_inverse)
+    assert same_bytes(invert_map(fmap).components, expected)
+
+
+def newton_reference(system, seed, target):
+    """newton_extend's output through ``ref_settle``: the same shift, and
+    J0 read from the shifted equations."""
+    r = system.target_nvars
+    q = system.source_nvars - r
+    y0 = [c.constant_term() for c in seed.components]
+    lift = max(target, system.order) + 1
+    equations = [solvers._shift(F, q, y0, lift) for F in system.components]
+    j0 = [[F.coefficient(unit_exponent(q + r, q + j)) for j in range(r)] for F in equations]
+    increments = ref_solve(equations, range(q), target, solvers._negated(linalg.inverse(j0)))
+    return [u + c for u, c in zip(increments, y0)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(square_systems(r=2), st.integers(1, 5))
+def test_folded_newton_extend_matches_the_per_degree_settle(case, target):
+    system, y0 = case
+    seed = SeriesMap(TruncatedSeries.constant(c, system.source_nvars - 2, 0) for c in y0)
+    expected = newton_reference(system, seed, target)
+    assert same_bytes(newton_extend(system, seed, target).components, expected)
+
+
+@pytest.mark.parametrize("y0", [(G(0), G(0)), (G(1), I)])
+def test_folded_newton_extend_matches_on_a_dense_complex_jacobian(y0):
+    system = complex_pair_system(y0)
+    seed = SeriesMap([TruncatedSeries.constant(c, 1, 0) for c in y0])
+    expected = newton_reference(system, seed, 6)
+    assert same_bytes(newton_extend(system, seed, 6).components, expected)
+
+
+def test_invert_map_calls_the_kernel_only_to_fold_and_for_powers_and_residuals(monkeypatch):
+    # every kernel call outside the certificate's compositions is one of
+    # n folds, one per kept power part, or n residuals per degree
+    x, y, z = (V(3, i, 5) for i in range(3))
+    fmap = SeriesMap([
+        x.scale(G(1, 2)) + y.scale(G(Fraction(1, 3), -1)) + z + x * y + (z ** 3).scale(I),
+        x.scale(G(-1, 1)) + y.scale(G(2, Fraction(1, 2))) + z.scale(3) + y * z - x ** 2,
+        x + y.scale(G(0, 4)) + z.scale(G(Fraction(-1, 2), 1)) + (x * y * z).scale(Fraction(2, 5)),
+    ])
+    kernel, solve_compose, init = (
+        series._sum_of_products_form, solvers.compose, solvers._OnlineSolve.__init__
+    )
+    calls, certifying, solves = [0], [False], []
+
+    def counted(pairs, order):
+        calls[0] += not certifying[0]
+        return kernel(pairs, order)
+
+    def certificate(F, vmap):
+        certifying[0] = True
+        try:
+            return solve_compose(F, vmap)
+        finally:
+            certifying[0] = False
+
+    def kept(online, *args):
+        init(online, *args)
+        solves.append(online)
+
+    monkeypatch.setattr(series, "_sum_of_products_form", counted)
+    monkeypatch.setattr(solvers, "_sum_of_products_form", counted)
+    monkeypatch.setattr(solvers, "compose", certificate)
+    monkeypatch.setattr(solvers._OnlineSolve, "__init__", kept)
+    inverse = invert_map(fmap)
+    (online,) = solves
+    power_parts = sum(top - sum(beta) + 1 for beta, top in online.reach.items())
+    assert power_parts
+    assert calls[0] == 3 + power_parts + 3 * fmap.order
+    monkeypatch.undo()
+    assert inverse == reference_invert_map(fmap)
+
+
+# ---------------------------------------------------------------------------
+# earned orders: terms above the order of F do not reach the solution
+# through that order
+
+
+def lifted(draw, F, low, extra):
+    """F at order F.order + ``extra``, with drawn terms from degree ``low``
+    up added to its own."""
+    order = F.order + extra
+    terms = drawn_terms(draw, F.nvars, low, order)
+    terms.update(F.terms)
+    return TruncatedSeries(F.nvars, order, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(implicit_cases(), st.integers(1, 3), st.data())
+def test_implicit_solve_earns_its_order(case, extra, data):
+    rho, var, rest = case
+    high = lifted(data.draw, rho, rho.order + 1, extra)
+    solution = implicit_solve(rho, var, rest=rest)
+    assert implicit_solve(high, var, rest=rest).truncate(rho.order) == solution
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense_maps(), st.integers(1, 2), st.data())
+def test_invert_map_earns_its_order(fmap, extra, data):
+    high = SeriesMap(lifted(data.draw, f, fmap.order + 1, extra) for f in fmap.components)
+    assert invert_map(high).truncate(fmap.order) == invert_map(fmap)
+
+
+@settings(max_examples=40, deadline=None)
+@given(square_systems(), st.integers(1, 5), st.integers(1, 2), st.data())
+def test_newton_extend_earns_its_order(case, target, extra, data):
+    # the stored terms of a system are exact, so its lift is written in the
+    # shifted unknowns u = y - y0: terms x^alpha u^beta above the order
+    # cannot reach u below it, while plain y^beta terms would shift down
+    system, y0 = case
+    r = len(y0)
+    q = system.source_nvars - r
+    order = system.order + extra
+    shifted = [V(q + r, i, order) for i in range(q)]
+    shifted += [V(q + r, q + j, order) - c for j, c in enumerate(y0)]
+    lifted_system = []
+    for F in system.components:
+        high = TruncatedSeries(F.nvars, order, F.terms)
+        for e, c in drawn_terms(data.draw, q + r, system.order + 1, order).items():
+            term = TruncatedSeries.constant(c, q + r, order)
+            for factor, k in zip(shifted, e):
+                if k:
+                    term = term * factor ** k
+            high = high + term
+        lifted_system.append(high)
+    seed = SeriesMap(TruncatedSeries.constant(c, q, 0) for c in y0)
+    cut = min(target, system.order)
+    solution = newton_extend(system, seed, target).truncate(cut)
+    assert newton_extend(SeriesMap(lifted_system), seed, target).truncate(cut) == solution
