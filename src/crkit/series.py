@@ -174,17 +174,20 @@ def _primitive(den: int, rows: list):
     return den, rows, any(row[3] for row in rows)
 
 
-def _sum_of_products_form(pairs, order: int):
+def _sum_of_products_form(pairs, order: int, depth: int | None = None):
     """The integer form of the sum of left * right over ``pairs``, through
-    degree ``order``.
+    degree ``order``, or only through ``depth`` <= ``order`` when given.
 
     Each operand is an integer form with keys at base order + 2, as
     ``TruncatedSeries._form_at`` gives it; a left operand need only be
-    sorted by degree, and neither need be primitive. All products are
+    sorted by degree, and neither need be primitive. ``depth`` bounds the
+    rows formed and nothing else: keys stay at base order + 2, and a row's
+    degree is read as key % (order + 1). All products are
     accumulated as plain ints over one common denominator; the content gcd
     is taken from the accumulators, and the rows are built already divided
     by it, so the result is primitive and an empty sum is (1, [], False).
     """
+    reach = order if depth is None else depth
     den = math.lcm(*[dl * dr for (dl, _, _), (dr, _, _) in pairs])
     re_acc: dict[int, int] = {}  # holds every key reached, in first-reached order
     im_acc: dict[int, int] = {}
@@ -192,7 +195,7 @@ def _sum_of_products_form(pairs, order: int):
     for (dl, left, _), (dr, right, right_complex) in pairs:
         scale = den // (dl * dr)
         for d1, k1, a1, b1 in left:
-            room = order - d1
+            room = reach - d1
             if room < 0:
                 break
             if scale != 1:
@@ -655,8 +658,8 @@ class SeriesMap:
         return SeriesMap(c.truncate(order) for c in self.components)
 
     def compose(self, inner: "SeriesMap") -> "SeriesMap":
-        """Componentwise substitution, self after inner."""
-        return SeriesMap(compose(c, inner) for c in self.components)
+        """Componentwise substitution, self after inner, in one pass."""
+        return compose(self, inner)
 
     def jacobian(self) -> list[list[TruncatedSeries]]:
         """Matrix of partials, rows by component, columns by source variable.
@@ -689,23 +692,37 @@ class SeriesMap:
         )
 
 
-def compose(outer: TruncatedSeries, vmap: SeriesMap) -> TruncatedSeries:
+def compose(outer: "TruncatedSeries | SeriesMap", vmap: SeriesMap):
     """Substitute the components of ``vmap`` for the variables of ``outer``.
 
-    The map must preserve the origin; otherwise low-degree output
-    coefficients would depend on input coefficients beyond the truncation,
-    and the result could not be guaranteed exact. The result order is the
-    minimum of both orders.
+    ``outer`` is a series, or a map whose every component is substituted
+    in the same pass; the result is of the same kind. The map must preserve
+    the origin; otherwise low-degree output coefficients would depend on
+    input coefficients beyond the truncation, and the result could not be
+    guaranteed exact. The result order is the minimum of both orders.
 
     This is the one substitution routine: relabels and restrictions are
     compositions with maps written by ``SeriesMap.from_slots``. A slot
     holding a plain variable only shifts exponents, and a slot holding
-    zero only drops the outer terms that use it; a map with no other slot
-    is applied by that shift alone, and the kernel sums the terms it makes
-    meet. The other slots are expanded through
-    cached powers, multiplied once per distinct exponent pattern on those
-    slots. The outer terms sharing a pattern are summed against its
-    product in one pass of the product kernel.
+    zero, or a series with no term through the result order, only drops
+    the outer terms that use it; a map with no other slot is applied by
+    that shift alone, and the kernel sums the terms it makes meet. The
+    outer terms sharing an exponent pattern on the other, general slots
+    are summed against that pattern's product in one pass of the product
+    kernel, one pass per outer series.
+
+    Each power Y_i^k of a general slot and each pattern product is formed
+    once per call, shared by every outer series, and only as deep as some
+    term reads it. The kernel pairs a group row of degree d only with
+    product rows of degree <= order - d, so a pattern's product is read
+    through order - d_min, its depth, where d_min is the lowest degree of
+    its groups. A factor Y_i^k of the pattern is then read through that
+    depth less the valuations of the other factors, and Y_i^k = Y_i^(k-1)
+    Y_i reads Y_i^(k-1) through that less v_i, the valuation of Y_i. Each
+    product is formed by the kernel through its degree bound, at the keys
+    of base order + 2, and every row a final sum reads is formed exactly;
+    as every form is primitive, the result has the bytes it would have
+    had from products at full order.
 
     Outer keys are never decoded into exponent tuples. Each slot reads its
     exponent as one digit ``key // w % base`` of the packed key, and a run
@@ -714,28 +731,31 @@ def compose(outer: TruncatedSeries, vmap: SeriesMap) -> TruncatedSeries:
     place value of its source variable, and a general slot's digit is the
     power of its series.
     """
-    if vmap.target_nvars != outer.nvars:
+    outers = outer.components if isinstance(outer, SeriesMap) else (outer,)
+    first = outers[0]
+    if vmap.target_nvars != first.nvars:
         raise ValueError(
-            f"map produces {vmap.target_nvars} values, series expects {outer.nvars}"
+            f"map produces {vmap.target_nvars} values, series expects {first.nvars}"
         )
     if not vmap.is_origin_preserving():
         raise ValueError("composition requires an origin-preserving map")
-    order = min(outer.order, vmap.order)
+    order = min(first.order, vmap.order)
     base = order + 2
     src = vmap.source_nvars
-    outer_base = outer.order + 2
-    outer_weights = _weights(outer_base, outer.nvars)
+    outer_base = first.order + 2
+    outer_weights = _weights(outer_base, first.nvars)
     weights = _weights(base, src)
-    # slot i as ("zero", None), ("plain", its source variable) or ("general", None)
+    # slot i as ("zero", None), ("plain", its source variable) or
+    # ("general", its valuation)
     slots = []
     for component in vmap.components:
         den, rows, _ = component._form
-        if not rows:
+        if not rows or rows[0][0] > order:
             slots.append(("zero", None))
         elif den == 1 and len(rows) == 1 and rows[0][0] == 1 and rows[0][2:] == (1, 0):
             slots.append(("plain", _weights(component.order + 2, src).index(rows[0][1])))
         else:
-            slots.append(("general", None))
+            slots.append(("general", rows[0][0]))
 
     # ``kills`` holds each zero run as a (place value, span) slice of an
     # outer key, ``moves`` each plain slot's place value and the result
@@ -756,54 +776,92 @@ def compose(outer: TruncatedSeries, vmap: SeriesMap) -> TruncatedSeries:
         i = end
     general = [outer_weights[i] for i in general_slots]
 
-    # each outer term through ``order`` that no zero slot kills, as its
-    # exponents on the general slots and its row after the plain slots'
-    # shift, with keys at ``base``
+    # each outer's terms through ``order`` that no zero slot kills, grouped
+    # by their exponents on the general slots; a group is one sum of
+    # monomials in the plain slots' variables, its rows after the plain
+    # slots' shift with keys at ``base``
     top = order + 1
-    den, rows, is_complex = outer._form
-    shifted = []
-    for d, k, a, b in rows:
-        if d > order:
-            break
-        for w, span in kills:
-            if k // w % span:
+    grouped = []
+    for series in outers:
+        den, rows, is_complex = series._form
+        groups: dict[tuple[int, ...], list] = {}
+        for d, k, a, b in rows:
+            if d > order:
                 break
-        else:
-            key = sum([k // w % outer_base * t for w, t in moves])
-            pattern = tuple([k // w % outer_base for w in general])
-            shifted.append((pattern, (key % top, key, a, b)))
+            for w, span in kills:
+                if k // w % span:
+                    break
+            else:
+                key = sum([k // w % outer_base * t for w, t in moves])
+                pattern = tuple([k // w % outer_base for w in general])
+                groups.setdefault(pattern, []).append((key % top, key, a, b))
+        grouped.append((den, groups, is_complex))
 
-    if not general_slots:
+    if general_slots:
+        # the kernel reads a pattern's product through order - d_min
+        depth: dict[tuple[int, ...], int] = {}
+        for _, groups, _ in grouped:
+            for pattern, group in groups.items():
+                group.sort()
+                depth[pattern] = max(depth.get(pattern, 0), order - group[0][0])
+        factors = [(vmap.components[i], slots[i][1]) for i in general_slots]
+        products = _pattern_products(depth, factors, order)
+    else:
         # a relabel keeps every degree, so the rows are still sorted; the
         # kernel sums the terms that two slots naming one variable make meet
-        left = (den, [row for _, row in shifted], is_complex)
-        return _sum_of_products([(left, _ONE_FORM)], src, order)
+        products = {(): _ONE_FORM}
+    results = [
+        _sum_of_products(
+            [((den, group, is_complex), products[p]) for p, group in groups.items() if p in products],
+            src,
+            order,
+        )
+        for den, groups, is_complex in grouped
+    ]
+    return SeriesMap(results) if isinstance(outer, SeriesMap) else results[0]
 
-    one = TruncatedSeries._trusted(src, order, _ONE_FORM)
-    # each cache starts at the slot's own series, so no power is one * Y
-    powers = {i: [one, vmap.components[i].truncate(order)] for i in general_slots}
 
-    def power(i: int, k: int) -> TruncatedSeries:
-        cache = powers[i]
-        while len(cache) <= k:
-            cache.append(cache[-1] * cache[1])
-        return cache[k]
-
-    # outer terms grouped by their exponents on the general slots; each
-    # group is one sum of monomials in the plain slots' variables
-    groups: dict[tuple[int, ...], list] = {}
-    for pattern, row in shifted:
-        groups.setdefault(pattern, []).append(row)
-    pairs = []
-    for pattern, group in groups.items():
-        series = one
-        for i, k in zip(general_slots, pattern):
+def _pattern_products(depth: dict, factors: list, order: int) -> dict:
+    """``compose``'s products: each pattern of ``depth`` mapped to its
+    product of powers of the general slots, formed through the degrees
+    ``compose`` derives from the pattern's depth. ``factors`` holds each
+    general slot's (series, valuation), in the order of a pattern's
+    entries. A pattern whose product starts above its depth gets none."""
+    used = {}
+    need: dict[int, dict[int, int]] = {}  # slot -> {power k >= 2: degree read}
+    for pattern, reach in depth.items():
+        powers, low = [], 0  # the pattern's nonzero (slot, power), the product's valuation
+        for j, k in enumerate(pattern):
             if k:
-                factor = power(i, k)
-                series = factor if series is one else series * factor
-        group.sort()
-        pairs.append(((den, group, is_complex), series._form_at(base)))
-    return _sum_of_products(pairs, src, order)
+                powers.append((j, k))
+                low += k * factors[j][1]
+        if reach >= low:
+            used[pattern] = powers, low
+            for j, k in powers:
+                if k > 1:
+                    reads = need.setdefault(j, {})
+                    reads[k] = max(reads.get(k, 0), reach - low + k * factors[j][1])
+    cache = [[_ONE_FORM, series._form_at(order + 2)] for series, _ in factors]
+    for j, reads in need.items():
+        valuation, chain = factors[j][1], cache[j]
+        highest = max(reads)
+        for k in range(highest, 2, -1):
+            reads[k - 1] = max(reads.get(k - 1, 0), reads[k] - valuation)
+        for k in range(2, highest + 1):
+            chain.append(_sum_of_products_form([(chain[-1], chain[1])], order, reads[k]))
+
+    products = {}
+    for pattern, (powers, low) in used.items():
+        product, later = _ONE_FORM, low
+        for j, k in powers:
+            later -= k * factors[j][1]
+            factor = cache[j][k]
+            if product is _ONE_FORM:
+                product = factor
+            else:
+                product = _sum_of_products_form([(product, factor)], order, depth[pattern] - later)
+        products[pattern] = product
+    return products
 
 
 def _inverse_equation(f: TruncatedSeries, i: int) -> TruncatedSeries:

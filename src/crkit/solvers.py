@@ -161,8 +161,7 @@ def newton_extend(system: SeriesMap, solution: SeriesMap, target_order: int) -> 
     along = SeriesMap.from_slots(
         q, given, [*range(q), *(c - c0 for c, c0 in zip(solution.components, y0))]
     )
-    for F in equations:
-        defect = compose(F, along)
+    for defect in compose(SeriesMap(equations), along).components:
         if not defect.is_zero():
             raise ValueError(
                 "input does not solve the system through its stated order, first "
@@ -243,8 +242,8 @@ def _negated(j0_inv) -> list:
 def _certified(online: "_OnlineSolve", what: str) -> list[TruncatedSeries]:
     """Settle every open degree, each as Y_d = R_d(G), then certify Y by
     F(x, Y) = 0 at full order. The check reads the caller's own F, not
-    G = -J0^-1 F: each F is composed with x_i at its i-th parameter's
-    place and Y_j at its j-th unknown's."""
+    G = -J0^-1 F: the system of every F is composed, in one composition,
+    with x_i at its i-th parameter's place and Y_j at its j-th unknown's."""
     online.settle()
     unknowns = [online.unknown(j) for j in range(len(online.parts))]
     slots = [None] * (online.nparams + len(unknowns))
@@ -253,8 +252,8 @@ def _certified(online: "_OnlineSolve", what: str) -> list[TruncatedSeries]:
     for Y, place in zip(unknowns, online.unknowns):
         slots[place] = Y
     substitution = SeriesMap.from_slots(online.nparams, online.order, slots)
-    for F in online.system:
-        if not compose(F, substitution).is_zero():
+    for residual in compose(SeriesMap(online.system), substitution).components:
+        if not residual.is_zero():
             raise AssertionError(f"{what} failed its back-substitution; this is a bug")
     return unknowns
 

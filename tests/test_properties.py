@@ -6,23 +6,28 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
+import crkit.series
 from crkit import corpus
 from crkit.documents import FORMAT_VERSION, parse_document, serialize
+from crkit.errors import PrerequisiteError
 from crkit.hypersurface import (
     DegeneracyResult, _is_normal, degeneracy, from_defining, graph_residual, normalize,
-    normalizing_change, phi_family, reality_defect,
+    normalizing_change, phi_family, reality_defect, segre_maps,
 )
 from crkit.linalg import determinant
+from crkit.parser import parse_expr
 from crkit.rank import CERTIFIED, generic_rank, matrix_generic_rank
 from crkit.rational import GaussRational, I, ONE, ZERO
 from crkit.reflection import (
     FormalMap, MapVerdict, check_maps_into, convergence_evidence, partial_convergence,
+    reflection_function, segre_reflection_identity, u_family,
 )
 from crkit.series import (
-    SeriesMap, TruncatedSeries, _exponents, _sum_of_products, _sum_of_products_form, compose,
-    format_monomial, format_series, grlex_key, multi_factorial, multi_indices, unit_exponent,
+    SeriesMap, TruncatedSeries, _ONE_FORM, _exponents, _sum_of_products, _sum_of_products_form,
+    _weights, compose, format_monomial, format_series, grlex_key, multi_factorial, multi_indices,
+    unit_exponent,
 )
 from crkit.solvers import _negated, implicit_solve, invert_map
 
@@ -263,7 +268,7 @@ def ref_add(a, b, scale=(Fraction(1), Fraction(0))):
     return {e: v for e, v in out.items() if v != FRACTION_ZERO}
 
 
-def ref_compose(outer, components, src, order):
+def ref_expand(outer, components, src, order):
     """Substitute reference component dicts for the variables of ``outer``."""
     out = {}
     for e, coeff in outer.items():
@@ -358,7 +363,7 @@ def test_kernel_compose_matches_fraction_expansion(case):
     outer, vmap = case
     result = compose(outer, vmap)
     assert result.order == min(outer.order, vmap.order)
-    expected = ref_compose(
+    expected = ref_expand(
         ref_terms(outer), [ref_terms(c) for c in vmap.components], vmap.source_nvars, result.order
     )
     assert_matches(result, expected)
@@ -476,10 +481,241 @@ def test_compose_slot_runs_match_references(case):
     assert result.order == min(outer.order, order)
     if all(slot is None or isinstance(slot, int) for slot in slots):
         assert_matches(result, ref_relabel(ref_terms(outer), slots, src, result.order))
-    expected = ref_compose(
+    expected = ref_expand(
         ref_terms(outer), [ref_terms(c) for c in vmap.components], src, result.order
     )
     assert_matches(result, expected)
+
+
+# ---------------------------------------------------------------------------
+# one power cache per composition
+#
+# compose substitutes every component of an outer map in one pass, forms
+# each power of a general slot and each pattern product once, and forms
+# each only through the degree some outer term reads it. The reference is
+# its earlier body, which took one series at a time and formed every power
+# at the full order; the two must give the same bytes.
+
+
+def ref_compose(outer, vmap):
+    if vmap.target_nvars != outer.nvars:
+        raise ValueError(
+            f"map produces {vmap.target_nvars} values, series expects {outer.nvars}"
+        )
+    if not vmap.is_origin_preserving():
+        raise ValueError("composition requires an origin-preserving map")
+    order = min(outer.order, vmap.order)
+    base = order + 2
+    src = vmap.source_nvars
+    outer_base = outer.order + 2
+    outer_weights = _weights(outer_base, outer.nvars)
+    weights = _weights(base, src)
+    slots = []
+    for component in vmap.components:
+        den, rows, _ = component._form
+        if not rows:
+            slots.append(("zero", None))
+        elif den == 1 and len(rows) == 1 and rows[0][0] == 1 and rows[0][2:] == (1, 0):
+            slots.append(("plain", _weights(component.order + 2, src).index(rows[0][1])))
+        else:
+            slots.append(("general", None))
+
+    kills, moves, general_slots = [], [], []
+    i = 0
+    while i < len(slots):
+        kind, j = slots[i]
+        end = i + 1
+        if kind == "zero":
+            while end < len(slots) and slots[end][0] == "zero":
+                end += 1
+            kills.append((outer_weights[end - 1], outer_base ** (end - i)))
+        elif kind == "plain":
+            moves.append((outer_weights[i], weights[j]))
+        else:
+            general_slots.append(i)
+        i = end
+    general = [outer_weights[i] for i in general_slots]
+
+    top = order + 1
+    den, rows, is_complex = outer._form
+    shifted = []
+    for d, k, a, b in rows:
+        if d > order:
+            break
+        for w, span in kills:
+            if k // w % span:
+                break
+        else:
+            key = sum([k // w % outer_base * t for w, t in moves])
+            pattern = tuple([k // w % outer_base for w in general])
+            shifted.append((pattern, (key % top, key, a, b)))
+
+    if not general_slots:
+        left = (den, [row for _, row in shifted], is_complex)
+        return _sum_of_products([(left, _ONE_FORM)], src, order)
+
+    one = TruncatedSeries._trusted(src, order, _ONE_FORM)
+    powers = {i: [one, vmap.components[i].truncate(order)] for i in general_slots}
+
+    def power(i, k):
+        cache = powers[i]
+        while len(cache) <= k:
+            cache.append(cache[-1] * cache[1])
+        return cache[k]
+
+    groups = {}
+    for pattern, row in shifted:
+        groups.setdefault(pattern, []).append(row)
+    pairs = []
+    for pattern, group in groups.items():
+        product = one
+        for i, k in zip(general_slots, pattern):
+            if k:
+                factor = power(i, k)
+                product = factor if product is one else product * factor
+        group.sort()
+        pairs.append(((den, group, is_complex), product._form_at(base)))
+    return _sum_of_products(pairs, src, order)
+
+
+def stored_bytes(s):
+    return s.nvars, s.order, s._form
+
+
+@st.composite
+def shared_compositions(draw):
+    """1-4 outer series over one map that mixes zero, plain and general
+    slots. General slots have valuation 1 to 3, and a vanishing one has
+    terms only above the composition's order, so it truncates to zero
+    there. The outer order is drawn below, at or above the map's. The
+    outer terms are drawn freely, or as groups: a power of the non-plain
+    slots on plain parts of several degrees, or of high degree only, which
+    read it least deep."""
+    src = draw(st.integers(1, 3))
+    targets = draw(st.integers(1, 4))
+    map_order = draw(st.integers(1, 6))
+    outer_order = draw(st.integers(max(0, map_order - 2), map_order + 2))
+    order = min(map_order, outer_order)
+    slots = []
+    for _ in range(targets):
+        kind = draw(st.sampled_from(["zero", "plain", "general", "deep", "vanishing"]))
+        if kind == "plain":
+            slots.append(draw(st.integers(0, src - 1)))
+        elif kind == "general":
+            slots.append(draw(kernel_series(src, map_order, min_degree=1)))
+        elif kind == "deep" and map_order >= 2:
+            low = draw(st.integers(2, min(3, map_order)))
+            slots.append(draw(kernel_series(src, map_order, min_degree=low)))
+        elif kind == "vanishing" and map_order > order:
+            slots.append(draw(kernel_series(src, map_order, min_degree=order + 1)))
+        else:
+            slots.append(None)
+    plain = [i for i, slot in enumerate(slots) if isinstance(slot, int)]
+    others = [i for i in range(targets) if i not in plain]
+    grouped = plain and others and draw(st.booleans())
+    outers = []
+    for _ in range(draw(st.integers(1, 4))):
+        if not grouped:
+            chosen = draw(st.lists(st.sampled_from(multi_indices(targets, outer_order)), max_size=8, unique=True))
+            outers.append(TruncatedSeries(targets, outer_order, {e: draw(kernel_coefficients) for e in chosen}))
+            continue
+        # a few powers of the other slots, each on plain parts of several
+        # degrees, or only of the highest degrees the order leaves
+        terms = {}
+        high = draw(st.booleans())
+        for _ in range(draw(st.integers(1, 3))):
+            power = draw(st.sampled_from(multi_indices(len(others), min(3, outer_order))))
+            room = outer_order - sum(power)
+            parts = [e for e in multi_indices(len(plain), room) if not high or sum(e) >= room - 1]
+            for part in draw(st.lists(st.sampled_from(parts), min_size=1, max_size=3, unique=True)):
+                e = [0] * targets
+                for i, k in [*zip(others, power), *zip(plain, part)]:
+                    e[i] = k
+                terms[tuple(e)] = draw(kernel_coefficients)
+        outers.append(TruncatedSeries(targets, outer_order, terms))
+    return outers, SeriesMap.from_slots(src, map_order, slots)
+
+
+X0, X1 = (TruncatedSeries.variable(2, 6, i) for i in range(2))
+T0, T1, T2 = (TruncatedSeries.variable(3, 6, i) for i in range(3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared_compositions())
+# the second slot is x0^3, zero at the composition's order 2
+@example(([T0 * T1 + T2 * T2, T0 + T1 * T2], SeriesMap.from_slots(
+    2, 5, [1, TruncatedSeries(2, 5, {(3, 0): ONE}), X0 + X1 ** 2]
+)))
+# powers of slots of valuation 2 and 1, read only on plain parts of degree >= 3
+@example(([T0 ** 4 * T1 + T0 ** 3 * T2 ** 2, T1 ** 3 + T0 ** 3 * T1 * T2, T2 ** 5], SeriesMap.from_slots(
+    2, 6, [0, X0 * X0 + X1 ** 3, X1 + X0 * X1]
+)))
+def test_compose_matches_the_per_component_reference(case):
+    outers, vmap = case
+    expected = [stored_bytes(ref_compose(s, vmap)) for s in outers]
+    together = compose(SeriesMap(outers), vmap)
+    assert isinstance(together, SeriesMap)
+    assert [stored_bytes(s) for s in together.components] == expected
+    assert [stored_bytes(compose(s, vmap)) for s in outers] == expected
+    assert SeriesMap(outers).compose(vmap) == together
+
+
+DEEP_GERM = (
+    "-(i/2)*(z3-w3) - z1*w1 - z2*w2 - (z3+w3)*(z1*w2 + z2*w1) + z3*w3*z1*w1"
+    " - (z3+w3)^2*z2*w2 + (i/3)*(z3^2-w3^2)*z1*w1"
+)
+
+
+def test_deep_certificate_forms_y_squared_through_order_22_only(monkeypatch):
+    # every z3^2 term of rho carries degree 2 in the other variables, so
+    # the certificate of the order-24 solve reads Y^2 through order 22
+    rho = parse_expr(DEEP_GERM, "z:3,w:3", 24)
+    kernel = crkit.series._sum_of_products_form
+    squares = []
+
+    def counted(pairs, order, depth=None):
+        form = kernel(pairs, order, depth)
+        if depth is not None and len(pairs) == 1 and pairs[0][0] is pairs[0][1]:
+            squares.append((order, form))
+        return form
+
+    monkeypatch.setattr(crkit.series, "_sum_of_products_form", counted)
+    phi = from_defining(rho, 3).phi
+    monkeypatch.undo()
+    ((order, (_, rows, _)),) = squares
+    assert order == 24
+    assert max(row[0] for row in rows) == 22
+    assert phi == from_defining(rho, 3).phi
+
+
+def test_map_compose_forms_each_power_once(monkeypatch):
+    y, z = X1 + X0 * X1, X1 * X1 + X0 ** 3
+    inner = SeriesMap([X0, y, z])
+    # Y^2 .. Y^4 are read by all three components, Z only as itself
+    outer = SeriesMap([
+        T0 * T1 ** 2 + T2,
+        T1 ** 3 + T1 * T2,
+        T0 ** 2 * T1 ** 4 + T1 ** 2 * T2,
+    ])
+    kernel = crkit.series._sum_of_products_form
+    rights = []
+
+    def counted(pairs, order, depth=None):
+        if depth is not None:
+            rights.extend(right for _, right in pairs)
+        return kernel(pairs, order, depth)
+
+    monkeypatch.setattr(crkit.series, "_sum_of_products_form", counted)
+    composed = outer.compose(inner)
+    monkeypatch.undo()
+    # Y is the right factor of each power step only: Y^2, Y^3 and Y^4
+    assert sum(right is y._form for right in rights) == 3
+    # and the pattern products Y Z and Y^2 Z, each once
+    assert sum(right is z._form for right in rights) == 2
+    assert len(rights) == 5
+    assert [stored_bytes(c) for c in composed.components] == [
+        stored_bytes(ref_compose(c, inner)) for c in outer.components
+    ]
 
 
 @st.composite
@@ -512,7 +748,7 @@ def test_kernel_implicit_solve_matches_fixed_point(case):
     reference = {}
     for _ in range(order):
         components = variables[:var] + [reference] + variables[var:]
-        residual = ref_compose(ref_terms(rho), components, m - 1, order)
+        residual = ref_expand(ref_terms(rho), components, m - 1, order)
         reference = ref_add(reference, residual, (-inverse[0], -inverse[1]))
     assert_matches(implicit_solve(rho, var), reference)
 
@@ -969,8 +1205,8 @@ def test_chained_compositions_read_the_stored_form(chain):
     for result in (once, twice):
         assert_primitive(result)
     refs = [ref_terms(s) for s in vmap.components]
-    ref_once = ref_compose(ref_terms(outer), refs, nvars, once.order)
-    assert_matches(twice, ref_compose(ref_once, refs, nvars, twice.order))
+    ref_once = ref_expand(ref_terms(outer), refs, nvars, once.order)
+    assert_matches(twice, ref_expand(ref_once, refs, nvars, twice.order))
     assert_matches(once, ref_once)
 
 
@@ -1279,3 +1515,116 @@ def test_writers_match_the_decoded_terms(family_series, radius):
     assert evidence.rows == ref_evidence_rows(family, radius)
     assert evidence.r0 == max((row[2] for row in evidence.rows), default=0.0)
     assert [s._form for s in family_series] == forms
+
+
+# ---------------------------------------------------------------------------
+# earned orders: terms above the inputs' orders do not reach an output
+# through its stated order
+#
+# A germ is lifted by real term pairs above its order on monomials with
+# some z' and some w', so normal coordinates survive, and a map by terms
+# above its order. Truncated back, each derived object must equal the one
+# from the unlifted inputs. Rank verdicts read the truncation, and a lift
+# may raise a degeneracy rank, so partial convergence is compared only
+# where the certified witnesses agree.
+
+
+def mixed(n):
+    """Monomials over (z, w) with some z' and some w'."""
+    return lambda e: any(e[: n - 1]) and any(e[n : 2 * n - 1])
+
+
+def structural(e):
+    """Monomials of (z1 z2, z3, w1 w2, w3) with some z' and some w': the
+    field z1 d/dz1 - z2 d/dz2 stays tangent to the degenerate quadric."""
+    return e[0] == e[1] and e[3] == e[4] and e[0] and e[3]
+
+
+def lifted_germ(draw, rho, n, extra, keep):
+    """The germ of ``rho`` at order rho.order + ``extra``, with 1-3 drawn
+    real term pairs above rho.order on monomials that ``keep`` accepts."""
+    order = rho.order + extra
+    candidates = [e for e in multi_indices(2 * n, order) if sum(e) > rho.order and keep(e)]
+    terms = dict(rho.terms)
+    for e in draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=3, unique=True)):
+        c, mirror = draw(nonzero_rationals), e[n:] + e[:n]
+        terms[e] = terms.get(e, ZERO) + c
+        terms[mirror] = terms.get(mirror, ZERO) + c.conjugate()
+    return from_defining(TruncatedSeries(2 * n, order, terms), n)
+
+
+def lifted_map(draw, f, extra):
+    """f at order f.order + ``extra``, with drawn terms above f.order."""
+    order = f.order + extra
+    candidates = [e for e in multi_indices(f.source_nvars, order) if sum(e) > f.order]
+    components = []
+    for c in f.components:
+        terms = {e: draw(nonzero_rationals) for e in draw(st.lists(st.sampled_from(candidates), max_size=3, unique=True))}
+        components.append(TruncatedSeries(c.nvars, order, {**terms, **c.terms}))
+    return SeriesMap(components)
+
+
+def assert_earned(high, low):
+    """``high`` truncated to the order of ``low`` is ``low``."""
+    assert high.truncate(low.order) == low
+
+
+@settings(max_examples=60, deadline=None)
+@given(real_germs(straight_axis=True), st.integers(1, 2), st.data())
+def test_germ_objects_earn_their_order(case, extra, data):
+    rho, n = case
+    H = from_defining(rho, n)
+    high = lifted_germ(data.draw, rho, n, extra, mixed(n))
+    assert_earned(high.phi, H.phi)
+    normal = normalize(H)
+    assert_earned(normalize(high).rho, normal.rho)
+    assert_earned(normalizing_change(high), normalizing_change(H))
+    for ours, theirs in zip(segre_maps(normalize(high))[1:], segre_maps(normal)[1:]):
+        assert_earned(ours, theirs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["sphere_dilation", "sphere_rotation", "exp_shear", "exp_shear_double"]),
+    st.integers(4, 6),
+    st.integers(1, 2),
+    st.data(),
+)
+def test_reflection_objects_earn_their_order(name, order, extra, data):
+    make_map, source_name, target_name = corpus.MAPS[name]
+    # truncated from the default order: a corpus builder asked for a low
+    # order warns that it drops terms
+    f = make_map().truncate(order)
+    source = corpus.HYPERSURFACES[source_name]().truncate(order)
+    target = corpus.HYPERSURFACES[target_name]().truncate(order)
+    n = f.source_nvars
+    keep = structural if target_name == "degenerate_quadric" else mixed(n)
+    high_source = lifted_germ(data.draw, source.rho, n, extra, keep)
+    high_target = lifted_germ(data.draw, target.rho, n, extra, keep)
+    fm = FormalMap(f, source, target)
+    high = FormalMap(lifted_map(data.draw, f, extra), high_source, high_target)
+
+    assert_earned(reflection_function(high), reflection_function(fm))
+    for (alpha, ours), (beta, theirs) in zip(u_family(high, order), u_family(fm, order), strict=True):
+        assert alpha == beta
+        assert_earned(ours, theirs)
+    # the lifted map fails the mapping check, so the identity reads the
+    # lifted germs with the unlifted map
+    identity = segre_reflection_identity(fm)
+    high_identity = segre_reflection_identity(FormalMap(f, high_source, high_target))
+    assert_earned(high_identity.lhs, identity.lhs)
+    assert_earned(high_identity.rhs, identity.rhs)
+
+    try:
+        low_pc, high_pc = partial_convergence(fm), partial_convergence(high)
+    except PrerequisiteError:
+        event("partial convergence: prerequisite refused")
+        return
+    if high_pc.witnesses_ordered != low_pc.witnesses_ordered:
+        event("partial convergence: witnesses differ")
+        return
+    event("partial convergence: compared")
+    assert_earned(high_pc.g, low_pc.g)
+    assert_earned(high_pc.gf, low_pc.gf)
+    for ours, theirs in zip(high_pc.generators, low_pc.generators, strict=True):
+        assert_earned(ours, theirs)

@@ -449,7 +449,7 @@ def test_reflection_report(shear_map):
 
 def test_check_and_reflect_lift_the_map_once(monkeypatch):
     # the mapping check and the reflection series both read f over (z, w');
-    # the relabel is composed once per component of f, at f's order
+    # the relabel is composed once, with the whole of f, at f's order
     quadric = corpus.degenerate_quadric()
     fm = FormalMap(corpus.exp_shear(), quadric, quadric)
     n, m = fm.n, 2 * fm.n - 1
@@ -466,4 +466,4 @@ def test_check_and_reflect_lift_the_map_once(monkeypatch):
     assert check_maps_into(fm).passed
     build_reflection_report(fm)
     partial_convergence(fm)
-    assert lifts == list(fm.f.components)
+    assert lifts == [fm.f]

@@ -921,9 +921,9 @@ def test_invert_map_calls_the_kernel_only_to_fold_and_for_powers_and_residuals(m
     )
     calls, certifying, solves = [0], [False], []
 
-    def counted(pairs, order):
+    def counted(pairs, order, depth=None):
         calls[0] += not certifying[0]
-        return kernel(pairs, order)
+        return kernel(pairs, order, depth)
 
     def certificate(F, vmap):
         certifying[0] = True
