@@ -204,7 +204,7 @@ def cmd_normalize(path: str, out: str | None, order: int | None, fmt: str, force
         sys.stdout.write(data)
         return 0
     _guard_overwrite(out, force)
-    write_atomic(out, data)
+    write_atomic([(out, data)])
     if fmt == "doc":
         sys.stdout.write(data)
     else:
@@ -323,10 +323,8 @@ def cmd_reflect(source, target, mappath, outdir, order, cutoff, fmt, force) -> i
     for filename, _ in artifacts:
         _guard_overwrite(os.path.join(outdir, filename), force)
     os.makedirs(outdir, exist_ok=True)
-    written = []
-    for filename, data in artifacts:
-        write_atomic(os.path.join(outdir, filename), data)
-        written.append(filename)
+    write_atomic([(os.path.join(outdir, filename), data) for filename, data in artifacts])
+    written = [filename for filename, _ in artifacts]
     if fmt == "doc":
         rows = [
             f"n {n}",

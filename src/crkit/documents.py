@@ -23,26 +23,30 @@ parts. Map documents insert "components k" and per-component term blocks;
 hypersurface documents carry "n" and a "normal" flag and always declare
 variables as z:n w:n. Reflection reports are written, never parsed.
 
-A term line is read by one regular expression that matches it whole,
-every exponent and both p/q tokens canonical, and gcd(p, q) must be 1
-for both parts; no Fraction is built. Any other line is rejected, and
-its tokens are then checked one by one only to word each problem. The
-terms of a valid block go to ``TruncatedSeries._from_lowest_terms``,
-which packs them straight into a series' integer form. Writing reads that
-form too: each row (degree, key, a, b) over den becomes one term line,
-with no GaussRational built.
+A block of term lines is read in one pass: one regular expression,
+compiled once per variable count, matches the whole block, every line
+with exactly that many exponents and every token canonical; one ``int``
+call per token converts it, and the rules (gcd(p, q) == 1 for both parts,
+a nonzero coefficient, degree at most the order, strictly ascending
+graded-lex order) are checked column by column. The rows then go straight
+into the series' integer form; no Fraction is built. A block that breaks
+any rule is read again line by line, only to word each problem with its
+line number. Writing reads that form too: each row (degree, key, a, b)
+over den becomes one term line, with no GaussRational built.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import os
 import re
 from fractions import Fraction
 
 from .errors import DocumentError
-from .series import SeriesMap, TruncatedSeries, _exponents
+from .series import SeriesMap, TruncatedSeries, _exponents, _weights
 
 FORMAT_VERSION = "crkit-series/1"
 # the order the shipped corpus documents are written at, and the order a
@@ -315,8 +319,8 @@ def _parse_count(reader: _Reader, key: str) -> int | None:
 
 
 def _term_fields(line: str, reader: _Reader, nvars: int):
-    """(exponents, p, q, r, s) of a term line whose real and imaginary
-    parts are p/q and r/s, or None after reporting every bad field.
+    """(exponents, p, r) of a term line whose real and imaginary parts are
+    p/q and r/s, or None after reporting every bad field.
 
     Only a line that one match reads whole, with gcd 1 on both parts,
     yields fields. Any other line is checked token by token just to word
@@ -328,7 +332,7 @@ def _term_fields(line: str, reader: _Reader, nvars: int):
             exponents = list(map(int, match[1].split()))
             p, q, r, s = map(int, match.group(2, 3, 4, 5))
             if len(exponents) == nvars and math.gcd(p, q) == 1 and math.gcd(r, s) == 1:
-                return exponents, p, q, r, s
+                return exponents, p, r
     except ValueError:  # a token past int's digit limit, worded below
         pass
     tokens = line.split(" ")[1:]
@@ -345,14 +349,75 @@ def _term_fields(line: str, reader: _Reader, nvars: int):
     return None
 
 
+@functools.cache
+def _block_re(nvars: int):
+    """A block of term lines, each ended by LF, with exactly ``nvars``
+    exponents and every token canonical, bar the gcd of each p/q."""
+    return re.compile(
+        r"(?:term(?: (?:0|[1-9][0-9]*)){%d} (?:0|-?[1-9][0-9]*)/[1-9][0-9]* "
+        r"(?:0|-?[1-9][0-9]*)/[1-9][0-9]*\n)*" % nvars
+    )
+
+
+def _block_form(lines: list[str], nvars: int, order: int):
+    """The integer form, at base ``order + 2``, of term lines that break no
+    canonical-form rule, or None.
+
+    One match reads the whole block and one ``int`` call per token converts
+    it; then each rule is checked column by column. With every degree at
+    most ``order``, no exponent reaches the base, so graded-lex order is
+    the order of (degree, key). Every p/q and r/s is in lowest terms, so
+    the form over the lcm of the denominators is primitive.
+    """
+    if not lines:
+        return 1, [], False
+    # a first line of another width is worded line by line; the check also
+    # keeps the pattern's repeat count within the size of the text
+    if lines[0].count(" ") != nvars + 2:
+        return None
+    block = "\n".join(lines) + "\n"
+    if _block_re(nvars).fullmatch(block) is None:
+        return None
+    try:
+        numbers = list(map(int, block.replace("term ", "").replace("/", " ").split()))
+    except ValueError:  # a token past int's digit limit
+        return None
+    width = nvars + 4
+    *exponents, p, q, r, s = [numbers[j::width] for j in range(width)]
+    if max(map(math.gcd, p, q)) != 1 or max(map(math.gcd, r, s)) != 1:
+        return None
+    if not all(map(operator.or_, p, r)):  # a zero coefficient
+        return None
+    degrees = exponents[0]
+    for column in exponents[1:]:
+        degrees = list(map(operator.add, degrees, column))
+    if max(degrees) > order:
+        return None
+    keys = [0] * len(lines)
+    for column, weight in zip(exponents, _weights(order + 2, nvars)):
+        keys = list(map(operator.add, keys, map(operator.mul, column, itertools.repeat(weight))))
+    ranks = list(zip(degrees, keys))
+    if not all(map(operator.lt, ranks, ranks[1:])):
+        return None
+    den = math.lcm(*q, *s)
+    a = map(operator.mul, p, map(operator.floordiv, itertools.repeat(den), q))
+    b = map(operator.mul, r, map(operator.floordiv, itertools.repeat(den), s))
+    return den, list(zip(degrees, keys, a, b)), any(r)
+
+
 def _parse_terms(reader: _Reader, nvars: int, order: int, count: int):
     """Parse `count` term lines, enforcing every canonical-form rule.
 
-    Returns the (exponents, p, q, r, s) items read, which
-    ``TruncatedSeries._from_lowest_terms`` takes when no problem was
-    reported.
+    Returns the series' integer form when the block is valid. Otherwise
+    the lines are read again one at a time, only to word every problem
+    with its line number, and None is returned.
     """
-    items = []
+    reader.next_line()  # the cursor onto the first term line
+    lines = reader.lines[reader.pos:reader.pos + count]
+    form = _block_form(lines, nvars, order) if len(lines) == count else None
+    if form is not None:
+        reader.pos += count
+        return form
     previous = None
     for _ in range(count):
         line = reader.next_line()
@@ -360,23 +425,20 @@ def _parse_terms(reader: _Reader, nvars: int, order: int, count: int):
             reader.abort("expected a 'term' line")
             return None
         fields = _term_fields(line, reader, nvars)
-        if fields is None:
-            reader.advance()
-            continue
-        exponents, p, _, r, _ = fields
-        degree = sum(exponents)
-        if degree > order:
-            reader.report(f"term degree {degree} exceeds the declared order {order}")
-        if not p and not r:
-            reader.report("zero coefficients must be omitted")
-        if previous is not None and (degree, exponents) <= previous:
-            reader.report(
-                "terms must be strictly ascending in graded-lex order"
-            )
-        previous = (degree, exponents)
-        items.append(fields)
+        if fields is not None:
+            exponents, p, r = fields
+            degree = sum(exponents)
+            if degree > order:
+                reader.report(f"term degree {degree} exceeds the declared order {order}")
+            if not p and not r:
+                reader.report("zero coefficients must be omitted")
+            if previous is not None and (degree, exponents) <= previous:
+                reader.report(
+                    "terms must be strictly ascending in graded-lex order"
+                )
+            previous = (degree, exponents)
         reader.advance()
-    return items
+    return None
 
 
 def _parse_series_block(reader: _Reader):
@@ -386,10 +448,10 @@ def _parse_series_block(reader: _Reader):
     if groups is None or order is None or count is None or reader.dead:
         return None
     nvars = sum(arity for _, arity in groups)
-    items = _parse_terms(reader, nvars, order, count)
-    if items is None or reader.problems:
+    form = _parse_terms(reader, nvars, order, count)
+    if form is None or reader.problems:
         return None
-    return groups, TruncatedSeries._from_lowest_terms(nvars, order, items)
+    return groups, TruncatedSeries._trusted(nvars, order, form)
 
 
 def _expect_end(reader: _Reader):
@@ -453,15 +515,15 @@ def parse_document(text: str):
                 count = _parse_count(reader, "terms")
                 if count is None:
                     break
-                items = _parse_terms(reader, nvars, order, count)
-                if items is None:
+                form = _parse_terms(reader, nvars, order, count)
+                if reader.dead:
                     break
-                components.append(items)
+                components.append(form)
         _expect_end(reader)
         if not reader.problems and groups is not None:
             nvars = sum(arity for _, arity in groups)
             result = SeriesMap(
-                TruncatedSeries._from_lowest_terms(nvars, order, items) for items in components
+                TruncatedSeries._trusted(nvars, order, form) for form in components
             )
     else:  # hypersurface
         n_token = reader.take_kv("n")
@@ -502,14 +564,11 @@ def parse_document(text: str):
     return result
 
 
-def write_atomic(path, data: str) -> None:
-    """Write ``data`` to ``path`` as UTF-8 with LF line ends, all or nothing.
-
-    The text goes to a new temporary file in the same directory, which then
-    replaces ``path`` in one ``os.replace``. A reader sees the old file or
-    the new one, never part of either, and on any failure the temporary
-    file is removed and ``path`` is left as it was. A symlink is written
-    through, as a plain ``open`` would, not replaced by a regular file.
+def _stage(path, data: str):
+    """Write ``data`` as UTF-8 with LF line ends to a new temporary file
+    beside the file ``path`` names, removed on any failure; return
+    (temporary, target). A symlink is written through, as a plain ``open``
+    would, not replaced by a regular file.
     """
     target = os.path.realpath(path)
     directory, name = os.path.split(target)
@@ -525,15 +584,37 @@ def write_atomic(path, data: str) -> None:
     try:
         with open(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(data)
-        os.replace(temp, target)
     except BaseException:
         os.unlink(temp)
         raise
+    return temp, target
+
+
+def write_atomic(files) -> None:
+    """Write each (path, data) of ``files`` as one set.
+
+    Every text is staged in a temporary file beside its path, and only
+    then does each replace its path in one ``os.replace``, so a reader sees
+    the old file or the new one, never part of either. A failure while
+    staging removes every temporary file and leaves every path as it was;
+    one between the renames leaves the earlier paths new, the later ones
+    old, and no temporary file.
+    """
+    staged = []
+    try:
+        for path, data in files:
+            staged.append(_stage(path, data))
+        while staged:
+            os.replace(*staged[0])
+            staged.pop(0)
+    finally:
+        for temp, _ in staged:
+            os.unlink(temp)
 
 
 def write_document(path, obj, variables=None):
     """Serialize to a file with exact canonical bytes (UTF-8, LF), atomically."""
-    write_atomic(path, serialize(obj, variables))
+    write_atomic([(path, serialize(obj, variables))])
 
 
 def read_document(path):

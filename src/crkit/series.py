@@ -291,23 +291,6 @@ class TruncatedSeries:
         object.__setattr__(series, "_view", None)
         return series
 
-    @classmethod
-    def _from_lowest_terms(cls, nvars: int, order: int, items) -> "TruncatedSeries":
-        """The series of (exponents, p, q, r, s) items, each the coefficient
-        p/q + i r/s with both fractions in lowest terms and q, s > 0.
-
-        The caller guarantees nonzero coefficients, degrees <= ``order`` and
-        strictly ascending graded-lex order. Then the form over the lcm of
-        the denominators is primitive, and the items are its rows in order.
-        """
-        weights = _weights(order + 2, nvars)
-        den = math.lcm(*[item[2] for item in items], *[item[4] for item in items])
-        rows = [
-            (sum(e), sum(map(operator.mul, e, weights)), p * (den // q), r * (den // s))
-            for e, p, q, r, s in items
-        ]
-        return cls._trusted(nvars, order, (den, rows, any(row[3] for row in rows)))
-
     @property
     def _terms(self) -> dict:
         """The GaussRational view, decoded from the form on first read."""
@@ -705,8 +688,10 @@ def compose(outer: "TruncatedSeries | SeriesMap", vmap: SeriesMap):
     compositions with maps written by ``SeriesMap.from_slots``. A slot
     holding a plain variable only shifts exponents, and a slot holding
     zero, or a series with no term through the result order, only drops
-    the outer terms that use it; a map with no other slot is applied by
-    that shift alone, and the kernel sums the terms it makes meet. The
+    the outer terms that use it. A map with no other slot, a relabel, is
+    applied by that shift alone and never calls the product kernel: rows
+    move as they are, sorted only when the shift can reorder them, and
+    summed only where two slots naming one variable make keys meet. The
     outer terms sharing an exponent pattern on the other, general slots
     are summed against that pattern's product in one pass of the product
     kernel, one pass per outer series.
@@ -774,6 +759,13 @@ def compose(outer: "TruncatedSeries | SeriesMap", vmap: SeriesMap):
         else:
             general_slots.append(i)
         i = end
+
+    if not general_slots:
+        results = [
+            TruncatedSeries._trusted(src, order, _relabel_form(series._form, order, outer_base, kills, moves))
+            for series in outers
+        ]
+        return SeriesMap(results) if isinstance(outer, SeriesMap) else results[0]
     general = [outer_weights[i] for i in general_slots]
 
     # each outer's terms through ``order`` that no zero slot kills, grouped
@@ -797,19 +789,14 @@ def compose(outer: "TruncatedSeries | SeriesMap", vmap: SeriesMap):
                 groups.setdefault(pattern, []).append((key % top, key, a, b))
         grouped.append((den, groups, is_complex))
 
-    if general_slots:
-        # the kernel reads a pattern's product through order - d_min
-        depth: dict[tuple[int, ...], int] = {}
-        for _, groups, _ in grouped:
-            for pattern, group in groups.items():
-                group.sort()
-                depth[pattern] = max(depth.get(pattern, 0), order - group[0][0])
-        factors = [(vmap.components[i], slots[i][1]) for i in general_slots]
-        products = _pattern_products(depth, factors, order)
-    else:
-        # a relabel keeps every degree, so the rows are still sorted; the
-        # kernel sums the terms that two slots naming one variable make meet
-        products = {(): _ONE_FORM}
+    # the kernel reads a pattern's product through order - d_min
+    depth: dict[tuple[int, ...], int] = {}
+    for _, groups, _ in grouped:
+        for pattern, group in groups.items():
+            group.sort()
+            depth[pattern] = max(depth.get(pattern, 0), order - group[0][0])
+    factors = [(vmap.components[i], slots[i][1]) for i in general_slots]
+    products = _pattern_products(depth, factors, order)
     results = [
         _sum_of_products(
             [((den, group, is_complex), products[p]) for p, group in groups.items() if p in products],
@@ -819,6 +806,45 @@ def compose(outer: "TruncatedSeries | SeriesMap", vmap: SeriesMap):
         for den, groups, is_complex in grouped
     ]
     return SeriesMap(results) if isinstance(outer, SeriesMap) else results[0]
+
+
+def _relabel_form(form, order: int, outer_base: int, kills: list, moves: list):
+    """``form`` after a relabel, a map with no general slot, through
+    ``order``; ``kills`` and ``moves`` are as ``compose`` derives them.
+
+    A relabel makes no product. Each row through ``order`` that no zero run
+    kills keeps its degree and coefficient, its key moved digit by digit.
+    When the moves' result place values fall along the outer slots, the
+    order of the result keys is the order of the outer keys, so the rows
+    stay sorted; otherwise they are sorted once, and when two slots name
+    one variable, the equal keys that meet are summed as neighbours. Only
+    a form that lost rows can have gained a content gcd.
+    """
+    den, rows, is_complex = form
+    moved = []
+    for d, k, a, b in rows:
+        if d > order:
+            break
+        for w, span in kills:
+            if k // w % span:
+                break
+        else:
+            moved.append((d, sum([k // w % outer_base * t for w, t in moves]), a, b))
+    targets = [t for _, t in moves]
+    if not all(map(operator.gt, targets, targets[1:])):
+        moved.sort()
+        if len(set(targets)) < len(targets):
+            merged = []
+            for row in moved:
+                if merged and merged[-1][1] == row[1]:
+                    d, k, a, b = merged[-1]
+                    merged[-1] = (d, k, a + row[2], b + row[3])
+                else:
+                    merged.append(row)
+            moved = [row for row in merged if row[2] or row[3]]
+    if len(moved) < len(rows):
+        return _primitive(den, moved)
+    return den, moved, is_complex
 
 
 def _pattern_products(depth: dict, factors: list, order: int) -> dict:

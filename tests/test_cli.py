@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import crkit.documents
 import crkit.hypersurface
 import crkit.rank
 import crkit.reflection
@@ -386,6 +387,36 @@ def test_reflect_artifacts_parse_back(tmp_path, capsys):
     assert len(g.components) == 2
     assert len(gf.components) == 2
     assert len(gens.components) == 2
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_reflect_writes_its_artifacts_as_one_set(tmp_path, capsys, monkeypatch, existing):
+    # the third artifact fails while it is staged, as on a full disk
+    names = ["report.crkit", "g.crkit", "gf.crkit", "generators.crkit"]
+    old = {}
+    if existing:
+        (tmp_path / "out").mkdir()
+        for name in names:
+            old[name] = f"from an older run: {name}\n".encode()
+            (tmp_path / "out" / name).write_bytes(old[name])
+    staged = []
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        handle = open(file, mode, *args, **kwargs)
+        if "w" in mode:
+            staged.append(file)
+            if len(staged) == 3:
+                handle.close()
+                raise OSError(28, "No space left on device")
+        return handle
+
+    monkeypatch.setattr(crkit.documents, "open", failing_open, raising=False)
+    extra = ("--force",) if existing else ()
+    code, out, err, out_dir = reflect_into(capsys, tmp_path, "exp_shear.crkit", *extra)
+    assert (code, out, err) == (2, "", "error: [Errno 28] No space left on device\n")
+    assert len(staged) == 3
+    # no artifact replaced and no temporary file left
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == old
 
 
 def test_reflect_refuses_failing_map(tmp_path, capsys):

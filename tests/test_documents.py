@@ -308,19 +308,20 @@ def test_write_corpus_reproduces_shipped_corpus(tmp_path):
         assert (tmp_path / name).read_bytes() == (CORPUS / name).read_bytes(), name
 
 
-def one_term_document(term):
+def term_block_document(terms):
     return (
         FORMAT_VERSION + "\n"
         "kind series\n"
         "vars z:2\n"
         "order 3\n"
-        "terms 1\n"
-        f"term {term}\n"
-        "end\n"
+        f"terms {len(terms)}\n"
+        + "".join(f"term {term}\n" for term in terms)
+        + "end\n"
     )
 
 
-@pytest.mark.parametrize("term, problems", [
+# a term line and the problems it alone gives, on line 6 of its document
+TERM_CASES = [
     ("1 0 +1/2 0/1", ["line 6: real part '+1/2' is not in canonical lowest terms"]),
     ("1 0 1/-2 0/1", ["line 6: real part '1/-2' is not in canonical lowest terms"]),
     ("1 0 2/4 0/1", ["line 6: real part '2/4' is not in canonical lowest terms"]),
@@ -347,11 +348,33 @@ def one_term_document(term):
     ]),
     ("2 2 1/2 0/1", ["line 6: term degree 4 exceeds the declared order 3"]),
     ("1 0 0/1 0/1", ["line 6: zero coefficients must be omitted"]),
-])
+]
+
+
+@pytest.mark.parametrize("term, problems", TERM_CASES)
 def test_term_token_diagnostics_are_exact(term, problems):
     with pytest.raises(DocumentError) as info:
-        parse_document(one_term_document(term))
+        parse_document(term_block_document([term]))
     assert info.value.problems == problems
+
+
+# the bad line at each position of a three-line block; the valid lines
+# ascend around (1, 0), the one bad line that reads as a term. A degree
+# past the order is left out: no valid line can follow it in order.
+BLOCKS = (
+    [None, "2 1 1/1 0/1", "3 0 1/1 0/1"],
+    ["0 0 1/1 0/1", None, "3 0 1/1 0/1"],
+    ["0 0 1/1 0/1", "0 1 1/1 0/1", None],
+)
+
+
+@pytest.mark.parametrize("position", range(len(BLOCKS)))
+@pytest.mark.parametrize("term, problems", [case for case in TERM_CASES if "exceeds" not in case[1][0]])
+def test_one_bad_line_in_a_block_gives_what_it_gives_alone(term, problems, position):
+    terms = [term if line is None else line for line in BLOCKS[position]]
+    with pytest.raises(DocumentError) as info:
+        parse_document(term_block_document(terms))
+    assert info.value.problems == [p.replace("line 6:", f"line {6 + position}:") for p in problems]
 
 
 KEY_VALUE_CASES = {
@@ -408,7 +431,7 @@ def test_problems_found_after_end_name_their_own_line(old, new, problems):
 
 def test_order_token_past_the_digit_limit_is_reported():
     # a DocumentError, not a bare ValueError from int()
-    text = one_term_document("1 0 1/2 0/1").replace("order 3", "order " + "7" * 5000)
+    text = term_block_document(["1 0 1/2 0/1"]).replace("order 3", "order " + "7" * 5000)
     with pytest.raises(DocumentError) as info:
         parse_document(text)
     assert "order has 5000 digits, too many to read" in info.value.problems[0]
@@ -468,6 +491,30 @@ def test_map_with_unrelated_denominators_round_trips_byte_for_byte():
     assert serialize(parsed) == text
 
 
+def test_components_after_a_bad_block_are_still_read():
+    text = (
+        FORMAT_VERSION + "\n"
+        "kind map\n"
+        "vars x:1\n"
+        "order 2\n"
+        "components 2\n"
+        "component 1\n"
+        "terms 2\n"
+        "term 1 1/1 0/1\n"
+        "term 2 2/4 0/1\n"
+        "component 2\n"
+        "terms 1\n"
+        "term 2 1/1 0/0\n"
+        "end\n"
+    )
+    with pytest.raises(DocumentError) as info:
+        parse_document(text)
+    assert info.value.problems == [
+        "line 9: real part '2/4' is not in canonical lowest terms",
+        "line 12: imaginary part '0/0' is not a valid fraction",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # serialize writes only documents that parse back
 
@@ -504,16 +551,16 @@ def test_serialize_refuses_an_empty_declaration_over_no_variables():
 
 
 GROUP_NAMES = ["z", "w", "zp", "lambda", "_q", "Z", "i", "z1", "x y", ""]
-coefficients = st.builds(
-    GaussRational,
-    st.fractions(min_value=-3, max_value=3, max_denominator=5),
-    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+# small parts, and parts with multi-digit numerators and denominators
+parts = st.fractions(min_value=-3, max_value=3, max_denominator=5) | st.fractions(
+    min_value=-10**4, max_value=10**4, max_denominator=997
 )
+coefficients = st.builds(GaussRational, parts) | st.builds(GaussRational, parts, parts)
 
 
 @st.composite
 def small_series(draw, nvars, order):
-    chosen = draw(st.lists(st.sampled_from(multi_indices(nvars, order)), max_size=5, unique=True))
+    chosen = draw(st.lists(st.sampled_from(multi_indices(nvars, order)), max_size=8, unique=True))
     return TruncatedSeries(nvars, order, {e: draw(coefficients) for e in chosen})
 
 
@@ -535,8 +582,8 @@ def test_every_document_serialize_writes_parses_back(data):
     groups = data.draw(st.none() | st.lists(
         st.tuples(st.sampled_from(GROUP_NAMES), st.integers(0, 2)), max_size=3
     ).map(tuple))
-    nvars = data.draw(st.integers(0, 3)) if groups is None else sum(a for _, a in groups)
-    order = data.draw(st.integers(0, 3))
+    nvars = data.draw(st.integers(0, 5)) if groups is None else sum(a for _, a in groups)
+    order = data.draw(st.integers(0, 6))
     components = data.draw(st.lists(small_series(nvars, order), min_size=1, max_size=2))
     obj = components[0] if data.draw(st.booleans()) else SeriesMap(components)
     if not readable(groups, nvars):
@@ -546,4 +593,7 @@ def test_every_document_serialize_writes_parses_back(data):
     text = serialize(obj, groups)
     parsed = parse_document(text)
     assert parsed == obj
+    # the whole integer form reads back, the is_complex flag included
+    read = parsed.components if isinstance(parsed, SeriesMap) else (parsed,)
+    assert [c._form for c in read] == [c._form for c in components[:len(read)]]
     assert serialize(parsed, groups) == text
