@@ -245,10 +245,6 @@ class _Reader:
 
 
 _INT_RE = re.compile(r"(0|-?[1-9][0-9]*)\Z")
-# a term line whose every token is canonical, bar the gcd of each p/q
-_TERM_RE = re.compile(
-    r"term((?: (?:0|[1-9][0-9]*))*) (0|-?[1-9][0-9]*)/([1-9][0-9]*) (0|-?[1-9][0-9]*)/([1-9][0-9]*)"
-)
 
 
 def _canonical_int(token: str, reader: _Reader, what: str) -> int | None:
@@ -319,22 +315,13 @@ def _parse_count(reader: _Reader, key: str) -> int | None:
 
 
 def _term_fields(line: str, reader: _Reader, nvars: int):
-    """(exponents, p, r) of a term line whose real and imaginary parts are
-    p/q and r/s, or None after reporting every bad field.
+    """(exponents, real part, imaginary part) of a term line, or None after
+    reporting every bad field.
 
-    Only a line that one match reads whole, with gcd 1 on both parts,
-    yields fields. Any other line is checked token by token just to word
-    its problems: a line passing every token check would have matched.
+    A line only comes here from a block that ``_block_form`` refused, to
+    word its problems, so each token is checked on its own, and the checks
+    return the fields.
     """
-    match = _TERM_RE.fullmatch(line)
-    try:
-        if match is not None:
-            exponents = list(map(int, match[1].split()))
-            p, q, r, s = map(int, match.group(2, 3, 4, 5))
-            if len(exponents) == nvars and math.gcd(p, q) == 1 and math.gcd(r, s) == 1:
-                return exponents, p, r
-    except ValueError:  # a token past int's digit limit, worded below
-        pass
     tokens = line.split(" ")[1:]
     if len(tokens) != nvars + 2:
         reader.report(
@@ -342,11 +329,12 @@ def _term_fields(line: str, reader: _Reader, nvars: int):
             "plus two coefficients"
         )
         return None
-    for token in tokens[:nvars]:
-        _canonical_nat(token, reader, "exponent")
-    _canonical_fraction(tokens[nvars], reader, "real part")
-    _canonical_fraction(tokens[nvars + 1], reader, "imaginary part")
-    return None
+    exponents = [_canonical_nat(token, reader, "exponent") for token in tokens[:nvars]]
+    re_part = _canonical_fraction(tokens[nvars], reader, "real part")
+    im_part = _canonical_fraction(tokens[nvars + 1], reader, "imaginary part")
+    if None in exponents or re_part is None or im_part is None:
+        return None
+    return exponents, re_part, im_part
 
 
 @functools.cache
@@ -426,11 +414,11 @@ def _parse_terms(reader: _Reader, nvars: int, order: int, count: int):
             return None
         fields = _term_fields(line, reader, nvars)
         if fields is not None:
-            exponents, p, r = fields
+            exponents, re_part, im_part = fields
             degree = sum(exponents)
             if degree > order:
                 reader.report(f"term degree {degree} exceeds the declared order {order}")
-            if not p and not r:
+            if not re_part and not im_part:
                 reader.report("zero coefficients must be omitted")
             if previous is not None and (degree, exponents) <= previous:
                 reader.report(

@@ -153,16 +153,57 @@ def _integer(value, what: str) -> int:
         raise TypeError(f"{what} must be an integer, got {value!r}") from None
 
 
-def _rebase(form, old: int, base: int, nvars: int):
-    """The rows of ``form`` through degree base - 2, keys moved from base
-    ``old`` to ``base``. The result need not be primitive."""
-    den, rows, is_complex = form
-    weights = _weights(base, nvars)
-    return den, [
-        (d, sum(map(operator.mul, _exponents(k, old, nvars), weights)), a, b)
-        for d, k, a, b in rows
-        if d <= base - 2
-    ], is_complex
+def _plan(nvars: int, base: int, moves, group, src: int, order: int):
+    """How ``_walk`` re-keys rows over ``nvars`` variables, keys at
+    ``base``, into rows over ``src`` variables, keys at base order + 2.
+
+    ``moves`` holds pairs (i, j): the exponent of variable i is added to
+    that of result variable j. ``group`` lists the variables whose
+    exponents make up a row's pattern. Every other variable is dropped,
+    and so is every row that uses it: a run of consecutive dropped
+    variables is one slice ``key // w % span`` of the key, nonzero exactly
+    when the row uses one of them.
+    """
+    weights, targets = _weights(base, nvars), _weights(order + 2, src)
+    kills = []
+    if len(moves) + len(group) < nvars:  # some variable is dropped
+        kept, start = {i for i, _ in moves}.union(group), 0
+        for i in range(nvars + 1):
+            if i == nvars or i in kept:
+                if start < i:
+                    kills.append((weights[i - 1], base ** (i - start)))
+                start = i + 1
+    moved = [(weights[i], targets[j]) for i, j in moves]
+    return base, order, kills, moved, [weights[i] for i in group]
+
+
+def _walk(rows, plan) -> dict:
+    """The ``rows`` through the plan's order that use no dropped variable,
+    re-keyed by ``plan``, as {pattern: rows}, each list in input order.
+
+    Keys are never decoded into exponent tuples: each exponent is read as
+    one digit ``key // w % base``. A row's new key is the sum of its moved
+    digits at their result place values, and its pattern the tuple of its
+    group digits. With no group, every row keeps its degree and goes under
+    the pattern (); otherwise its degree is that of its new key.
+    """
+    base, order, kills, moves, group = plan
+    top = order + 1
+    out = []
+    groups = {} if group else {(): out}
+    for d, k, a, b in rows:
+        if d > order:
+            break
+        for w, span in kills:
+            if k // w % span:
+                break
+        else:
+            key = sum([k // w % base * t for w, t in moves])
+            if group:
+                out = groups.setdefault(tuple([k // w % base for w in group]), [])
+                d = key % top
+            out.append((d, key, a, b))
+    return groups
 
 
 def _primitive(den: int, rows: list):
@@ -306,10 +347,15 @@ class TruncatedSeries:
         """The integer form with keys at ``base``, through degree base - 2.
 
         Only the form at the series' own base, order + 2, is kept; another
-        base gets a copy with its keys re-packed.
+        base gets a copy with its keys re-packed, which need not be
+        primitive.
         """
-        own = self.order + 2
-        return self._form if base == own else _rebase(self._form, own, base, self.nvars)
+        own, nvars = self.order + 2, self.nvars
+        if base == own:
+            return self._form
+        den, rows, is_complex = self._form
+        plan = _plan(nvars, own, [(i, i) for i in range(nvars)], (), nvars, base - 2)
+        return den, _walk(rows, plan)[()], is_complex
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
@@ -709,12 +755,13 @@ def compose(outer: "TruncatedSeries | SeriesMap", vmap: SeriesMap):
     as every form is primitive, the result has the bytes it would have
     had from products at full order.
 
-    Outer keys are never decoded into exponent tuples. Each slot reads its
-    exponent as one digit ``key // w % base`` of the packed key, and a run
-    of consecutive zero slots reads one slice ``key // w % span`` that
-    kills the term when it is nonzero. A plain slot moves its digit to the
-    place value of its source variable, and a general slot's digit is the
-    power of its series.
+    One walk, ``_walk``, moves every key, here as elsewhere: it reads each
+    slot's exponent as one digit ``key // w % base`` of the packed outer
+    key and never decodes the key into a tuple to pack it again. A zero
+    slot drops the outer terms that use it, a plain slot moves its digit
+    to the place value of its source variable, and the general slots'
+    digits make up a term's pattern, the powers of their series. The plan
+    is built once per call and shared by every outer series.
     """
     outers = outer.components if isinstance(outer, SeriesMap) else (outer,)
     first = outers[0]
@@ -725,69 +772,34 @@ def compose(outer: "TruncatedSeries | SeriesMap", vmap: SeriesMap):
     if not vmap.is_origin_preserving():
         raise ValueError("composition requires an origin-preserving map")
     order = min(first.order, vmap.order)
-    base = order + 2
     src = vmap.source_nvars
-    outer_base = first.order + 2
-    outer_weights = _weights(outer_base, first.nvars)
-    weights = _weights(base, src)
-    # slot i as ("zero", None), ("plain", its source variable) or
-    # ("general", its valuation)
-    slots = []
-    for component in vmap.components:
+    # a slot with no term through ``order`` is zero, and is in neither list
+    moves, factors, general = [], [], []
+    for i, component in enumerate(vmap.components):
         den, rows, _ = component._form
         if not rows or rows[0][0] > order:
-            slots.append(("zero", None))
-        elif den == 1 and len(rows) == 1 and rows[0][0] == 1 and rows[0][2:] == (1, 0):
-            slots.append(("plain", _weights(component.order + 2, src).index(rows[0][1])))
+            continue
+        if den == 1 and len(rows) == 1 and rows[0][0] == 1 and rows[0][2:] == (1, 0):
+            moves.append((i, _weights(component.order + 2, src).index(rows[0][1])))
         else:
-            slots.append(("general", rows[0][0]))
+            general.append(i)
+            factors.append((component, rows[0][0]))
+    plan = _plan(first.nvars, first.order + 2, moves, general, src, order)
 
-    # ``kills`` holds each zero run as a (place value, span) slice of an
-    # outer key, ``moves`` each plain slot's place value and the result
-    # place value of its source variable
-    kills, moves, general_slots = [], [], []
-    i = 0
-    while i < len(slots):
-        kind, j = slots[i]
-        end = i + 1
-        if kind == "zero":
-            while end < len(slots) and slots[end][0] == "zero":
-                end += 1
-            kills.append((outer_weights[end - 1], outer_base ** (end - i)))
-        elif kind == "plain":
-            moves.append((outer_weights[i], weights[j]))
-        else:
-            general_slots.append(i)
-        i = end
-
-    if not general_slots:
+    if not general:
         results = [
-            TruncatedSeries._trusted(src, order, _relabel_form(series._form, order, outer_base, kills, moves))
+            TruncatedSeries._trusted(src, order, _relabel_form(series._form, plan))
             for series in outers
         ]
         return SeriesMap(results) if isinstance(outer, SeriesMap) else results[0]
-    general = [outer_weights[i] for i in general_slots]
 
     # each outer's terms through ``order`` that no zero slot kills, grouped
     # by their exponents on the general slots; a group is one sum of
-    # monomials in the plain slots' variables, its rows after the plain
-    # slots' shift with keys at ``base``
-    top = order + 1
-    grouped = []
-    for series in outers:
-        den, rows, is_complex = series._form
-        groups: dict[tuple[int, ...], list] = {}
-        for d, k, a, b in rows:
-            if d > order:
-                break
-            for w, span in kills:
-                if k // w % span:
-                    break
-            else:
-                key = sum([k // w % outer_base * t for w, t in moves])
-                pattern = tuple([k // w % outer_base for w in general])
-                groups.setdefault(pattern, []).append((key % top, key, a, b))
-        grouped.append((den, groups, is_complex))
+    # monomials in the plain slots' variables
+    grouped = [
+        (den, _walk(rows, plan), is_complex)
+        for den, rows, is_complex in [series._form for series in outers]
+    ]
 
     # the kernel reads a pattern's product through order - d_min
     depth: dict[tuple[int, ...], int] = {}
@@ -795,7 +807,6 @@ def compose(outer: "TruncatedSeries | SeriesMap", vmap: SeriesMap):
         for pattern, group in groups.items():
             group.sort()
             depth[pattern] = max(depth.get(pattern, 0), order - group[0][0])
-    factors = [(vmap.components[i], slots[i][1]) for i in general_slots]
     products = _pattern_products(depth, factors, order)
     results = [
         _sum_of_products(
@@ -808,29 +819,21 @@ def compose(outer: "TruncatedSeries | SeriesMap", vmap: SeriesMap):
     return SeriesMap(results) if isinstance(outer, SeriesMap) else results[0]
 
 
-def _relabel_form(form, order: int, outer_base: int, kills: list, moves: list):
-    """``form`` after a relabel, a map with no general slot, through
-    ``order``; ``kills`` and ``moves`` are as ``compose`` derives them.
+def _relabel_form(form, plan):
+    """``form`` after a relabel, a map with no general slot, walked by
+    ``compose``'s ``plan``.
 
-    A relabel makes no product. Each row through ``order`` that no zero run
-    kills keeps its degree and coefficient, its key moved digit by digit.
-    When the moves' result place values fall along the outer slots, the
-    order of the result keys is the order of the outer keys, so the rows
-    stay sorted; otherwise they are sorted once, and when two slots name
-    one variable, the equal keys that meet are summed as neighbours. Only
-    a form that lost rows can have gained a content gcd.
+    A relabel makes no product. Each row through the order that uses no
+    zero slot keeps its degree and coefficient, its key moved digit by
+    digit. When the moves' result place values fall along the outer slots,
+    the order of the result keys is the order of the outer keys, so the
+    rows stay sorted; otherwise they are sorted once, and when two slots
+    name one variable, the equal keys that meet are summed as neighbours.
+    Only a form that lost rows can have gained a content gcd.
     """
     den, rows, is_complex = form
-    moved = []
-    for d, k, a, b in rows:
-        if d > order:
-            break
-        for w, span in kills:
-            if k // w % span:
-                break
-        else:
-            moved.append((d, sum([k // w % outer_base * t for w, t in moves]), a, b))
-    targets = [t for _, t in moves]
+    moved = _walk(rows, plan)[()]
+    targets = [t for _, t in plan[3]]  # the moves' result place values
     if not all(map(operator.gt, targets, targets[1:])):
         moved.sort()
         if len(set(targets)) < len(targets):

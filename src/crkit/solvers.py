@@ -7,8 +7,9 @@ system. Each writes its problem in one shape: series F_1 .. F_r whose
 variables are the q parameters x, at positions the caller names, and the
 r unknowns y, at the remaining positions, and Y(x) with Y(0) = 0 and
 F(x, Y(x)) = 0 to find, where J0, the Jacobian of F in y at the origin,
-is invertible. The solver reads each unknown where it stands and writes
-the result over x in the order the parameters are named.
+is invertible. The series module's one key walk groups the terms of F
+by their exponents in the unknowns, wherever these stand, and the result
+is written over x in the order the parameters are named.
 ``implicit_solve`` hands rho over as it is, ``invert_map`` writes
 f(y) - x over (x, y), and ``newton_extend`` shifts y = y0 + u, where y0
 is the constant part of the given solution, with powers of y0 + u in the
@@ -36,7 +37,6 @@ vanishes.
 from __future__ import annotations
 
 import math
-import operator
 
 from . import linalg
 from .linalg import _series_det
@@ -44,12 +44,12 @@ from .series import (
     SeriesMap,
     TruncatedSeries,
     _ONE_FORM,
-    _exponents,
     _inverse_equation,
+    _plan,
     _primitive,
     _sum_of_products,
     _sum_of_products_form,
-    _weights,
+    _walk,
     compose,
     unit_exponent,
 )
@@ -198,20 +198,14 @@ def _shift(F: TruncatedSeries, q: int, y0, order: int) -> TruncatedSeries:
     powers of the roots y0_j + u_j in the product kernel, and summed in
     one pass of that kernel.
     """
-    nvars, base = F.nvars, order + 2
-    den, rows, is_complex = F._form_at(base)
+    nvars = F.nvars
     if not any(y0):
-        return TruncatedSeries._trusted(nvars, order, (den, rows, is_complex))
-    weights = _weights(base, nvars)[q:]
+        return TruncatedSeries._trusted(nvars, order, F._form_at(order + 2))
+    den, rows, is_complex = F._form
+    plan = _plan(nvars, F.order + 2, [(i, i) for i in range(q)], range(q, nvars), nvars, order)
     roots = [TruncatedSeries.variable(nvars, order, q + j) + c for j, c in enumerate(y0)]
-    groups: dict = {}
-    for d, k, a, b in rows:
-        beta = _exponents(k, base, nvars)[q:]
-        # the unknowns hold the lowest places, so dropping beta keeps alpha's key
-        drop = sum(map(operator.mul, beta, weights))
-        groups.setdefault(beta, []).append((d - sum(beta), k - drop, a, b))
     pairs = []
-    for beta, part in groups.items():
+    for beta, part in _walk(rows, plan).items():
         binomial = None
         for root, e in zip(roots, beta):
             if e:
@@ -267,31 +261,21 @@ def _graded(form, base: int, nvars: int, params, unknowns, order: int) -> dict:
     {beta: {|alpha|: form}}.
 
     ``params`` and ``unknowns`` are the positions of x_1, x_2, .. and of
-    y_1, y_2, .. among the ``nvars`` variables. A term x^alpha y^beta sits
-    under its exponents beta in the unknowns, then under |alpha|. Each
-    form holds the x^alpha rows of degree |alpha| <= ``order``, keys at
-    base order + 2 over x in the order of ``params``; it need not be
-    primitive. The key is one weighted sum over all exponents, with
-    weight 0 on the unknowns.
+    y_1, y_2, .. among the ``nvars`` variables. A term x^alpha y^beta of
+    degree <= ``order`` sits under its exponents beta in the unknowns,
+    then under |alpha|; no residual reads a term of higher degree. Each
+    form holds the x^alpha rows, keys at base order + 2 over x in the
+    order of ``params``; it need not be primitive.
     """
     den, rows, is_complex = form
-    weights = [0] * nvars
-    for place, weight in zip(params, _weights(order + 2, len(params))):
-        weights[place] = weight
-    beta_of = operator.itemgetter(*unknowns)
-    single = len(unknowns) == 1
-    groups: dict = {}
-    for d, k, a, b in rows:
-        e = _exponents(k, base, nvars)
-        beta = (beta_of(e),) if single else beta_of(e)
-        size = d - sum(beta)
-        if size <= order:
-            key = sum(map(operator.mul, e, weights))
-            groups.setdefault(beta, {}).setdefault(size, []).append((size, key, a, b))
-    return {
-        beta: {size: (den, part, is_complex) for size, part in by_size.items()}
-        for beta, by_size in groups.items()
-    }
+    plan = _plan(nvars, base, [(p, i) for i, p in enumerate(params)], unknowns, len(params), order)
+    graded = {}
+    for beta, part in _walk(rows, plan).items():
+        by_size: dict = {}
+        for row in part:
+            by_size.setdefault(row[0], []).append(row)
+        graded[beta] = {size: (den, sized, is_complex) for size, sized in by_size.items()}
+    return graded
 
 
 class _OnlineSolve:

@@ -9,9 +9,12 @@ import crkit.documents
 import crkit.hypersurface
 import crkit.rank
 import crkit.reflection
+from crkit import corpus
 from crkit.cli import _build_arg_parser, main
-from crkit.documents import parse_document
+from crkit.documents import parse_document, write_document
 from crkit.errors import GeometryError, PrerequisiteError
+from crkit.hypersurface import from_defining
+from crkit.parser import parse_expr
 from crkit.series import TruncatedSeries
 
 ROOT = Path(__file__).parent.parent
@@ -443,6 +446,80 @@ def test_reflect_cutoff_above_order_is_input_error(tmp_path, capsys):
         capsys, tmp_path, "exp_shear.crkit", "--cutoff", "9"
     )
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# refusals: a prerequisite the source lacks, inputs that do not fit
+
+
+def test_check_map_skips_the_identity_on_a_levi_flat_source(capsys):
+    argv = ["check-map", "-s", CORPUS / "levi_flat.crkit", "-t", CORPUS / "levi_flat.crkit",
+            "-f", CORPUS / "sphere_dilation.crkit"]
+    code, out, _ = run(capsys, *argv, "--format", "doc")
+    assert code == 0
+    assert "identity skipped" in out.splitlines()
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert (
+        "segre reflection identity: skipped (source must be minimal with a "
+        "certified rank at this order)"
+    ) in out.splitlines()
+
+
+def test_reflect_refuses_a_source_that_is_not_minimal(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code, out, err = run(
+        capsys, "reflect", "-s", CORPUS / "levi_flat.crkit", "-t", CORPUS / "levi_flat.crkit",
+        "-f", CORPUS / "sphere_dilation.crkit", "-o", out_dir,
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("refusing to reflect: source must be minimal ")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("source, target, mapname, message", [
+    ("sphere", "sphere", "exp_shear", "map must send 2 variables to 2, got 3 -> 3"),
+    ("sphere", "degenerate_quadric", "sphere_dilation", "source and target must share the dimension"),
+    ("sphere", "sphere", "sphere", "{map}: expected a map document"),
+])
+def test_check_map_refuses_inputs_that_do_not_fit(capsys, source, target, mapname, message):
+    path = CORPUS / f"{mapname}.crkit"
+    code, out, err = run(
+        capsys, "check-map", "-s", CORPUS / f"{source}.crkit", "-t", CORPUS / f"{target}.crkit",
+        "-f", path,
+    )
+    assert (code, out, err) == (2, "", f"error: {message.format(map=path)}\n")
+
+
+def test_analyze_refuses_a_map_document(capsys):
+    path = CORPUS / "sphere_dilation.crkit"
+    code, out, err = run(capsys, "analyze", path)
+    assert (code, out, err) == (2, "", f"error: {path}: expected a hypersurface document\n")
+
+
+def test_cutoff_above_the_document_order_is_input_error(tmp_path, capsys):
+    path = tmp_path / "sphere6.crkit"
+    write_document(str(path), corpus.sphere(6))
+    code, out, err = run(capsys, "analyze", path, "--cutoff", "7")
+    assert (code, out, err) == (2, "", "error: --cutoff 7 exceeds the effective order 6\n")
+
+
+@pytest.mark.parametrize("command", ["normalize", "analyze"])
+def test_a_germ_one_normalize_step_cannot_straighten_is_refused(tmp_path, capsys, command):
+    # pins the one-step limit of normalize: a germ whose normal form needs a
+    # second step is refused, and no document is written
+    path = tmp_path / "two_steps.crkit"
+    rho = parse_expr("-(i/2)*(z2-w2) - z1*w1 + z2^2 + w2^2", "z:2,w:2", 6)
+    write_document(str(path), from_defining(rho, 2))
+    out_path = tmp_path / "normal.crkit"
+    argv = [command, path] + (["-o", out_path] if command == "normalize" else [])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == (
+        "check failed: the graph substitution did not yield normal coordinates "
+        "for this input; its normal form needs more than one step\n"
+    )
+    assert not out_path.exists()
 
 
 # ---------------------------------------------------------------------------
