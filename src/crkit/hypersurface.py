@@ -283,8 +283,9 @@ def normalizing_change(H: Hypersurface) -> SeriesMap:
 class SegreTriple(NamedTuple):
     """The first three iterated Segre parametrizations of a hypersurface.
 
-    v1 sends z' to (z', 0); v2 and v3 substitute the graph into itself once
-    and twice more. Sources have n-1, 2(n-1) and 3(n-1) variables.
+    v1 sends z' to (z', 0), and one ``_next_segre`` step builds each next
+    map from the one before; minimality reads v2 only, the reflection
+    identity v3. Sources have n-1, 2(n-1) and 3(n-1) variables.
     """
 
     n: int
@@ -293,27 +294,32 @@ class SegreTriple(NamedTuple):
     v3: SeriesMap
 
 
+def _next_segre(H: Hypersurface, v: SeriesMap | None) -> SeriesMap:
+    """The Segre map after ``v``, or v1 = (z', 0) when ``v`` is None.
+
+    The step is the recursive definition: over z' and one more block of
+    n-1 variables than v has, the next map is (z', phi(vbar(t), z')),
+    where vbar(t) is v with conjugated coefficients read over t, the
+    blocks after z'. vbar's first n-1 components are then t's first block,
+    so only its last is a series. Every chain of steps starts at v1, which
+    checks that H is in normal coordinates.
+    """
+    order, m = H.order, H.n - 1
+    if v is None:
+        if not H.normal:
+            raise PrerequisiteError("Segre maps need normal coordinates, normalize first")
+        return SeriesMap.from_slots(m, order, [*range(m), None])
+    src = v.source_nvars + m
+    vbar = compose(v.conjugate(), SeriesMap.from_slots(src, order, range(m, src)))
+    inner = SeriesMap.from_slots(src, order, [*vbar.components, *range(m)])
+    return SeriesMap.from_slots(src, order, [*range(m), compose(H.phi, inner)])
+
+
 def segre_maps(H: Hypersurface) -> SegreTriple:
-    if not H.normal:
-        raise PrerequisiteError("Segre maps need normal coordinates, normalize first")
-    n, order = H.n, H.order
-    m = n - 1
-    phi, phibar = H.phi, H.phibar
-
-    v1 = SeriesMap.from_slots(m, order, [*range(m), None])
-
-    # v2 over (z', xi)
-    src2 = 2 * m
-    v2_last = compose(phi, SeriesMap.from_slots(src2, order, [*range(m, src2), None, *range(m)]))
-    v2 = SeriesMap.from_slots(src2, order, [*range(m), v2_last])
-
-    # v3 over (z', xi, eta)
-    src3 = 3 * m
-    xi = range(m, 2 * m)
-    inner = compose(phibar, SeriesMap.from_slots(src3, order, [*range(2 * m, src3), None, *xi]))
-    v3_last = compose(phi, SeriesMap.from_slots(src3, order, [*xi, inner, *range(m)]))
-    v3 = SeriesMap.from_slots(src3, order, [*range(m), v3_last])
-    return SegreTriple(n, v1, v2, v3)
+    """v1, v2 and v3 of H, built by three ``_next_segre`` steps."""
+    v1 = _next_segre(H, None)
+    v2 = _next_segre(H, v1)
+    return SegreTriple(H.n, v1, v2, _next_segre(H, v2))
 
 
 def segre_closure_residual(triple: SegreTriple) -> SeriesMap:
@@ -339,13 +345,13 @@ class MinimalityVerdict(NamedTuple):
 
 
 def is_minimal(H: Hypersurface) -> MinimalityVerdict:
-    return _minimality(H, segre_maps(H))
+    return _minimality(H, _next_segre(H, _next_segre(H, None)))
 
 
-def _minimality(H: Hypersurface, triple: SegreTriple) -> MinimalityVerdict:
-    """The verdict of ``is_minimal`` from H's Segre triple, built once by
-    the caller."""
-    result = generic_rank(triple.v2)
+def _minimality(H: Hypersurface, v2: SeriesMap) -> MinimalityVerdict:
+    """The verdict of ``is_minimal`` from H's second Segre map, built once
+    by the caller."""
+    result = generic_rank(v2)
     return MinimalityVerdict(
         minimal=result.rank == H.n,
         rank=result.rank,

@@ -20,13 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import PrerequisiteError
-from .hypersurface import (
-    Hypersurface,
-    SegreTriple,
-    _minimality,
-    degeneracy,
-    segre_maps,
-)
+from .hypersurface import Hypersurface, _minimality, _next_segre, degeneracy
 from .rank import CERTIFIED
 from .rational import GaussRational, ONE
 from .series import (
@@ -252,18 +246,18 @@ class SegreIdentityVerdict(NamedTuple):
     residual: TruncatedSeries
 
 
-def _minimal_source_triple(source: Hypersurface) -> SegreTriple:
-    """The source's Segre triple, once the source is known to be normal
+def _minimal_source_v2(source: Hypersurface) -> SeriesMap:
+    """The source's second Segre map, once the source is known to be normal
     and minimal with a certified rank; PrerequisiteError otherwise."""
     if not source.normal:
         raise PrerequisiteError("source must be in normal coordinates")
-    triple = segre_maps(source)
-    minimality = _minimality(source, triple)
+    v2 = _next_segre(source, _next_segre(source, None))
+    minimality = _minimality(source, v2)
     if not minimality.minimal or minimality.certificate.status != CERTIFIED:
         raise PrerequisiteError(
             "source must be minimal with a certified rank at this order"
         )
-    return triple
+    return v2
 
 
 def segre_reflection_identity(fm: FormalMap) -> SegreIdentityVerdict:
@@ -273,22 +267,23 @@ def segre_reflection_identity(fm: FormalMap) -> SegreIdentityVerdict:
     Both sides are series over (zp, xi, eta). Prerequisites: the mapping
     check must pass, and the source must be normal and minimal with a
     certified rank; these are re-verified here and raise PrerequisiteError
-    when absent.
+    when absent. v3 is one Segre step from the v2 the prerequisite built.
     """
     if not check_maps_into(fm).passed:
         raise PrerequisiteError(
             "mapping check failed; the identity is only meaningful for maps "
             "that send the source into the target"
         )
-    triple = _minimal_source_triple(fm.source)
+    v2 = _minimal_source_v2(fm.source)
+    v3 = _next_segre(fm.source, v2)
     n = fm.n
     m = n - 1
     src = 3 * m
     r = reflection_function(fm)
-    along = fm.f.conjugate().compose(triple.v2.conjugate())  # over (xi, eta)
+    along = fm.f.conjugate().compose(v2.conjugate())  # over (xi, eta)
     lifted = along.compose(SeriesMap.from_slots(src, along.order, range(m, src))).components
-    common = min(r.order, triple.v3.order, along.order)
-    lhs = compose(r, SeriesMap.from_slots(src, common, [*triple.v3.components, *lifted[:m]]))
+    common = min(r.order, v3.order, along.order)
+    lhs = compose(r, SeriesMap.from_slots(src, common, [*v3.components, *lifted[:m]]))
     rhs = lifted[n - 1].truncate(lhs.order)
     residual = lhs - rhs
     return SegreIdentityVerdict(
@@ -385,7 +380,7 @@ def partial_convergence(
     """
     if not fm.is_biholomorphism:
         raise PrerequisiteError("map must have an invertible linear part")
-    _minimal_source_triple(fm.source)
+    _minimal_source_v2(fm.source)
     deg = degeneracy(fm.target, cutoff)
     if deg.certificate.status != CERTIFIED:
         raise PrerequisiteError("target degeneracy rank is not certified")

@@ -34,10 +34,6 @@ def grlex_key(exponents: tuple[int, ...]):
     return (sum(exponents), exponents)
 
 
-def add_exponents(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def unit_exponent(nvars: int, index: int) -> tuple[int, ...]:
     if not 0 <= index < nvars:
         raise ValueError(f"variable index {index} out of range for {nvars} variables")

@@ -249,24 +249,26 @@ def test_check_map_dilation_passes(capsys):
     assert "segre reflection identity: pass" in out
 
 
-def test_check_map_builds_the_segre_triple_once(monkeypatch, capsys):
-    # the identity's minimality prerequisite reads the triple it then uses
+def test_check_map_builds_each_segre_map_once(monkeypatch, capsys):
+    # the identity's minimality prerequisite builds v1 and v2, and v3 is
+    # one more step from that v2
     built = []
-    original = crkit.hypersurface.segre_maps
+    original = crkit.hypersurface._next_segre
 
-    def counting(surface):
-        built.append(surface)
-        return original(surface)
+    def counting(surface, v):
+        result = original(surface, v)
+        built.append(result.source_nvars)
+        return result
 
     for module in (crkit.hypersurface, crkit.reflection):
-        monkeypatch.setattr(module, "segre_maps", counting)
+        monkeypatch.setattr(module, "_next_segre", counting)
     sphere = CORPUS / "sphere.crkit"
     code, out, _ = run(
         capsys, "check-map", "-s", sphere, "-t", sphere, "-f", CORPUS / "sphere_dilation.crkit"
     )
     assert code == 0
     assert "segre reflection identity: pass" in out
-    assert len(built) == 1
+    assert built == [1, 2, 3]
 
 
 def test_check_map_corrupted_fails_with_monomial(capsys):

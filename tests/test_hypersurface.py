@@ -244,6 +244,20 @@ def test_segre_needs_normal_coordinates(perturbed_sphere):
 # minimality
 
 
+def test_is_minimal_builds_no_third_segre_map(monkeypatch, quadric):
+    # v3 is the only map over 3(n-1) variables the Segre steps compose
+    sources = []
+    original = crkit.series.compose
+
+    def counting(outer, vmap):
+        sources.append(vmap.source_nvars)
+        return original(outer, vmap)
+
+    monkeypatch.setattr(crkit.hypersurface, "compose", counting)
+    assert is_minimal(quadric).minimal
+    assert sources and 3 * (quadric.n - 1) not in sources
+
+
 def test_minimality_table(sphere, levi_flat, quadric):
     v = is_minimal(sphere)
     assert (v.minimal, v.rank, v.n) == (True, 2, 2)

@@ -1045,6 +1045,39 @@ def test_normalize_agrees_with_its_change(case):
     assert substituted == normalize(surface).rho
 
 
+# segre_maps builds v2 and v3 by one Segre step each. The reference writes
+# them by hand: v2 = (z', phi(xi, 0, z')) and v3 = (z', phi(xi, inner, z'))
+# with inner = phibar(eta, 0, xi).
+
+
+def ref_segre_maps(H):
+    n, order = H.n, H.order
+    m = n - 1
+    phi, phibar = H.phi, H.phibar
+    src2 = 2 * m
+    v2_last = compose(phi, SeriesMap.from_slots(src2, order, [*range(m, src2), None, *range(m)]))
+    v2 = SeriesMap.from_slots(src2, order, [*range(m), v2_last])
+    src3 = 3 * m
+    xi = range(m, 2 * m)
+    inner = compose(phibar, SeriesMap.from_slots(src3, order, [*range(2 * m, src3), None, *xi]))
+    v3_last = compose(phi, SeriesMap.from_slots(src3, order, [*xi, inner, *range(m)]))
+    v3 = SeriesMap.from_slots(src3, order, [*range(m), v3_last])
+    return v2, v3
+
+
+@settings(max_examples=60, deadline=None)
+@given(real_germs(straight_axis=True))
+@example((corpus.perturbed_sphere().rho, 2))
+@example((corpus.degenerate_quadric().rho, 3))
+def test_segre_steps_match_the_hand_written_maps(case):
+    rho, n = case
+    H = normalize(from_defining(rho, n))
+    triple = segre_maps(H)
+    assert triple.v1 == SeriesMap.from_slots(n - 1, H.order, [*range(n - 1), None])
+    for ours, theirs in zip((triple.v2, triple.v3), ref_segre_maps(H)):
+        assert ours.components == theirs.components
+
+
 # reality_defect reads the integer form: each row against the row at its
 # mirrored key. The reference is the term-by-term loop on the view.
 

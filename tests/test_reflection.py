@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import crkit.hypersurface
 import crkit.reflection
 import crkit.series
 from crkit import corpus
@@ -445,6 +446,24 @@ def test_reflection_report(shear_map):
     assert report.reflection == reflection_function(shear_map)
     assert report.evidence.r0 == 0.5 ** (1.0 / 3.0)
     assert report.evidence.polynomial
+
+
+def test_partial_convergence_builds_no_third_segre_map(monkeypatch):
+    # the reflect path needs the source minimal, which reads v2 only; v3
+    # is the only map over 3(n-1) variables the Segre steps compose
+    quadric = corpus.degenerate_quadric()
+    fm = FormalMap(corpus.exp_shear(), quadric, quadric)
+    sources = []
+    original = crkit.series.compose
+
+    def counting(outer, vmap):
+        sources.append(vmap.source_nvars)
+        return original(outer, vmap)
+
+    for module in (crkit.hypersurface, crkit.reflection):
+        monkeypatch.setattr(module, "compose", counting)
+    partial_convergence(fm)
+    assert sources and 3 * (fm.n - 1) not in sources
 
 
 def test_check_and_reflect_lift_the_map_once(monkeypatch):

@@ -6,7 +6,6 @@ from crkit.rational import GaussRational, I, ONE
 from crkit.series import (
     SeriesMap,
     TruncatedSeries,
-    add_exponents,
     compose,
     format_series,
     grlex_key,
@@ -62,7 +61,6 @@ def test_multi_factorial():
 
 
 def test_exponent_helpers():
-    assert add_exponents((1, 2), (3, 0)) == (4, 2)
     assert unit_exponent(3, 1) == (0, 1, 0)
 
 
