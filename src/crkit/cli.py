@@ -14,10 +14,11 @@ and reflect. Any other flag is a usage error.
 
 Exit codes: 0 all checks passed; 1 a check failed, which includes a
 failed geometric check on a document that parses (say, a defining series
-that is not real); 2 an unreadable file, a malformed document or a bad
-flag. Geometric findings (non-minimal, positive degeneracy, not normal)
-are reported, not treated as failures. All output is
-deterministic for fixed flags; the doc format is golden-file stable.
+that is not real); 2 an unreadable file, a malformed document, inputs
+that guarantee an order below 2 or a bad flag. Geometric findings
+(non-minimal, positive degeneracy, not normal) are reported, not treated
+as failures. All output is deterministic for fixed flags; the doc format
+is golden-file stable.
 """
 
 from __future__ import annotations
@@ -30,12 +31,12 @@ import sys
 from .documents import (
     DEFAULT_ORDER,
     _frame,
-    parse_document,
+    read_document,
     serialize,
     serialize_report,
     write_atomic,
 )
-from .errors import CrkitError, DocumentError, GeometryError, ParseError, PrerequisiteError
+from .errors import CrkitError, DocumentError, GeometryError, PrerequisiteError
 from .hypersurface import Hypersurface, degeneracy, is_minimal, normalize, normalizing_change
 from .rank import CERTIFIED
 from .reflection import (
@@ -62,18 +63,12 @@ def _check_flags(args) -> None:
         raise _InputError("cutoff must be between 1 and the order")
 
 
-def _read(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise _InputError(f"{path}: {exc.strerror or exc}") from None
-
-
 def _load(path: str):
     try:
-        return parse_document(_read(path))
-    except (DocumentError, ParseError) as exc:
+        return read_document(path)
+    except OSError as exc:
+        raise _InputError(f"{path}: {exc.strerror or exc}") from None
+    except DocumentError as exc:
         raise _InputError(f"{path}: {exc}") from None
 
 
@@ -99,6 +94,8 @@ def _effective_order(requested: int | None, cutoff: int | None, *orders: int) ->
             "asks for more"
         )
     eff = min(DEFAULT_ORDER if requested is None else requested, available)
+    if eff < 2:
+        raise _InputError(f"inputs only guarantee order {eff}; the order must be at least 2")
     if cutoff is not None and cutoff > eff:
         raise _InputError(
             f"--cutoff {cutoff} exceeds the effective order {eff}"

@@ -46,6 +46,7 @@ import re
 from fractions import Fraction
 
 from .errors import DocumentError
+from .hypersurface import from_defining
 from .series import SeriesMap, TruncatedSeries, _exponents, _weights
 
 FORMAT_VERSION = "crkit-series/1"
@@ -464,8 +465,6 @@ def parse_document(text: str):
     document's kind line. Raises DocumentError carrying every problem
     found, not just the first.
     """
-    from .hypersurface import from_defining  # local import, avoids a cycle
-
     reader = _Reader(text)
     if not reader.lines or reader.lines[0] != FORMAT_VERSION:
         found = reader.lines[0] if reader.lines else ""
@@ -606,5 +605,13 @@ def write_document(path, obj, variables=None):
 
 
 def read_document(path):
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        return parse_document(handle.read())
+    """Parse the document in the file ``path`` names; bytes that are not
+    UTF-8 raise DocumentError naming the offset of the first."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        problem = f"not UTF-8: byte 0x{data[exc.start]:02x} at offset {exc.start} does not decode"
+        raise DocumentError([problem]) from None
+    return parse_document(text)

@@ -93,27 +93,6 @@ def normalize_declaration(decl: Declaration) -> tuple[tuple[str, int], ...]:
     return tuple(pairs)
 
 
-class _Layout:
-    __slots__ = ("groups", "offsets", "nvars")
-
-    def __init__(self, groups):
-        self.groups = groups
-        self.offsets = {}
-        total = 0
-        for name, arity in groups:
-            self.offsets[name] = total
-            total += arity
-        self.nvars = total
-
-    def resolve(self, name: str, index: int) -> int | None:
-        for gname, arity in self.groups:
-            if gname == name:
-                if 1 <= index <= arity:
-                    return self.offsets[name] + index - 1
-                return None
-        return None
-
-
 # ---------------------------------------------------------------------------
 # tokenizer
 
@@ -224,10 +203,10 @@ class _Parser:
     """One pass over the tokens; each construct is handed to ``values``,
     left operand first."""
 
-    def __init__(self, tokens: list[_Token], layout: _Layout, values):
+    def __init__(self, tokens: list[_Token], slots: dict, values):
         self.tokens = tokens
         self.pos = 0
-        self.layout = layout
+        self.slots = slots
         self.values = values
 
     def peek(self) -> _Token:
@@ -306,12 +285,12 @@ class _Parser:
     def resolve(self, token: _Token) -> int:
         """The slot of the variable ``token`` names."""
         match = _IDENT_RE.fullmatch(token.text)
-        if match is None:
-            self.fail(f"undeclared identifier {token.text!r}", token)
-        slot = self.layout.resolve(match.group(1), int(match.group(2)))
-        if slot is None:
-            self.fail(f"undeclared identifier {token.text!r}", token)
-        return slot
+        if match is not None and match.group(1) in self.slots:
+            first, arity = self.slots[match.group(1)]
+            index = int(match.group(2))
+            if 1 <= index <= arity:
+                return first + index - 1
+        self.fail(f"undeclared identifier {token.text!r}", token)
 
 
 # ---------------------------------------------------------------------------
@@ -333,13 +312,16 @@ def parse_expr(text: str, variables: Declaration, order: int) -> TruncatedSeries
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    groups = normalize_declaration(variables)
-    layout = _Layout(groups)
+    # each group name -> (its first slot, its arity)
+    slots, nvars = {}, 0
+    for name, arity in normalize_declaration(variables):
+        slots[name] = nvars, arity
+        nvars += arity
     tokens = _tokenize(text)
     if tokens[0].kind == "end":
         raise ParseError("empty expression", tokens[0].line, tokens[0].column)
-    bound = _Parser(tokens, layout, _DegreeBound()).parse()
-    expanded = _Parser(tokens, layout, _Expansion(layout.nvars, max(order, bound))).parse()
+    bound = _Parser(tokens, slots, _DegreeBound()).parse()
+    expanded = _Parser(tokens, slots, _Expansion(nvars, max(order, bound))).parse()
     result = expanded.truncate(order)
     dropped = len(expanded._form[1]) - len(result._form[1])
     if dropped:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 
@@ -120,10 +119,6 @@ class GaussRational:
 
     def conjugate(self) -> "GaussRational":
         return GaussRational._trusted(self.re, -self.im)
-
-    def modulus_float(self) -> float:
-        """Float absolute value, for diagnostics only."""
-        return math.hypot(float(self.re), float(self.im))
 
     def __repr__(self):
         if not self.im:

@@ -182,16 +182,15 @@ def reflection_function(fm: FormalMap) -> TruncatedSeries:
 
 
 def reflection_at_lambda_zero(fm: FormalMap) -> TruncatedSeries:
-    """The lambda = 0 slice of the reflection series, over z only.
+    """The lambda = 0 slice of the reflection series, over z only: one
+    composition with lambda := 0, which ``compose`` applies as a relabel.
 
     When the target is in normal coordinates this equals the last
     component of f.
     """
     n = fm.n
     r = reflection_function(fm)
-    family = r.coefficient_family(range(n, 2 * n - 1))
-    zero = (0,) * (n - 1)
-    return family.get(zero, TruncatedSeries.zero(n, r.order))
+    return compose(r, SeriesMap.from_slots(n, r.order, [*range(n), *[None] * (n - 1)]))
 
 
 def reflection_on_segre(

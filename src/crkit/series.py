@@ -847,11 +847,13 @@ def _relabel_form(form, plan):
 
 
 def _pattern_products(depth: dict, factors: list, order: int) -> dict:
-    """``compose``'s products: each pattern of ``depth`` mapped to its
-    product of powers of the general slots, formed through the degrees
-    ``compose`` derives from the pattern's depth. ``factors`` holds each
-    general slot's (series, valuation), in the order of a pattern's
-    entries. A pattern whose product starts above its depth gets none."""
+    """The power cache of ``compose`` and of the solvers' shift: each
+    pattern of ``depth`` mapped to its product of powers of the factors,
+    formed through the degrees ``compose`` derives from the pattern's
+    depth, each power once. ``factors`` holds each factor's (series,
+    valuation), in the order of a pattern's entries; a valuation may be a
+    lower bound, such as the shift's 0. A pattern whose product starts
+    above its depth gets none."""
     used = {}
     need: dict[int, dict[int, int]] = {}  # slot -> {power k >= 2: degree read}
     for pattern, reach in depth.items():

@@ -12,11 +12,11 @@ by their exponents in the unknowns, wherever these stand, and the result
 is written over x in the order the parameters are named.
 ``implicit_solve`` hands rho over as it is, ``invert_map`` writes
 f(y) - x over (x, y), and ``newton_extend`` shifts y = y0 + u, where y0
-is the constant part of the given solution, with powers of y0 + u in the
-product kernel. Every solve starts from Y = 0: ``newton_extend`` checks
-the given u by composition and then solves for u afresh, whose degrees
-through the given order are the given ones, since the solution is
-unique.
+is the constant part of the given solution, with the powers of y0 + u
+from composition's power cache. Every solve starts from Y = 0:
+``newton_extend`` checks the given u by composition and then solves for
+u afresh, whose degrees through the given order are the given ones,
+since the solution is unique.
 
 The solve is online, one homogeneous degree at a time. It first folds
 -J0^-1 into the equations, once: G = -J0^-1 F solves the same problem,
@@ -45,6 +45,7 @@ from .series import (
     TruncatedSeries,
     _ONE_FORM,
     _inverse_equation,
+    _pattern_products,
     _plan,
     _primitive,
     _sum_of_products,
@@ -194,24 +195,23 @@ def _shift(F: TruncatedSeries, q: int, y0, order: int) -> TruncatedSeries:
 
     The stored terms of F are read as a polynomial, so ``order`` must be
     at least F.order. Grouped by their exponents beta in the unknowns, the
-    terms F_beta(x) are multiplied by (y0 + u)^beta, each a product of
-    powers of the roots y0_j + u_j in the product kernel, and summed in
-    one pass of that kernel.
+    terms F_beta(x) are multiplied by (y0 + u)^beta and summed in one pass
+    of the product kernel. The products come from composition's power
+    cache, each root y0_j + u_j at valuation 0, so each power of a root is
+    formed once for every beta.
     """
     nvars = F.nvars
     if not any(y0):
         return TruncatedSeries._trusted(nvars, order, F._form_at(order + 2))
     den, rows, is_complex = F._form
     plan = _plan(nvars, F.order + 2, [(i, i) for i in range(q)], range(q, nvars), nvars, order)
-    roots = [TruncatedSeries.variable(nvars, order, q + j) + c for j, c in enumerate(y0)]
-    pairs = []
-    for beta, part in _walk(rows, plan).items():
-        binomial = None
-        for root, e in zip(roots, beta):
-            if e:
-                factor = root ** e
-                binomial = factor if binomial is None else binomial * factor
-        pairs.append(((den, part, is_complex), _ONE_FORM if binomial is None else binomial._form))
+    groups = _walk(rows, plan)
+    # a group's rows keep their order, and all share |beta|, so the first
+    # has the lowest degree in x
+    depth = {beta: order - part[0][0] for beta, part in groups.items()}
+    roots = [(TruncatedSeries.variable(nvars, order, q + j) + c, 0) for j, c in enumerate(y0)]
+    products = _pattern_products(depth, roots, order)
+    pairs = [((den, part, is_complex), products[beta]) for beta, part in groups.items()]
     return _sum_of_products(pairs, nvars, order)
 
 

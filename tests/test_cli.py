@@ -499,6 +499,38 @@ def test_analyze_refuses_a_map_document(capsys):
     assert (code, out, err) == (2, "", f"error: {path}: expected a hypersurface document\n")
 
 
+@pytest.mark.parametrize("command, name", [
+    ("analyze", "sphere.crkit"),
+    ("check-map", "sphere_dilation.crkit"),
+])
+def test_a_document_that_is_not_utf8_is_an_input_error(tmp_path, capsys, command, name):
+    # the corpus document with a 0xff byte in its kind line
+    data = (CORPUS / name).read_bytes().replace(b"kind ", b"kind \xff", 1)
+    path = tmp_path / name
+    path.write_bytes(data)
+    surface = CORPUS / "sphere.crkit"
+    argv = [command, path] if command == "analyze" else [command, "-s", surface, "-t", surface, "-f", path]
+    code, out, err = run(capsys, *argv)
+    offset = data.index(b"\xff")
+    message = f"error: {path}: not UTF-8: byte 0xff at offset {offset} does not decode\n"
+    assert (code, out, err) == (2, "", message)
+
+
+@pytest.mark.parametrize("command", ["check-map", "reflect"])
+def test_a_map_written_at_order_one_is_an_input_error(tmp_path, capsys, command):
+    # the sphere document is fine; the map only guarantees order 1
+    path = tmp_path / "dilation_1.crkit"
+    write_document(path, corpus.sphere_dilation(8).truncate(1), (("z", 2),))
+    surface = CORPUS / "sphere.crkit"
+    argv = [command, "-s", surface, "-t", surface, "-f", path]
+    if command == "reflect":
+        argv += ["-o", tmp_path / "out"]
+    code, out, err = run(capsys, *argv)
+    message = "error: inputs only guarantee order 1; the order must be at least 2\n"
+    assert (code, out, err) == (2, "", message)
+    assert not (tmp_path / "out").exists()
+
+
 def test_cutoff_above_the_document_order_is_input_error(tmp_path, capsys):
     path = tmp_path / "sphere6.crkit"
     write_document(str(path), corpus.sphere(6))

@@ -76,6 +76,15 @@ def test_file_round_trip(tmp_path, sphere):
     assert b"\r" not in raw
 
 
+def test_a_file_that_is_not_utf8_is_a_document_error(tmp_path):
+    # a 0xff byte in the second line, which starts at offset 15
+    path = tmp_path / "latin.crkit"
+    path.write_bytes(FORMAT_VERSION.encode() + b"\nkind s\xffries\n")
+    with pytest.raises(DocumentError) as info:
+        read_document(path)
+    assert info.value.problems == ["not UTF-8: byte 0xff at offset 21 does not decode"]
+
+
 def test_term_ordering_is_graded_lex():
     series = TruncatedSeries(
         2, 4,

@@ -69,8 +69,16 @@ def test_undeclared_identifier():
         parse_expr("z1 + q", "z:2,w:2", 4)
     with pytest.raises(ParseError, match="undeclared identifier 'z3'"):
         parse_expr("z3", "z:2,w:2", 4)
-    with pytest.raises(ParseError, match="undeclared identifier"):
+    with pytest.raises(ParseError, match="undeclared identifier 'z0'"):
         parse_expr("z0", "z:2,w:2", 4)  # indices are 1-based
+    with pytest.raises(ParseError, match="undeclared identifier 'w3'"):
+        parse_expr("w3", "z:2,w:2", 4)  # one above the group's arity
+    with pytest.raises(ParseError, match="undeclared identifier 'z03'"):
+        parse_expr("z03", "z:2,w:2", 4)
+    with pytest.raises(ParseError, match="undeclared identifier 'u1'"):
+        parse_expr("z1 * u1", "z:2,w:2", 4)  # a group that was not declared
+    # a leading zero reads the index as written: z01 is z1
+    assert parse_expr("z01 + w02", "z:2,w:2", 4) == parse_expr("z1 + w2", "z:2,w:2", 4)
 
 
 def test_error_positions():

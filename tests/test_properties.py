@@ -23,7 +23,7 @@ from crkit.rank import CERTIFIED, generic_rank, matrix_generic_rank
 from crkit.rational import GaussRational, I, ONE, ZERO
 from crkit.reflection import (
     FormalMap, MapVerdict, check_maps_into, convergence_evidence, partial_convergence,
-    reflection_function, segre_reflection_identity, u_family,
+    reflection_at_lambda_zero, reflection_function, segre_reflection_identity, u_family,
 )
 from crkit.series import (
     SeriesMap, TruncatedSeries, _ONE_FORM, _exponents, _sum_of_products, _sum_of_products_form,
@@ -1274,6 +1274,42 @@ def test_check_at_a_lower_order_matches_the_reference_on_drawn_maps(case):
     assert_lower_orders_match_the_reference(*case)
 
 
+def ref_lambda_zero(fm):
+    """reflection_at_lambda_zero as it was before it became one composition:
+    the alpha = 0 entry of the reflection series' whole lambda family."""
+    n = fm.n
+    r = reflection_function(fm)
+    family = r.coefficient_family(range(n, 2 * n - 1))
+    zero = (0,) * (n - 1)
+    return family.get(zero, TruncatedSeries.zero(n, r.order))
+
+
+def assert_lambda_zero_matches_the_reference(fm):
+    slice_, reference = reflection_at_lambda_zero(fm), ref_lambda_zero(fm)
+    assert (slice_.nvars, slice_.order, slice_._form) == (
+        reference.nvars, reference.order, reference._form
+    )
+
+
+@pytest.mark.parametrize("order", [2, 3, 6, 8, 12])
+@pytest.mark.parametrize("name", corpus.MAPS)
+def test_lambda_zero_slice_is_the_family_entry_on_the_corpus(name, order):
+    # built at the default order or above and truncated: a corpus builder
+    # asked for a low order warns that it drops terms
+    make_map, source, target = corpus.MAPS[name]
+    build = max(order, corpus.DEFAULT_ORDER)
+    f, surfaces = make_map(build).truncate(order), corpus.HYPERSURFACES
+    assert_lambda_zero_matches_the_reference(
+        FormalMap(f, surfaces[source](build).truncate(order), surfaces[target](build).truncate(order))
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn_formal_maps())
+def test_lambda_zero_slice_is_the_family_entry_on_drawn_maps(case):
+    assert_lambda_zero_matches_the_reference(FormalMap(*case))
+
+
 # ---------------------------------------------------------------------------
 # the integer form every series is
 #
@@ -1629,7 +1665,9 @@ def ref_evidence_rows(family, radius):
     for alpha, s in family:
         if s.is_zero():
             continue
-        majorant = sum(c.modulus_float() * scale ** sum(e) for e, c in s.sorted_terms())
+        majorant = sum(
+            math.hypot(float(c.re), float(c.im)) * scale ** sum(e) for e, c in s.sorted_terms()
+        )
         rows.append((alpha, majorant, (majorant / multi_factorial(alpha)) ** (1.0 / (sum(alpha) + 1))))
     return tuple(rows)
 

@@ -83,11 +83,6 @@ def test_conjugate():
     assert product.re == Fraction(2, 3) ** 2 + Fraction(1, 7) ** 2
 
 
-def test_modulus_float():
-    assert GaussRational(3, 4).modulus_float() == pytest.approx(5.0)
-    assert ZERO.modulus_float() == 0.0
-
-
 def test_repr_and_str():
     assert str(ONE) == "1"
     assert str(I) == "i"

@@ -725,6 +725,53 @@ def test_shift_matches_the_gauss_rational_expansion(case):
     assert solvers._shift(F, q, y0, order)._form == reference_shift(F, q, y0, order)._form
 
 
+def test_shift_forms_each_power_of_a_root_once(monkeypatch):
+    # over (x, y1, y2): y1^3 - y1^2 - x and y1^2 y2 - 2 y2 + 1 - x, solved by
+    # y(0) = (1, 1) with Jacobian [[1, 0], [2, -1]] there; the terms use
+    # beta = (3, 0), (2, 0) and (2, 1)
+    def equation(terms):
+        return TruncatedSeries(3, 4, [(e, GaussRational(c)) for e, c in terms])
+
+    system = SeriesMap([
+        equation([((0, 3, 0), 1), ((0, 2, 0), -1), ((1, 0, 0), -1)]),
+        equation([((0, 2, 1), 1), ((0, 0, 1), -2), ((0, 0, 0), 1), ((1, 0, 0), -1)]),
+    ])
+    seed = SeriesMap([TruncatedSeries(1, 0, [((0,), ONE)])] * 2)
+    calls, inside = [], []
+    kernel, shift = series._sum_of_products_form, solvers._shift
+
+    def counted(pairs, order, depth=None):
+        if inside:
+            calls[-1].append(repr(pairs))
+        return kernel(pairs, order, depth)
+
+    def refuse(*args):
+        raise AssertionError("_shift makes no TruncatedSeries product")
+
+    def watched(*args):
+        calls.append([])
+        inside.append(True)
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(TruncatedSeries, "__mul__", refuse)
+                patch.setattr(TruncatedSeries, "__pow__", refuse)
+                return shift(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(series, "_sum_of_products_form", counted)
+    monkeypatch.setattr(solvers, "_shift", watched)
+    extended = newton_extend(system, seed, 6)
+    monkeypatch.undo()
+    assert extended == reference_newton_extend(system, seed, 6)
+    # each equation: the roots y1 + 1 and y2 + 1, one sum each; then the
+    # first forms (y1 + 1)^2 and (y1 + 1)^3, the second (y1 + 1)^2 and its
+    # product with y2 + 1; then the sum over beta
+    assert [len(made) for made in calls] == [5, 5]
+    for made in calls:
+        assert len(set(made)) == len(made)
+
+
 # ---------------------------------------------------------------------------
 # newton_extend solves from zero: the given degrees only enter as a check
 
