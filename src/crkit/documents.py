@@ -21,7 +21,8 @@ A series document:
 Each term line is the exponent vector followed by the real and imaginary
 parts. Map documents insert "components k" and per-component term blocks;
 hypersurface documents carry "n" and a "normal" flag and always declare
-variables as z:n w:n. Reflection reports are written, never parsed.
+variables as z:n w:n and an order of at least 2. Reflection reports are
+written, never parsed.
 
 A block of term lines is read in one pass: one regular expression,
 compiled once per variable count, matches the whole block, every line
@@ -520,7 +521,7 @@ def parse_document(text: str):
             if n is not None and n < 2:
                 reader.report(f"n must be at least 2, got {n}")
                 n = None
-        vars_pos = reader.pos + 1  # the line after n; used only if n was read
+        vars_pos = reader.pos + 1  # the vars line, then order; used only if n was read
         block = _parse_series_block(reader)
         normal_token = reader.take_kv("normal")
         normal_pos = reader.pos
@@ -534,6 +535,8 @@ def parse_document(text: str):
                 reader.report(
                     "hypersurface documents must declare variables z:n w:n", vars_pos
                 )
+            elif rho.order < 2:
+                reader.report(f"defining series needs order >= 2, got {rho.order}", vars_pos + 1)
             else:
                 surface = from_defining(rho, n, provenance=("document",))
                 if normal_token is not None:

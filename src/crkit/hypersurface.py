@@ -415,6 +415,11 @@ def degeneracy(H: Hypersurface, cutoff: int | None = None) -> DegeneracyResult:
     rows still index the full family, and ``stabilized`` are those of the
     dense gradient matrix.
     """
+    return _degeneracy(H, cutoff)[0]
+
+
+def _degeneracy(H: Hypersurface, cutoff: int | None):
+    """``degeneracy``'s verdict, the phi family it read and its gradient rows."""
     if cutoff is None:
         cutoff = H.order
     if cutoff < 1:
@@ -453,7 +458,7 @@ def degeneracy(H: Hypersurface, cutoff: int | None = None) -> DegeneracyResult:
         witnesses=witnesses,
         certificate=result.certificate,
         order=H.order,
-    )
+    ), family, rows
 
 
 # ---------------------------------------------------------------------------

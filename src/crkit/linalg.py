@@ -3,35 +3,26 @@
 Matrices are lists of lists of Gaussian rationals; ``int`` and
 ``Fraction`` entries are read as such. The determinant and the inverse
 share one fraction-free elimination over Gaussian integers (Bareiss,
-1968): the entries are put over one common denominator once, and each
-step is integer multiplication plus an exact division by the previous
-pivot. It takes the first nonzero pivot in each column, so every result
-is exact and every pivot choice deterministic, and results become
-Gaussian rationals only on the way out. The determinant of a matrix of
-series, by cofactor expansion, lives here too.
+1968): ``series._integers`` puts the entries over one common denominator
+once, and each step is integer multiplication plus an exact division by
+the previous pivot. It takes the first nonzero pivot in each column, so
+every result is exact and every pivot choice deterministic, and results
+become Gaussian rationals only on the way out, through
+``series._coefficient``. The determinant of a matrix of series, by
+cofactor expansion, lives here too.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
 from .rational import GaussRational, ZERO
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _coefficient, _integers
 
 
-def _integer_rows(matrix):
-    """(den, rows): every entry times the lcm ``den`` of all denominators,
-    as a Gaussian integer (a, b) standing for a + b i."""
-    entries = [[GaussRational.coerce(c) for c in row] for row in matrix]
-    den = math.lcm(*[f.denominator for row in entries for c in row for f in (c.re, c.im)])
-    return den, [
-        [
-            (c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator))
-            for c in row
-        ]
-        for row in entries
-    ]
+def _integer_rows(matrix, n: int):
+    """(den, rows): the n x n ``matrix`` through ``_integers``, each entry
+    a Gaussian integer (a, b) over the one ``den``."""
+    den, flat = _integers([GaussRational.coerce(c) for row in matrix for c in row])
+    return den, [flat[i * n : i * n + n] for i in range(n)]
 
 
 def _eliminate(rows, n: int):
@@ -81,14 +72,13 @@ def _require_square(matrix, what: str) -> int:
 
 def determinant(matrix) -> GaussRational:
     n = _require_square(matrix, "determinant")
-    den, rows = _integer_rows(matrix)
+    den, rows = _integer_rows(matrix, n)
     result = _eliminate(rows, n)
     if result is None:
         return ZERO
     sign, (p, q) = result
     # det(den * A) = den^n det(A)
-    scale = sign * den**n
-    return GaussRational._trusted(Fraction(p, scale), Fraction(q, scale))
+    return _coefficient(sign * den**n, p, q)
 
 
 def inverse(matrix) -> list[list[GaussRational]]:
@@ -98,7 +88,7 @@ def inverse(matrix) -> list[list[GaussRational]]:
     den T / p.
     """
     n = _require_square(matrix, "inverse")
-    den, rows = _integer_rows(matrix)
+    den, rows = _integer_rows(matrix, n)
     for i, row in enumerate(rows):
         row.extend((1, 0) if j == i else (0, 0) for j in range(n))
     result = _eliminate(rows, n)
@@ -108,12 +98,7 @@ def inverse(matrix) -> list[list[GaussRational]]:
     norm = p * p + q * q
     # (a + b i) / (p + q i) = (a + b i)(p - q i) / norm
     return [
-        [
-            GaussRational._trusted(
-                Fraction(den * (a * p + b * q), norm), Fraction(den * (b * p - a * q), norm)
-            )
-            for a, b in row[n:]
-        ]
+        [_coefficient(norm, den * (a * p + b * q), den * (b * p - a * q)) for a, b in row[n:]]
         for row in rows
     ]
 

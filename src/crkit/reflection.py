@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import PrerequisiteError
-from .hypersurface import Hypersurface, _minimality, _next_segre, degeneracy
+from .hypersurface import Hypersurface, _degeneracy, _minimality, _next_segre
 from .rank import CERTIFIED
 from .rational import GaussRational, ONE
 from .series import (
@@ -368,10 +368,9 @@ def partial_convergence(
 ) -> PartialConvergenceResult:
     """Pull the target's degeneracy witnesses back along f.
 
-    The witness entries come from the sparse coefficient family of the
-    target's phibar in its z'-slots, the dict that ``phi_family`` pads
-    with zeros: a witness indexes a certified row of nonzero gradients,
-    so its entry is nonzero and always stored there.
+    The witness entries and their gradient rows are those that
+    ``degeneracy`` read: a witness indexes a certified row of nonzero
+    gradients, so its entry is nonzero.
 
     The Jacobian of g has rank r = n - bound with no further climb: its r
     rows bound the rank above, and it holds degeneracy's certified minor,
@@ -380,7 +379,7 @@ def partial_convergence(
     if not fm.is_biholomorphism:
         raise PrerequisiteError("map must have an invertible linear part")
     _minimal_source_v2(fm.source)
-    deg = degeneracy(fm.target, cutoff)
+    deg, family, gradients = _degeneracy(fm.target, cutoff)
     if deg.certificate.status != CERTIFIED:
         raise PrerequisiteError("target degeneracy rank is not certified")
     if not deg.stabilized:
@@ -389,22 +388,18 @@ def partial_convergence(
             f"{deg.cutoff_effective}; raise the truncation order"
         )
     n = fm.n
-    family = fm.target.phibar.coefficient_family(range(n, 2 * n - 1))
-    cols = deg.certificate.cols
-    rows = [
-        [family[beta].derive(j) for j in cols] for beta in deg.witnesses
-    ]
-    ordering = _pivot_order(rows, cols)
-    ordered = [deg.witnesses[i] for i in ordering]
-    common = min(family[beta].order for beta in ordered)
-    g = SeriesMap(family[beta].truncate(common) for beta in ordered)
+    picked, cols = deg.certificate.rows, deg.certificate.cols
+    ordering = _pivot_order([[gradients[i][j] for j in cols] for i in picked], cols)
+    ordered = [family[picked[i]] for i in ordering]
+    common = min(series.order for _, series in ordered)
+    g = SeriesMap(series.truncate(common) for _, series in ordered)
     gf = g.compose(fm.f)
     on_om = g.compose(SeriesMap.from_slots(2 * n, common, range(n, 2 * n)))
     on_z = gf.compose(SeriesMap.from_slots(2 * n, common, range(n)))
     generators = tuple(a - b for a, b in zip(on_om.components, on_z.components))
     return PartialConvergenceResult(
         degeneracy=deg,
-        witnesses_ordered=tuple(ordered),
+        witnesses_ordered=tuple(alpha for alpha, _ in ordered),
         g=g,
         gf=gf,
         generators=generators,

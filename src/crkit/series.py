@@ -98,26 +98,18 @@ def _weights(base: int, nvars: int) -> tuple[int, ...]:
 def _pack(items, nvars: int, base: int):
     """The integer form of (exponents, GaussRational) items, keys at ``base``.
 
-    ``den`` is the lcm of every Fraction denominator, which makes the form
-    primitive.
+    ``den`` is that of ``_integers``, the lcm of every denominator, which
+    makes the form primitive.
     """
     items = list(items)
-    if not items:
-        return 1, [], False
-    den = math.lcm(*[c.re.denominator for _, c in items], *[c.im.denominator for _, c in items])
+    den, values = _integers([c for _, c in items])
     weights = _weights(base, nvars)
-    rows = []
-    is_complex = False
-    for e, c in items:
-        re, im = c.re, c.im
-        b = 0
-        if im:
-            b = im.numerator * (den // im.denominator)
-            is_complex = True
-        a = re.numerator * (den // re.denominator)
-        rows.append((sum(e), sum(map(operator.mul, e, weights)), a, b))
+    rows = [
+        (sum(e), sum(map(operator.mul, e, weights)), a, b)
+        for (e, _), (a, b) in zip(items, values)
+    ]
     rows.sort()
-    return den, rows, is_complex
+    return den, rows, any(b for _, b in values)
 
 
 def _constant_form(value):
@@ -133,8 +125,20 @@ def _exponents(key: int, base: int, nvars: int) -> tuple[int, ...]:
     return tuple(e)
 
 
+def _integers(values):
+    """(den, [(a, b), ...]): each GaussRational of ``values`` as the
+    Gaussian integer a + b i over ``den``, the lcm of every part's
+    denominator; ``_coefficient`` reads one back."""
+    den = math.lcm(*[c.re.denominator for c in values], *[c.im.denominator for c in values])
+    return den, [
+        (c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator))
+        for c in values
+    ]
+
+
 def _coefficient(den: int, a: int, b: int) -> GaussRational:
-    """The coefficient (a + b i) / den of one row."""
+    """The GaussRational (a + b i) / den, such as one row's coefficient;
+    ``den`` may be negative."""
     return GaussRational._trusted(
         Fraction(a, den) if a else _FRACTION_ZERO,
         Fraction(b, den) if b else _FRACTION_ZERO,

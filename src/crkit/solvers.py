@@ -44,6 +44,7 @@ from .series import (
     SeriesMap,
     TruncatedSeries,
     _ONE_FORM,
+    _integers,
     _inverse_equation,
     _pattern_products,
     _plan,
@@ -217,19 +218,14 @@ def _shift(F: TruncatedSeries, q: int, y0, order: int) -> TruncatedSeries:
 
 def _negated(j0_inv) -> list:
     """-J0^-1 as ``_OnlineSolve`` takes it: for each row, (constant form,
-    column) of every nonzero entry, the form written from the entry's
-    numerators and denominators. A form need not be primitive."""
+    column) of every nonzero entry, the forms of a row over that row's
+    ``_integers`` denominator. A form need not be primitive."""
     rows = []
     for row in j0_inv:
-        operands = []
-        for i, c in enumerate(row):
-            if c:
-                # c = (a + b i) / den over the product of its parts' denominators
-                re, im = c.re, c.im
-                den = re.denominator * im.denominator
-                a, b = re.numerator * im.denominator, im.numerator * re.denominator
-                operands.append(((den, [(0, 0, -a, -b)], bool(b)), i))
-        rows.append(operands)
+        den, values = _integers(row)
+        rows.append(
+            [((den, [(0, 0, -a, -b)], bool(b)), i) for i, (a, b) in enumerate(values) if a or b]
+        )
     return rows
 
 

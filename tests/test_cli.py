@@ -531,6 +531,21 @@ def test_a_map_written_at_order_one_is_an_input_error(tmp_path, capsys, command)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "normalize"])
+def test_a_hypersurface_written_at_order_one_is_an_input_error(tmp_path, capsys, command):
+    # the sphere's document cut to its terms of degree 1
+    path = tmp_path / "sphere1.crkit"
+    text = (CORPUS / "sphere.crkit").read_text(encoding="ascii")
+    lines = text.splitlines(keepends=True)
+    path.write_text("".join([*lines[:4], "order 1\n", "terms 2\n", *lines[6:8], *lines[-2:]]))
+    out_path = tmp_path / "normal.crkit"
+    argv = [command, path] + (["-o", out_path] if command == "normalize" else [])
+    code, out, err = run(capsys, *argv)
+    message = f"error: {path}: line 5: defining series needs order >= 2, got 1\n"
+    assert (code, out, err) == (2, "", message)
+    assert not out_path.exists()
+
+
 def test_cutoff_above_the_document_order_is_input_error(tmp_path, capsys):
     path = tmp_path / "sphere6.crkit"
     write_document(str(path), corpus.sphere(6))

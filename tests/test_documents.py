@@ -277,6 +277,18 @@ def test_normal_flag_contradiction_rejected(perturbed_sphere):
     assert "contradicts" in collect_problems(lied)
 
 
+@pytest.mark.parametrize("order", [0, 1])
+def test_hypersurface_below_order_two_rejected_at_the_order_line(order):
+    # the sphere's document cut to its terms of degree at most the order
+    terms = ["term 0 0 0 1 0/1 1/2", "term 0 1 0 0 0/1 -1/2"][: 2 * order]
+    text = "\n".join([
+        FORMAT_VERSION, "kind hypersurface", "n 2", "vars z:2 w:2", f"order {order}",
+        f"terms {len(terms)}", *terms, "normal true", "end", "",
+    ])
+    message = collect_problems(text)
+    assert message == f"line 5: defining series needs order >= 2, got {order}"
+
+
 def test_hypersurface_reality_enforced_on_parse():
     # a parsed hypersurface must satisfy the reality identity; build a doc
     # whose series is not real and watch construction fail

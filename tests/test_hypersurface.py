@@ -176,6 +176,12 @@ def test_dimension_floor():
         from_defining(rho, 1)
 
 
+def test_order_floor():
+    rho = parse_expr("-(i/2)*(z2 - w2)", "z:2,w:2", 1)
+    with pytest.raises(GeometryError, match="needs order >= 2"):
+        from_defining(rho, 2)
+
+
 def test_graph_residual_vanishes(sphere, quadric, perturbed_sphere):
     for H in (sphere, quadric, perturbed_sphere):
         assert graph_residual(H.phi, H.n).is_zero()

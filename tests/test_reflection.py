@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ import crkit.reflection
 import crkit.series
 from crkit import corpus
 from crkit.errors import PrerequisiteError
-from crkit.hypersurface import phi_family
+from crkit.hypersurface import degeneracy, is_minimal, phi_family
 from crkit.parser import parse_expr
 from crkit.rational import GaussRational, ONE
 from crkit.reflection import (
@@ -464,6 +465,35 @@ def test_partial_convergence_builds_no_third_segre_map(monkeypatch):
         monkeypatch.setattr(module, "compose", counting)
     partial_convergence(fm)
     assert sources and 3 * (fm.n - 1) not in sources
+
+
+@pytest.mark.parametrize(
+    "surface, fmap", [("degenerate_quadric", "exp_shear"), ("sphere", "sphere_rotation")]
+)
+def test_partial_convergence_reads_the_family_degeneracy_built(monkeypatch, surface, fmap):
+    # the witness entries and their gradients are the ones degeneracy
+    # built: one z'-family extraction, and no derivative beyond those of
+    # degeneracy and of the source's minimality check
+    H = getattr(corpus, surface)()
+    fm = FormalMap(getattr(corpus, fmap)(), H, H)
+    calls = []
+    for name in ("coefficient_family", "derive"):
+        original = getattr(TruncatedSeries, name)
+
+        def counting(series, arg, name=name, original=original):
+            calls.append(name)
+            return original(series, arg)
+
+        monkeypatch.setattr(TruncatedSeries, name, counting)
+
+    def tally(run):
+        calls.clear()
+        run()
+        return Counter(calls)
+
+    alone = tally(lambda: (degeneracy(H), is_minimal(H)))
+    assert alone["coefficient_family"] == 1
+    assert tally(lambda: partial_convergence(fm)) == alone
 
 
 def test_check_and_reflect_lift_the_map_once(monkeypatch):

@@ -297,6 +297,21 @@ def test_newton_extend_target_below_seed_rejected():
         newton_extend(sqrt_system(8), sqrt_seed(8), 0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: implicit_solve(sphere_defining(), 4), "variable index 4 out of range"),
+    (lambda: implicit_solve(V(1, 0), 0), "need at least one remaining variable"),
+    (lambda: invert_map(SeriesMap([V(3, 0), V(3, 1)])), "only square maps"),
+    (lambda: invert_map(SeriesMap([TruncatedSeries.zero(1, 0)])), "inversion needs order >= 1"),
+    (lambda: newton_extend(SeriesMap([V(1, 0)]), SeriesMap([V(1, 0)]), N),
+     "at least one parameter variable"),
+    (lambda: newton_extend(sqrt_system(8), SeriesMap([V(2, 0)]), N),
+     "solution must map 1 parameters to 1 unknowns, got 2 -> 1"),
+])
+def test_solvers_refuse_ill_posed_problems(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_newton_extend_two_equations():
     # y1 = x + y2^2, y2 = x^2 + y1 y2; solve by direct substitution oracle:
     # y2 = x^2 + y1 y2 -> low degrees: y1 = x + x^4 + ..., y2 = x^2 + x^3 + ...
