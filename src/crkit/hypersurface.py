@@ -193,6 +193,21 @@ def _is_normal(phi: TruncatedSeries, n: int) -> bool:
     return on_axes == [(1, axis, den, 0)]
 
 
+def _straight_axis(phi: TruncatedSeries, n: int) -> bool:
+    """phi(0, w_n, 0) = w_n exactly at order: the curve M ∩ {z' = 0} is
+    the real axis.
+
+    The same scan as ``_is_normal``, over the rows on both axes at once:
+    those with key below b^n and a multiple of b^(n-1), which are the
+    powers of w_n alone.
+    """
+    den, rows, _ = phi._form
+    base = phi.order + 2
+    axis, split = base ** (n - 1), base ** n
+    on_axis = [row for row in rows if row[1] < split and row[1] % axis == 0]
+    return on_axis == [(1, axis, den, 0)]
+
+
 def graph_residual(phi: TruncatedSeries, n: int) -> TruncatedSeries:
     """Substitute the conjugated graph back into the graph.
 
@@ -215,12 +230,19 @@ def graph_residual(phi: TruncatedSeries, n: int) -> TruncatedSeries:
 
 def _axis_graph(H: Hypersurface) -> TruncatedSeries:
     """p = phi(0, z_n, z') over (z, w), once its z_n coefficient
-    c = dphi/dw_n(0) is checked nonzero."""
+    c = dphi/dw_n(0) is checked nonzero and the axis curve is checked
+    straight; ``normalize`` proves that one substitution reaches normal
+    coordinates exactly for the germs that pass both checks."""
     n = H.n
     if H.phi.coefficient(unit_exponent(2 * n - 1, n - 1)).is_zero():
         raise GeometryError(
             "cannot establish normal coordinates: graph series has a "
             "degenerate linear part in the graph variable"
+        )
+    if not _straight_axis(H.phi, n):
+        raise GeometryError(
+            "the graph substitution did not yield normal coordinates for "
+            "this input; its normal form needs more than one step"
         )
     slots = [*[None] * (n - 1), n - 1, *range(n - 1)]
     return compose(H.phi, SeriesMap.from_slots(2 * n, H.order, slots))
@@ -234,9 +256,24 @@ def normalize(H: Hypersurface) -> Hypersurface:
     z_n = p(z) = phi(0, z_n, z'), so the new defining series is rho with
     p substituted for z_n and its conjugate, read on the w side, for w_n.
     Idempotent: a hypersurface already in normal form comes back
-    unchanged. The result is re-verified from scratch; if the single
-    substitution does not produce normal form, this raises instead of
-    returning something unverified.
+    unchanged.
+
+    This one substitution reaches normal coordinates exactly when the
+    axis curve M ∩ {z' = 0} is the real axis, phi(0, w_n, 0) = w_n, so
+    ``_axis_graph`` refuses every other germ from phi's rows, before
+    anything is substituted or solved. The proof: let t(z', x) solve
+    p(z', t) = x, and pbar(w', V) = conj(phi)(0, V, w'). In the new
+    coordinates the graph is phi2(w', V, z') = t(z', phi(w', pbar(w', V),
+    z')). At w' = 0 the inner value is p(z', pbar(0, V)), so phi2(0, V,
+    z') = pbar(0, V) = conj(phi)(0, V, 0), which is V exactly when the
+    axis is straight. At z' = 0, pbar(w', V) is phibar((0, V), w'), and
+    the graph identity phi(w', phibar(z, w'), z') = z_n (see
+    ``from_defining``) at z = (0, V) makes the inner value V, so
+    phi2(w', V, 0) = t(0, V), which is V when the axis is straight. Every
+    substitution fixes the origin, so both identities hold degree by
+    degree, at the same exact order. The result is still re-verified from
+    scratch, as the certificate of this argument: a straight-axis germ
+    that comes out not normal is a bug.
     """
     if H.normal:
         return H
@@ -248,9 +285,9 @@ def normalize(H: Hypersurface) -> Hypersurface:
         compose(H.rho, outer), n, provenance=H.provenance + ("normalized by graph substitution",)
     )
     if not H2.normal:
-        raise GeometryError(
-            "the graph substitution did not yield normal coordinates for "
-            "this input; its normal form needs more than one step"
+        raise AssertionError(
+            "one graph substitution left a germ with a straight axis out of "
+            "normal coordinates; this is a bug"
         )
     return H2
 
@@ -259,7 +296,8 @@ def normalizing_change(H: Hypersurface) -> SeriesMap:
     """The coordinate change behind ``normalize(H)``, new coordinates in
     terms of old: z' is fixed and z_n goes to the solution t of
     z_n = phi(0, t, z'). Its inverse (z', p(z)) is the substitution
-    ``normalize`` makes. The identity for a germ already in normal form.
+    ``normalize`` makes. The identity for a germ already in normal form;
+    a germ ``normalize`` refuses is refused here with the same error.
 
     The change needs no determinant: c = dphi/dw_n(0) is checked nonzero,
     so t has z_n coefficient 1/c, and the linear part, which fixes z', is

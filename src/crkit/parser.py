@@ -11,8 +11,9 @@ into an exact TruncatedSeries. The grammar:
 Division is only defined when the divisor is a nonzero constant, so
 ``i/2`` and ``z1/3`` parse while ``1/z1`` is rejected. There is no
 implicit multiplication: ``2z1`` is a syntax error. Identifiers are an
-ASCII group name followed by a 1-based index (``z1``, ``w2``,
-``lambda3``) and must resolve against the declared variable list; ``i``
+ASCII group name followed by a 1-based index written without a leading
+zero (``z1``, ``w2``, ``lambda3``; ``z0`` and ``z01`` name nothing) and
+must resolve against the declared variable list; ``i``
 is reserved for the imaginary unit. Unary minus binds tighter than the
 power operator, so ``-z1^2`` means ``(-z1)^2``.
 
@@ -51,7 +52,7 @@ class TruncationWarning(UserWarning):
 Declaration = Union[str, Sequence[tuple[str, int]]]
 
 _NAME_RE = re.compile(r"[A-Za-z_]+\Z")
-_IDENT_RE = re.compile(r"([A-Za-z_]+)([0-9]+)\Z")
+_IDENT_RE = re.compile(r"([A-Za-z_]+)([1-9][0-9]*)\Z")
 
 
 def normalize_declaration(decl: Declaration) -> tuple[tuple[str, int], ...]:
@@ -288,7 +289,7 @@ class _Parser:
         if match is not None and match.group(1) in self.slots:
             first, arity = self.slots[match.group(1)]
             index = int(match.group(2))
-            if 1 <= index <= arity:
+            if index <= arity:
                 return first + index - 1
         self.fail(f"undeclared identifier {token.text!r}", token)
 

@@ -215,6 +215,55 @@ def test_normalize_determinism(perturbed_sphere):
     assert a[1] == b[1]
 
 
+# M meets {z' = 0} in a curve that is not the real axis: phi(0, w2, 0)
+# = w2 - 4i w2^2 + ..., so one graph substitution cannot normalize it
+CURVED_AXIS = "-(i/2)*(z2-w2) - z1*w1 + z2^2 + w2^2"
+ONE_STEP_REFUSAL = (
+    "the graph substitution did not yield normal coordinates for this "
+    "input; its normal form needs more than one step"
+)
+
+
+@pytest.fixture(scope="module")
+def curved_axis():
+    return from_defining(parse_expr(CURVED_AXIS, "z:2,w:2", 6), 2)
+
+
+def test_normalizing_change_refuses_where_normalize_does(curved_axis):
+    for function in (normalize, normalizing_change):
+        with pytest.raises(GeometryError) as info:
+            function(curved_axis)
+        assert str(info.value) == ONE_STEP_REFUSAL
+
+
+def test_a_curved_axis_is_refused_before_any_substitution(monkeypatch, curved_axis):
+    # the refusal reads phi's rows: nothing is composed or solved
+    calls = []
+
+    def counted(name):
+        original = getattr(crkit.hypersurface, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return call
+
+    for name in ("compose", "from_defining"):
+        monkeypatch.setattr(crkit.hypersurface, name, counted(name))
+    with pytest.raises(GeometryError, match="needs more than one step"):
+        normalize(curved_axis)
+    assert calls == []
+
+
+def test_normalize_verifies_its_result(monkeypatch, curved_axis):
+    # with the axis test made to pass, the one substitution runs and the
+    # re-verification of its result is what catches the curved axis
+    monkeypatch.setattr(crkit.hypersurface, "_straight_axis", lambda phi, n: True)
+    with pytest.raises(AssertionError, match="this is a bug"):
+        normalize(curved_axis)
+
+
 # ---------------------------------------------------------------------------
 # Segre maps
 

@@ -77,8 +77,10 @@ def test_undeclared_identifier():
         parse_expr("z03", "z:2,w:2", 4)
     with pytest.raises(ParseError, match="undeclared identifier 'u1'"):
         parse_expr("z1 * u1", "z:2,w:2", 4)  # a group that was not declared
-    # a leading zero reads the index as written: z01 is z1
-    assert parse_expr("z01 + w02", "z:2,w:2", 4) == parse_expr("z1 + w2", "z:2,w:2", 4)
+    # an index is written without a leading zero, as every integer of a
+    # document is: z01 names nothing, like z0
+    with pytest.raises(ParseError, match="undeclared identifier 'z01'"):
+        parse_expr("z01 + w2", "z:2,w:2", 4)
 
 
 def test_error_positions():

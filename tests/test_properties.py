@@ -12,7 +12,7 @@ from hypothesis import event, example, given, settings, strategies as st
 import crkit.series
 from crkit import corpus
 from crkit.documents import FORMAT_VERSION, parse_document, serialize
-from crkit.errors import PrerequisiteError
+from crkit.errors import GeometryError, PrerequisiteError
 from crkit.hypersurface import (
     DegeneracyResult, _is_normal, degeneracy, from_defining, graph_residual, normalize,
     normalizing_change, phi_family, reality_defect, segre_maps,
@@ -1043,6 +1043,37 @@ def test_normalize_agrees_with_its_change(case):
     w_side = inverse.conjugate().compose(SeriesMap.from_slots(big, order, range(n, big)))
     substituted = compose(rho, SeriesMap([*z_side.components, *w_side.components]))
     assert substituted == normalize(surface).rho
+
+
+# normalize refuses a curved axis from phi's rows. The reference makes the
+# one graph substitution on every germ, then solves and reads the flag:
+# rho with p = phi(0, z_n, z') for z_n and its conjugate for w_n.
+
+
+def ref_one_step(H):
+    n, order, big = H.n, H.order, 2 * H.n
+    p = compose(H.phi, SeriesMap.from_slots(big, order, [*[None] * (n - 1), n - 1, *range(n - 1)]))
+    pbar = compose(p.conjugate(), SeriesMap.from_slots(big, order, [*range(n, big), *range(n)]))
+    outer = SeriesMap.from_slots(big, order, [*range(n - 1), p, *range(n, big - 1), pbar])
+    return from_defining(compose(H.rho, outer), n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(real_germs() | real_germs(straight_axis=True))
+@example((parse_expr("-(i/2)*(z2-w2) - z1*w1 + z2^2 + w2^2", "z:2,w:2", 6), 2))
+@example((corpus.perturbed_sphere().rho, 2))
+def test_normalize_refuses_exactly_where_one_step_is_not_normal(case):
+    rho, n = case
+    H = from_defining(rho, n)
+    reference = ref_one_step(H)
+    event(f"one step normal: {reference.normal}")
+    if not reference.normal:
+        with pytest.raises(GeometryError, match="its normal form needs more than one step"):
+            normalize(H)
+        return
+    normal = normalize(H)
+    assert normal.rho._form == reference.rho._form
+    assert normal.phi._form == reference.phi._form
 
 
 # segre_maps builds v2 and v3 by one Segre step each. The reference writes
