@@ -494,7 +494,7 @@ def parse_document(text: str):
             nvars = sum(arity for _, arity in groups)
             if ncomp < 1:
                 reader.abort("a map needs at least one component")
-            for index in range(1, (ncomp or 0) + 1):
+            for index in range(1, ncomp + 1):
                 label = reader.take_kv("component")
                 if label is None:
                     break
@@ -508,8 +508,8 @@ def parse_document(text: str):
                     break
                 components.append(form)
         _expect_end(reader)
-        if not reader.problems and groups is not None:
-            nvars = sum(arity for _, arity in groups)
+        if not reader.problems:
+            # every reader that returned None reported a problem, so nvars is set
             result = SeriesMap(
                 TruncatedSeries._trusted(nvars, order, form) for form in components
             )

@@ -31,7 +31,7 @@ from .series import (
     format_monomial,
     unit_exponent,
 )
-from .solvers import implicit_solve
+from .solvers import implicit_solve, invert_map
 
 
 def defining_names(n: int) -> list[str]:
@@ -294,24 +294,19 @@ def normalize(H: Hypersurface) -> Hypersurface:
 
 def normalizing_change(H: Hypersurface) -> SeriesMap:
     """The coordinate change behind ``normalize(H)``, new coordinates in
-    terms of old: z' is fixed and z_n goes to the solution t of
-    z_n = phi(0, t, z'). Its inverse (z', p(z)) is the substitution
-    ``normalize`` makes. The identity for a germ already in normal form;
-    a germ ``normalize`` refuses is refused here with the same error.
+    terms of old: the inverse, by ``invert_map``, of the substitution
+    (z', p(z)) that ``normalize`` makes, so z' is fixed and z_n goes to
+    the solution t of z_n = phi(0, t, z'). The identity for a germ
+    already in normal form, where p = z_n; a germ ``normalize`` refuses
+    is refused here with the same error.
 
-    The change needs no determinant: c = dphi/dw_n(0) is checked nonzero,
-    so t has z_n coefficient 1/c, and the linear part, which fixes z', is
-    triangular with determinant 1/c.
+    The substitution is invertible: its linear part fixes z' and is
+    triangular with determinant c = dphi/dw_n(0), which ``_axis_graph``
+    checks nonzero, so the change has determinant 1/c.
     """
     n, order = H.n, H.order
-    if H.normal:
-        return SeriesMap.identity(n, order)
-    # psi over (z'_1..z'_{n-1}, z_n, y): phi(0, y, z') - z_n
-    m = n + 1
-    relabel = SeriesMap.from_slots(m, order, [*range(n - 1), n, *[None] * n])
-    psi = compose(_axis_graph(H), relabel) - TruncatedSeries.variable(m, order, n - 1)
-    t = implicit_solve(psi, n)  # over (z'_1..z'_{n-1}, z_n), preserves origin
-    return SeriesMap.from_slots(n, order, [*range(n - 1), t])
+    p = compose(_axis_graph(H), SeriesMap.from_slots(n, order, [*range(n), *[None] * n]))
+    return invert_map(SeriesMap.from_slots(n, order, [*range(n - 1), p]))
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +469,7 @@ def _degeneracy(H: Hypersurface, cutoff: int | None):
     ]
     result = matrix_generic_rank(rows)
     witnesses = tuple(family[i][0] for i in result.certificate.rows)
-    if effective < 1:
-        stabilized = False
-    elif result.certificate.status == CERTIFIED and all(
+    if result.certificate.status == CERTIFIED and all(
         sum(alpha) <= effective - 1 for alpha in witnesses
     ):
         # the certified minor lies in the lower cutoff's rows, so their rank

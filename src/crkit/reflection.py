@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .errors import PrerequisiteError
 from .hypersurface import Hypersurface, _degeneracy, _minimality, _next_segre
 from .rank import CERTIFIED
-from .rational import GaussRational, ONE
+from .rational import GaussRational
 from .series import (
     SeriesMap,
     TruncatedSeries,
@@ -36,17 +36,14 @@ from . import linalg
 def exp_of(series: TruncatedSeries) -> TruncatedSeries:
     """Exponential of a series with vanishing constant term, exact to order.
 
-    Powers of the argument gain valuation, so the truncated sum through
-    order-many terms is the exact truncation of the exponential.
+    The series is substituted into sum_{k <= order} t^k / k!: powers of
+    the argument gain valuation, so that truncated sum is the exact
+    truncation of the exponential, and compose forms each power once.
     """
     if not series.constant_term().is_zero():
         raise ValueError("exponential needs a vanishing constant term")
-    total = TruncatedSeries.constant(ONE, series.nvars, series.order)
-    term = total
-    for k in range(1, series.order + 1):
-        term = (term * series).scale(Fraction(1, k))
-        total = total + term
-    return total
+    terms = [((k,), Fraction(1, math.factorial(k))) for k in range(series.order + 1)]
+    return compose(TruncatedSeries(1, series.order, terms), SeriesMap([series]))
 
 
 class FormalMap:

@@ -755,9 +755,9 @@ def compose(outer: "TruncatedSeries | SeriesMap", vmap: SeriesMap):
     as every form is primitive, the result has the bytes it would have
     had from products at full order.
 
-    One walk, ``_walk``, moves every key, here as elsewhere: it reads each
-    slot's exponent as one digit ``key // w % base`` of the packed outer
-    key and never decodes the key into a tuple to pack it again. A zero
+    One walk, ``_walk``, moves every key here, as in truncation: it reads
+    each slot's exponent as one digit ``key // w % base`` of the packed
+    outer key and never decodes the key into a tuple to pack it again. A zero
     slot drops the outer terms that use it, a plain slot moves its digit
     to the place value of its source variable, and the general slots'
     digits make up a term's pattern, the powers of their series. The plan

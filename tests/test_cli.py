@@ -161,6 +161,24 @@ def test_normalize_already_normal_is_identity(tmp_path, capsys):
     assert out_path.read_bytes() == (CORPUS / "sphere.crkit").read_bytes()
 
 
+def test_normalize_prints_the_change_of_an_n3_germ(tmp_path, capsys):
+    # a straight axis with p = z3 + z1^2 + 2 z1 z2 - (2/3) z1^2 z3 + ...,
+    # whose inverse is the change
+    germ = tmp_path / "g.crkit"
+    rho = parse_expr(
+        "-(i/2)*(z3 + z1^2 + 2*z1*z2 - w3 - w1^2 - 2*w1*w2) - z1*w1 - z2*w2"
+        " + (i/3)*(z3*z1^2 - w3*w1^2)",
+        "z:3,w:3",
+        6,
+    )
+    write_document(germ, from_defining(rho, 3))
+    code, out, _ = run(capsys, "normalize", germ, "-o", tmp_path / "n.crkit")
+    assert code == 0
+    lines = out.splitlines()
+    for line in ("  z1 -> z1", "  z2 -> z2", "  z3 -> z3 + 2*z1*z2 + z1^2 - 2/3*z1^2*z3"):
+        assert line in lines
+
+
 def test_normalize_refuses_overwrite_without_force(tmp_path, capsys):
     out_path = tmp_path / "exists.crkit"
     out_path.write_text("occupied\n", encoding="ascii")
@@ -497,6 +515,14 @@ def test_analyze_refuses_a_map_document(capsys):
     path = CORPUS / "sphere_dilation.crkit"
     code, out, err = run(capsys, "analyze", path)
     assert (code, out, err) == (2, "", f"error: {path}: expected a hypersurface document\n")
+
+
+def test_analyze_refuses_a_document_without_a_kind_line(tmp_path, capsys):
+    path = tmp_path / "no_kind.crkit"
+    path.write_text("crkit-series/1\nvars x:1\nend\n", encoding="ascii")
+    code, out, err = run(capsys, "analyze", path)
+    message = f"error: {path}: line 2: expected 'kind' line, found 'vars x:1'\n"
+    assert (code, out, err) == (2, "", message)
 
 
 @pytest.mark.parametrize("command, name", [

@@ -450,6 +450,49 @@ def test_problems_found_after_end_name_their_own_line(old, new, problems):
     assert info.value.problems == problems
 
 
+# structural refusals: a missing or misspelt key line, an unusable vars
+# line, and a map whose blocks stop early. Each is a DocumentError, which
+# the CLI reports with exit 2.
+STRUCTURE_CASES = {
+    "no kind line": ("vars x:1\norder 2\nterms 0\nend\n", [
+        "line 2: expected 'kind' line, found 'vars x:1'",
+    ]),
+    "misspelt key": ("kind series\nvars x:1\nordr 3\nterms 0\nend\n", [
+        "line 4: expected 'order' line, found 'ordr 3'",
+    ]),
+    "repeated group": ("kind series\nvars x:1 x:2\norder 2\nterms 0\nend\n", [
+        "line 3: bad variable group 'x:2'",
+    ]),
+    "group i": ("kind series\nvars i:1\norder 2\nterms 0\nend\n", [
+        "line 3: bad variable group 'i:1'", "line 3: no usable variable groups",
+    ]),
+    "ends after vars": ("kind series\nvars x:1\n", [
+        "line 4: unexpected end of document, expected 'order'",
+    ]),
+    "map ends after a component": (
+        "kind map\nvars x:1\norder 2\ncomponents 2\ncomponent 1\nterms 0\n",
+        ["line 8: unexpected end of document, expected 'component'"],
+    ),
+    "component without terms": (
+        "kind map\nvars x:1\norder 2\ncomponents 1\ncomponent 1\nend\n",
+        ["line 7: expected 'terms' line, found 'end'"],
+    ),
+    "terms block cut short": (
+        "kind map\nvars x:1\norder 2\ncomponents 2\ncomponent 1\nterms 2\n"
+        "term 1 1/1 0/1\ncomponent 2\nterms 1\nterm 1 1/1 0/1\nend\n",
+        ["line 9: expected a 'term' line"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRUCTURE_CASES))
+def test_structural_problems_are_exact(case):
+    body, problems = STRUCTURE_CASES[case]
+    with pytest.raises(DocumentError) as info:
+        parse_document(FORMAT_VERSION + "\n" + body)
+    assert info.value.problems == problems
+
+
 def test_order_token_past_the_digit_limit_is_reported():
     # a DocumentError, not a bare ValueError from int()
     text = term_block_document(["1 0 1/2 0/1"]).replace("order 3", "order " + "7" * 5000)

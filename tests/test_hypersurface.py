@@ -208,6 +208,26 @@ def test_normalize_is_idempotent(sphere):
     assert change == SeriesMap.identity(2, sphere.order)
 
 
+def test_normalizing_change_is_one_inversion(monkeypatch, perturbed_sphere):
+    # the change is invert_map of normalize's substitution (z', p), with no
+    # implicit solve of its own
+    calls = []
+
+    def counted(name):
+        original = getattr(crkit.hypersurface, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return call
+
+    for name in ("implicit_solve", "invert_map"):
+        monkeypatch.setattr(crkit.hypersurface, name, counted(name))
+    normalizing_change(perturbed_sphere)
+    assert calls == ["invert_map"]
+
+
 def test_normalize_determinism(perturbed_sphere):
     a = normalize(perturbed_sphere), normalizing_change(perturbed_sphere)
     b = normalize(perturbed_sphere), normalizing_change(perturbed_sphere)

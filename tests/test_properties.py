@@ -14,15 +14,15 @@ from crkit import corpus
 from crkit.documents import FORMAT_VERSION, parse_document, serialize
 from crkit.errors import GeometryError, PrerequisiteError
 from crkit.hypersurface import (
-    DegeneracyResult, _is_normal, degeneracy, from_defining, graph_residual, normalize,
-    normalizing_change, phi_family, reality_defect, segre_maps,
+    DegeneracyResult, _axis_graph, _is_normal, degeneracy, from_defining, graph_residual,
+    normalize, normalizing_change, phi_family, reality_defect, segre_maps,
 )
 from crkit.linalg import determinant
 from crkit.parser import parse_expr
 from crkit.rank import CERTIFIED, generic_rank, matrix_generic_rank
 from crkit.rational import GaussRational, I, ONE, ZERO
 from crkit.reflection import (
-    FormalMap, MapVerdict, check_maps_into, convergence_evidence, partial_convergence,
+    FormalMap, MapVerdict, check_maps_into, convergence_evidence, exp_of, partial_convergence,
     reflection_at_lambda_zero, reflection_function, segre_reflection_identity, u_family,
 )
 from crkit.series import (
@@ -1043,6 +1043,63 @@ def test_normalize_agrees_with_its_change(case):
     w_side = inverse.conjugate().compose(SeriesMap.from_slots(big, order, range(n, big)))
     substituted = compose(rho, SeriesMap([*z_side.components, *w_side.components]))
     assert substituted == normalize(surface).rho
+
+
+# normalizing_change inverts normalize's substitution (z', p) by
+# invert_map. The reference solves z_n = phi(0, t, z') for t by
+# implicit_solve, with the identity written out for a normal germ.
+
+
+def ref_normalizing_change(H):
+    n, order = H.n, H.order
+    if H.normal:
+        return SeriesMap.identity(n, order)
+    # psi over (z'_1..z'_{n-1}, z_n, y): phi(0, y, z') - z_n
+    m = n + 1
+    relabel = SeriesMap.from_slots(m, order, [*range(n - 1), n, *[None] * n])
+    psi = compose(_axis_graph(H), relabel) - TruncatedSeries.variable(m, order, n - 1)
+    t = implicit_solve(psi, n)  # over (z'_1..z'_{n-1}, z_n), preserves origin
+    return SeriesMap.from_slots(n, order, [*range(n - 1), t])
+
+
+@settings(max_examples=60, deadline=None)
+@given(real_germs(straight_axis=True).flatmap(lambda case: st.sampled_from(
+    [from_defining(*case), normalize(from_defining(*case))]
+)))
+@example(corpus.perturbed_sphere())
+@example(corpus.sphere())
+def test_normalizing_change_matches_the_implicit_solve(H):
+    event(f"n = {H.n}, normal: {H.normal}")
+    change, reference = normalizing_change(H), ref_normalizing_change(H)
+    assert [(c.nvars, c.order, c._form) for c in change.components] == [
+        (c.nvars, c.order, c._form) for c in reference.components
+    ]
+
+
+# exp_of substitutes its argument into sum_k t^k / k!. The reference sums
+# the powers by repeated products.
+
+
+def ref_exp_of(series):
+    if not series.constant_term().is_zero():
+        raise ValueError("exponential needs a vanishing constant term")
+    total = TruncatedSeries.constant(ONE, series.nvars, series.order)
+    term = total
+    for k in range(1, series.order + 1):
+        term = (term * series).scale(Fraction(1, k))
+        total = total + term
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.tuples(st.integers(1, 3), st.integers(0, 8)).flatmap(
+    lambda shape: kernel_series(*shape, min_degree=1)
+))
+def test_exp_of_matches_the_power_sum(h):
+    result, reference = exp_of(h), ref_exp_of(h)
+    assert (result.nvars, result.order, result._form) == (
+        reference.nvars, reference.order, reference._form
+    )
 
 
 # normalize refuses a curved axis from phi's rows. The reference makes the

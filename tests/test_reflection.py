@@ -109,6 +109,28 @@ def test_exp_cancellation_is_exact():
     assert product == TruncatedSeries.constant(ONE, 3, 8)
 
 
+def test_exp_of_is_one_composition(monkeypatch):
+    # the argument is substituted into sum_k t^k / k!, and compose forms
+    # each power, so exp_of multiplies no series itself
+    h = parse_expr("z1 + z2^2", "z:3", 6)
+    expected = oracle_exp(h)
+    calls = []
+    original_compose, original_mul = crkit.reflection.compose, TruncatedSeries.__mul__
+
+    def counting_compose(outer, vmap):
+        calls.append("compose")
+        return original_compose(outer, vmap)
+
+    def counting_mul(self, other):
+        calls.append("mul")
+        return original_mul(self, other)
+
+    monkeypatch.setattr(crkit.reflection, "compose", counting_compose)
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counting_mul)
+    assert exp_of(h) == expected
+    assert calls == ["compose"]
+
+
 def test_exp_needs_vanishing_constant():
     one_plus = parse_expr("1 + z1", "z:1", 4)
     with pytest.raises(ValueError, match="constant"):
