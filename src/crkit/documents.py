@@ -247,6 +247,7 @@ class _Reader:
 
 
 _INT_RE = re.compile(r"(0|-?[1-9][0-9]*)\Z")
+_DIGITS_RE = re.compile(r"-?[0-9]+\Z")
 
 
 def _canonical_int(token: str, reader: _Reader, what: str) -> int | None:
@@ -256,7 +257,7 @@ def _canonical_int(token: str, reader: _Reader, what: str) -> int | None:
     try:
         return int(token)
     except ValueError:  # past int's limit on digits in a string
-        reader.report(f"{what} has {len(token)} digits, too many to read")
+        reader.report(f"{what} has {len(token.lstrip('-'))} digits, too many to read")
         return None
 
 
@@ -275,8 +276,14 @@ def _canonical_fraction(token: str, reader: _Reader, what: str) -> Fraction | No
         return None
     try:
         value = Fraction(int(head), int(tail))
-    except (ValueError, ZeroDivisionError):
-        reader.report(f"{what} {token!r} is not a valid fraction")
+    except (ValueError, ZeroDivisionError) as exc:
+        if isinstance(exc, ValueError) and _DIGITS_RE.fullmatch(head) and _DIGITS_RE.fullmatch(tail):
+            # plain digits fail int only past its limit on digits in a
+            # string, and a token that long is not echoed
+            side, part = ("numerator", head) if len(head) >= len(tail) else ("denominator", tail)
+            reader.report(f"{what} {side} has {len(part.lstrip('-'))} digits, too many to read")
+        else:
+            reader.report(f"{what} {token!r} is not a valid fraction")
         return None
     if _fraction_token(value) != token:
         reader.report(f"{what} {token!r} is not in canonical lowest terms")
@@ -571,6 +578,8 @@ def _stage(path, data: str):
             break
         except FileExistsError:
             continue
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with open(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(data)
@@ -588,17 +597,23 @@ def write_atomic(files) -> None:
     the old file or the new one, never part of either. A failure while
     staging removes every temporary file and leaves every path as it was;
     one between the renames leaves the earlier paths new, the later ones
-    old, and no temporary file.
+    old, and no temporary file. An error opening or renaming names the
+    path as given, not the temporary file, whose name changes from run to
+    run; its errno keeps the same OSError subclass.
     """
     staged = []
     try:
         for path, data in files:
-            staged.append(_stage(path, data))
+            staged.append((path, *_stage(path, data)))
         while staged:
-            os.replace(*staged[0])
+            path, temp, target = staged[0]
+            try:
+                os.replace(temp, target)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
             staged.pop(0)
     finally:
-        for temp, _ in staged:
+        for _, temp, _ in staged:
             os.unlink(temp)
 
 

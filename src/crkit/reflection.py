@@ -264,6 +264,21 @@ def segre_reflection_identity(fm: FormalMap) -> SegreIdentityVerdict:
     check must pass, and the source must be normal and minimal with a
     certified rank; these are re-verified here and raise PrerequisiteError
     when absent. v3 is one Segre step from the v2 the prerequisite built.
+
+    Once the mapping check passes, the identity holds, so ``check-map``
+    reports it from the prerequisites without calling this function.
+    Write W = v2bar(xi, eta) and Z = v3 = (zp, phi(W, zp)); then rho(Z, W)
+    = 0 by phi's solved identity. The w_n coefficient of a real rho is the
+    conjugate of its z_n coefficient, a unit, so rho(Z, W', t) = 0 has
+    one solution t with t(0) = 0, and both W_n and phibar(Z, W') solve
+    it. Putting (z, w') := (Z, W') into the mapping check's residual,
+    rho'(f(z, w'), fbar(w', phibar(z, w'))), gives rho'(f(Z), fbar(W)) =
+    0. The same uniqueness for the target's rho' and the equation
+    rho'(f(Z), fbar'(W), t) = 0 makes its two solutions equal: fbar_n(W),
+    the right side, and phibar'(f(Z), fbar'(W)) = r(Z, fbar'(W)), the
+    left side. Each step holds degree by degree, so through the mapping
+    check's order, which is the identity's. Minimality is the paper's
+    hypothesis for what the identity buys, not for the identity itself.
     """
     if not check_maps_into(fm).passed:
         raise PrerequisiteError(

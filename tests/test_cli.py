@@ -232,6 +232,20 @@ def test_normalize_failed_replace_keeps_the_old_file(tmp_path, monkeypatch, caps
     assert [p.name for p in tmp_path.iterdir()] == ["existing.crkit"]
 
 
+@pytest.mark.parametrize("out, force, message", [
+    ("missing/x.crkit", (), "[Errno 2] No such file or directory: 'missing/x.crkit'"),
+    ("adir", ("--force",), "[Errno 21] Is a directory: 'adir'"),
+])
+def test_normalize_write_error_names_the_path_given(tmp_path, monkeypatch, capsys, out, force, message):
+    # not the temporary file staged beside it, whose name holds the process id
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    code, stdout, err = run(capsys, "normalize", *force, CORPUS / "perturbed_sphere.crkit", "-o", out)
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+    assert not any((tmp_path / "adir").iterdir())
+
+
 def test_normalize_writes_through_a_symlink(tmp_path, capsys):
     out_path = tmp_path / "real.crkit"
     out_path.write_text("occupied\n", encoding="ascii")
@@ -268,8 +282,8 @@ def test_check_map_dilation_passes(capsys):
 
 
 def test_check_map_builds_each_segre_map_once(monkeypatch, capsys):
-    # the identity's minimality prerequisite builds v1 and v2, and v3 is
-    # one more step from that v2
+    # the identity's minimality prerequisite builds v1 and v2; the identity
+    # is a theorem of the passing mapping check, so no v3 is built
     built = []
     original = crkit.hypersurface._next_segre
 
@@ -286,7 +300,7 @@ def test_check_map_builds_each_segre_map_once(monkeypatch, capsys):
     )
     assert code == 0
     assert "segre reflection identity: pass" in out
-    assert built == [1, 2, 3]
+    assert built == [1, 2]
 
 
 def test_check_map_corrupted_fails_with_monomial(capsys):
@@ -442,6 +456,15 @@ def test_reflect_writes_its_artifacts_as_one_set(tmp_path, capsys, monkeypatch, 
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == old
 
 
+def test_reflect_refuses_an_output_path_that_is_a_regular_file(tmp_path, capsys):
+    afile = tmp_path / "out"
+    afile.write_text("occupied\n", encoding="ascii")
+    code, out, err, _ = reflect_into(capsys, tmp_path, "exp_shear.crkit", "--force")
+    assert (code, out, err) == (2, "", f"error: {afile}: exists and is not a directory\n")
+    assert afile.read_text(encoding="ascii") == "occupied\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
 def test_reflect_refuses_failing_map(tmp_path, capsys):
     out_dir = tmp_path / "out"
     code, _, err = run(
@@ -539,6 +562,16 @@ def test_a_document_that_is_not_utf8_is_an_input_error(tmp_path, capsys, command
     code, out, err = run(capsys, *argv)
     offset = data.index(b"\xff")
     message = f"error: {path}: not UTF-8: byte 0xff at offset {offset} does not decode\n"
+    assert (code, out, err) == (2, "", message)
+
+
+def test_a_numerator_past_the_digit_limit_is_worded_without_the_token(tmp_path, capsys):
+    # the sphere's z1 w1 coefficient, -1, with a 5000-digit numerator
+    path = tmp_path / "long.crkit"
+    text = (CORPUS / "sphere.crkit").read_text(encoding="ascii")
+    path.write_text(text.replace("-1/1 0/1", "-" + "7" * 5000 + "/1 0/1"), encoding="ascii")
+    code, out, err = run(capsys, "analyze", path)
+    message = f"error: {path}: line 9: real part numerator has 5000 digits, too many to read\n"
     assert (code, out, err) == (2, "", message)
 
 

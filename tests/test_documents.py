@@ -354,7 +354,9 @@ TERM_CASES = [
     ("1 0 1_0/3 0/1", ["line 6: real part '1_0/3' is not in canonical lowest terms"]),
     ("1 0 1/2 0/2", ["line 6: imaginary part '0/2' is not in canonical lowest terms"]),
     # past int's default limit on digits in a string
-    ("1 0 1/2 " + "7" * 5000 + "/3", ["line 6: imaginary part '" + "7" * 5000 + "/3' is not a valid fraction"]),
+    ("1 0 1/2 " + "7" * 5000 + "/3", ["line 6: imaginary part numerator has 5000 digits, too many to read"]),
+    ("1 0 -" + "7" * 5000 + "/3 0/1", ["line 6: real part numerator has 5000 digits, too many to read"]),
+    ("1 0 1/" + "3" * 5000 + " 0/1", ["line 6: real part denominator has 5000 digits, too many to read"]),
     ("7" * 5000 + " 0 1/2 0/1", ["line 6: exponent has 5000 digits, too many to read"]),
     ("1 0 1/2 1", ["line 6: imaginary part '1' must be written p/q"]),
     ("01 0 1/2 0/1", ["line 6: exponent '01' is not a canonical integer"]),

@@ -22,8 +22,9 @@ from crkit.parser import parse_expr
 from crkit.rank import CERTIFIED, generic_rank, matrix_generic_rank
 from crkit.rational import GaussRational, I, ONE, ZERO
 from crkit.reflection import (
-    FormalMap, MapVerdict, check_maps_into, convergence_evidence, exp_of, partial_convergence,
-    reflection_at_lambda_zero, reflection_function, segre_reflection_identity, u_family,
+    FormalMap, MapVerdict, _minimal_source_v2, check_maps_into, convergence_evidence, exp_of,
+    partial_convergence, reflection_at_lambda_zero, reflection_function,
+    segre_reflection_identity, u_family,
 )
 from crkit.series import (
     SeriesMap, TruncatedSeries, _ONE_FORM, _exponents, _sum_of_products, _sum_of_products_form,
@@ -1894,3 +1895,66 @@ def test_reflection_objects_earn_their_order(name, order, extra, data):
     assert_earned(high_pc.gf, low_pc.gf)
     for ours, theirs in zip(high_pc.generators, low_pc.generators, strict=True):
         assert_earned(ours, theirs)
+
+
+# ---------------------------------------------------------------------------
+# the Segre identity is a theorem of a passing mapping check: check-map
+# reports it from the mapping check and the source's prerequisites alone
+
+
+def germ_at(rho, n, order):
+    """The germ of the polynomial ``rho``, read at ``order``."""
+    terms = {e: c for e, c in rho.terms.items() if sum(e) <= order}
+    return from_defining(TruncatedSeries(rho.nvars, order, terms), n)
+
+
+@st.composite
+def passing_formal_maps(draw):
+    """A map whose mapping check passes, between germs at order 4-8: a
+    corpus map between its corpus germs, or the identity or the zero map
+    of a corpus germ or a drawn one. The zero map goes into a drawn germ
+    of the dimension, normal or not. Each germ may be lifted as in the
+    earned-order tests, which leaves the check's order at the map's."""
+    kind = draw(st.sampled_from(["corpus map", "identity", "zero map"]))
+    order = draw(st.integers(4, 8))
+    if kind == "corpus map":
+        name = draw(st.sampled_from(sorted(set(corpus.MAPS) - {"sphere_corrupted"})))
+        make_map, source_name, target_name = corpus.MAPS[name]
+        f = make_map().truncate(order)
+        source = corpus.HYPERSURFACES[source_name]().truncate(order)
+        target = corpus.HYPERSURFACES[target_name]().truncate(order)
+    else:
+        if draw(st.booleans()):
+            source = corpus.HYPERSURFACES[draw(st.sampled_from(sorted(corpus.HYPERSURFACES)))]()
+            source = source.truncate(order)
+        else:
+            source = normalize(germ_at(*draw(real_germs(straight_axis=True)), order))
+        n = source.n
+        if kind == "identity":
+            f, target = SeriesMap.identity(n, order), source
+        else:
+            f, target = SeriesMap.from_slots(n, order, [None] * n), germ_at(*draw(real_germs(n=n)), order)
+    event(kind)
+    extra = draw(st.integers(0, 2))
+    if extra:
+        source = lifted_germ(draw, source.rho, source.n, extra, mixed(source.n))
+        target = lifted_germ(draw, target.rho, target.n, extra, mixed(target.n))
+    return FormalMap(f, source, target)
+
+
+@settings(max_examples=60, deadline=None)
+@given(passing_formal_maps())
+def test_a_passing_mapping_check_makes_the_segre_identity_pass(fm):
+    verdict = check_maps_into(fm)
+    assert verdict.passed
+    try:
+        _minimal_source_v2(fm.source)
+    except PrerequisiteError as exc:
+        event("source refused")
+        with pytest.raises(PrerequisiteError, match=str(exc)):
+            segre_reflection_identity(fm)
+        return
+    event("identity computed")
+    identity = segre_reflection_identity(fm)
+    assert identity.passed
+    assert identity.order == verdict.order_checked
