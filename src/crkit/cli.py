@@ -42,7 +42,7 @@ from .hypersurface import Hypersurface, degeneracy, is_minimal, normalize, norma
 from .rank import CERTIFIED
 from .reflection import (
     FormalMap,
-    _minimal_source_v2,
+    _minimal_source,
     build_reflection_report,
     check_maps_into,
     partial_convergence,
@@ -130,10 +130,8 @@ def cmd_analyze(path: str, order: int | None, cutoff: int | None, strict: bool, 
     representative = surface if surface.normal else normalize(surface)
     minimality = is_minimal(representative)
     ranks = degeneracy(representative, cutoff)
-    certified = (
-        minimality.certificate.status == CERTIFIED
-        and ranks.certificate.status == CERTIFIED
-    )
+    # minimality is always certified (see is_minimal); degeneracy may not be
+    certified = ranks.certificate.status == CERTIFIED
     if fmt == "doc":
         rows = [
             f"n {surface.n}",
@@ -230,7 +228,7 @@ def cmd_check_map(source: str, target: str, mappath: str, order: int | None, fmt
     skipped = None
     if verdict.passed:
         try:
-            _minimal_source_v2(fm.source)
+            _minimal_source(fm.source)
         except PrerequisiteError as exc:
             skipped = str(exc)
     names = _names("z", fm.n) + _names("w", fm.n - 1)

@@ -44,6 +44,7 @@ import math
 import operator
 import os
 import re
+import sys
 from fractions import Fraction
 
 from .errors import DocumentError
@@ -274,16 +275,17 @@ def _canonical_fraction(token: str, reader: _Reader, what: str) -> Fraction | No
     if not sep:
         reader.report(f"{what} {token!r} must be written p/q")
         return None
+    for side, part in (("numerator", head), ("denominator", tail)):
+        # plain digits past int's limit on digits in a string are not read,
+        # and a part that long is not echoed, whatever stands beside it
+        count = len(part.lstrip("-"))
+        if count > sys.get_int_max_str_digits() > 0 and _DIGITS_RE.fullmatch(part):
+            reader.report(f"{what} {side} has {count} digits, too many to read")
+            return None
     try:
         value = Fraction(int(head), int(tail))
-    except (ValueError, ZeroDivisionError) as exc:
-        if isinstance(exc, ValueError) and _DIGITS_RE.fullmatch(head) and _DIGITS_RE.fullmatch(tail):
-            # plain digits fail int only past its limit on digits in a
-            # string, and a token that long is not echoed
-            side, part = ("numerator", head) if len(head) >= len(tail) else ("denominator", tail)
-            reader.report(f"{what} {side} has {len(part.lstrip('-'))} digits, too many to read")
-        else:
-            reader.report(f"{what} {token!r} is not a valid fraction")
+    except (ValueError, ZeroDivisionError):
+        reader.report(f"{what} {token!r} is not a valid fraction")
         return None
     if _fraction_token(value) != token:
         reader.report(f"{what} {token!r} is not in canonical lowest terms")
@@ -583,8 +585,10 @@ def _stage(path, data: str):
     try:
         with open(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(data)
-    except BaseException:
+    except BaseException as exc:
         os.unlink(temp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
         raise
     return temp, target
 
@@ -597,9 +601,9 @@ def write_atomic(files) -> None:
     the old file or the new one, never part of either. A failure while
     staging removes every temporary file and leaves every path as it was;
     one between the renames leaves the earlier paths new, the later ones
-    old, and no temporary file. An error opening or renaming names the
-    path as given, not the temporary file, whose name changes from run to
-    run; its errno keeps the same OSError subclass.
+    old, and no temporary file. An error opening, writing or renaming
+    names the path as given, not the temporary file, whose name changes
+    from run to run; its errno keeps the same OSError subclass.
     """
     staged = []
     try:

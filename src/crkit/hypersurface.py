@@ -20,7 +20,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import GeometryError, PrerequisiteError
-from .rank import CERTIFIED, generic_rank, matrix_generic_rank
+from .rank import CERTIFIED, RankCertificate, matrix_generic_rank
+from .rational import ONE
 from .series import (
     SeriesMap,
     TruncatedSeries,
@@ -317,8 +318,9 @@ class SegreTriple(NamedTuple):
     """The first three iterated Segre parametrizations of a hypersurface.
 
     v1 sends z' to (z', 0), and one ``_next_segre`` step builds each next
-    map from the one before; minimality reads v2 only, the reflection
-    identity v3. Sources have n-1, 2(n-1) and 3(n-1) variables.
+    map from the one before; the reflection identity reads v2 and v3.
+    Minimality is read from phi's rows, so no command builds these maps.
+    Sources have n-1, 2(n-1) and 3(n-1) variables.
     """
 
     n: int
@@ -378,20 +380,35 @@ class MinimalityVerdict(NamedTuple):
 
 
 def is_minimal(H: Hypersurface) -> MinimalityVerdict:
-    return _minimality(H, _next_segre(H, _next_segre(H, None)))
+    """Whether H is minimal at the origin: whether its second Segre map
+    v2 has generic rank n (Baouendi, Ebenfelt and Rothschild, 1999). The
+    verdict is read from phi's rows, and no Segre map is built; H must be
+    in normal coordinates.
 
-
-def _minimality(H: Hypersurface, v2: SeriesMap) -> MinimalityVerdict:
-    """The verdict of ``is_minimal`` from H's second Segre map, built once
-    by the caller."""
-    result = generic_rank(v2)
-    return MinimalityVerdict(
-        minimal=result.rank == H.n,
-        rank=result.rank,
-        n=H.n,
-        order=H.order,
-        certificate=result.certificate,
-    )
+    With m = n - 1, v2(z', t) = (z', p) where p = phi(t, 0, z'), so v2's
+    Jacobian is [[I_m, 0], [d_z' p, d_t p]]. An n-minor takes all n rows.
+    If it leaves out a z' column, the row of I_m with its 1 there is zero
+    in the minor; otherwise it takes one t column t_c, and its matrix is
+    block triangular with determinant d_{t_c} p. When every d_t p is zero,
+    every n-minor has a zero column, and I_m gives rank m. Normality makes
+    p(0, t) and p(z', 0) vanish, so minimality asks whether p depends on
+    t. The certificate is the one ``generic_rank(v2)`` reports: its climb
+    takes, at each size k <= m, the unit minor on the first k rows and
+    columns, then at size n the first t column whose derivative is
+    nonzero. It tries at most n minors, so the default budget certifies.
+    """
+    if not H.normal:
+        raise PrerequisiteError("Segre maps need normal coordinates, normalize first")
+    n, m = H.n, H.n - 1
+    p = compose(H.phi, SeriesMap.from_slots(2 * m, H.order, [*range(m, 2 * m), None, *range(m)]))
+    head = tuple(range(m))
+    for c in range(m, 2 * m):
+        slope = p.derive(c)
+        if not slope.is_zero():
+            certificate = RankCertificate((*head, m), (*head, c), *slope.least_term(), CERTIFIED)
+            return MinimalityVerdict(True, n, n, H.order, certificate)
+    certificate = RankCertificate(head, head, (0,) * 2 * m, ONE, CERTIFIED)
+    return MinimalityVerdict(False, m, n, H.order, certificate)
 
 
 # ---------------------------------------------------------------------------

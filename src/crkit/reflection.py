@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import PrerequisiteError
-from .hypersurface import Hypersurface, _degeneracy, _minimality, _next_segre
+from .hypersurface import Hypersurface, _degeneracy, is_minimal, segre_maps
 from .rank import CERTIFIED
 from .rational import GaussRational
 from .series import (
@@ -242,18 +242,15 @@ class SegreIdentityVerdict(NamedTuple):
     residual: TruncatedSeries
 
 
-def _minimal_source_v2(source: Hypersurface) -> SeriesMap:
-    """The source's second Segre map, once the source is known to be normal
-    and minimal with a certified rank; PrerequisiteError otherwise."""
+def _minimal_source(source: Hypersurface) -> None:
+    """PrerequisiteError unless the source is normal and minimal; its
+    minimality rank is always certified (see ``is_minimal``)."""
     if not source.normal:
         raise PrerequisiteError("source must be in normal coordinates")
-    v2 = _next_segre(source, _next_segre(source, None))
-    minimality = _minimality(source, v2)
-    if not minimality.minimal or minimality.certificate.status != CERTIFIED:
+    if not is_minimal(source).minimal:
         raise PrerequisiteError(
             "source must be minimal with a certified rank at this order"
         )
-    return v2
 
 
 def segre_reflection_identity(fm: FormalMap) -> SegreIdentityVerdict:
@@ -263,7 +260,7 @@ def segre_reflection_identity(fm: FormalMap) -> SegreIdentityVerdict:
     Both sides are series over (zp, xi, eta). Prerequisites: the mapping
     check must pass, and the source must be normal and minimal with a
     certified rank; these are re-verified here and raise PrerequisiteError
-    when absent. v3 is one Segre step from the v2 the prerequisite built.
+    when absent. v2 and v3 come from ``segre_maps``.
 
     Once the mapping check passes, the identity holds, so ``check-map``
     reports it from the prerequisites without calling this function.
@@ -285,8 +282,8 @@ def segre_reflection_identity(fm: FormalMap) -> SegreIdentityVerdict:
             "mapping check failed; the identity is only meaningful for maps "
             "that send the source into the target"
         )
-    v2 = _minimal_source_v2(fm.source)
-    v3 = _next_segre(fm.source, v2)
+    _minimal_source(fm.source)
+    _, _, v2, v3 = segre_maps(fm.source)
     n = fm.n
     m = n - 1
     src = 3 * m
@@ -341,9 +338,13 @@ def convergence_evidence(
             continue
         if sum(alpha) == cutoff:
             top_alive = True
-        # each row's modulus |a + b i| / den, read from the integer form
+        # each row's modulus |a + b i| / den, read from the integer form;
+        # a modulus past float's range reads inf, and so its fitted base
         den, terms, _ = series._form
-        majorant = sum(math.hypot(a / den, b / den) * scale ** d for d, _, a, b in terms)
+        try:
+            majorant = sum(math.hypot(a / den, b / den) * scale ** d for d, _, a, b in terms)
+        except OverflowError:
+            majorant = math.inf
         fitted = (majorant / multi_factorial(alpha)) ** (1.0 / (sum(alpha) + 1))
         rows.append((alpha, majorant, fitted))
         r0 = max(r0, fitted)
@@ -390,7 +391,7 @@ def partial_convergence(
     """
     if not fm.is_biholomorphism:
         raise PrerequisiteError("map must have an invertible linear part")
-    _minimal_source_v2(fm.source)
+    _minimal_source(fm.source)
     deg, family, gradients = _degeneracy(fm.target, cutoff)
     if deg.certificate.status != CERTIFIED:
         raise PrerequisiteError("target degeneracy rank is not certified")

@@ -15,7 +15,7 @@ from crkit.documents import parse_document, write_document
 from crkit.errors import GeometryError, PrerequisiteError
 from crkit.hypersurface import from_defining
 from crkit.parser import parse_expr
-from crkit.series import TruncatedSeries
+from crkit.series import SeriesMap, TruncatedSeries
 
 ROOT = Path(__file__).parent.parent
 CORPUS = ROOT / "corpus"
@@ -111,7 +111,9 @@ def test_analyze_uncertified_rank_fails_only_when_strict(monkeypatch, capsys):
     monkeypatch.setitem(crkit.rank.matrix_generic_rank.__kwdefaults__, "minor_budget", 0)
     code, out, err = run(capsys, "analyze", CORPUS / "sphere.crkit")
     assert code == 1
-    assert "minimal: no (rank 0, probable)" in out
+    # minimality is read from phi's rows and climbs no minors
+    assert "minimal: yes (rank 2, certified)" in out
+    assert "degeneracy: 2 (rank 0 at cutoff 7, probable, " in out
     assert "rank status: probable only (minor budget exhausted)" in out
     assert "failure: rank not certified" in err
     code, out, err = run(capsys, "analyze", "--no-strict", CORPUS / "sphere.crkit")
@@ -281,9 +283,9 @@ def test_check_map_dilation_passes(capsys):
     assert "segre reflection identity: pass" in out
 
 
-def test_check_map_builds_each_segre_map_once(monkeypatch, capsys):
-    # the identity's minimality prerequisite builds v1 and v2; the identity
-    # is a theorem of the passing mapping check, so no v3 is built
+def test_no_command_builds_a_segre_map(monkeypatch, capsys, tmp_path):
+    # minimality is read from phi's rows, and check-map's Segre identity is
+    # a theorem of the passing mapping check, so no Segre step runs
     built = []
     original = crkit.hypersurface._next_segre
 
@@ -292,15 +294,17 @@ def test_check_map_builds_each_segre_map_once(monkeypatch, capsys):
         built.append(result.source_nvars)
         return result
 
-    for module in (crkit.hypersurface, crkit.reflection):
-        monkeypatch.setattr(module, "_next_segre", counting)
+    monkeypatch.setattr(crkit.hypersurface, "_next_segre", counting)
+    for name in ("sphere", "levi_flat", "perturbed_sphere", "degenerate_quadric"):
+        assert run(capsys, "analyze", CORPUS / f"{name}.crkit")[0] == 0
     sphere = CORPUS / "sphere.crkit"
     code, out, _ = run(
         capsys, "check-map", "-s", sphere, "-t", sphere, "-f", CORPUS / "sphere_dilation.crkit"
     )
     assert code == 0
     assert "segre reflection identity: pass" in out
-    assert built == [1, 2]
+    assert reflect_into(capsys, tmp_path, "exp_shear.crkit")[0] == 0
+    assert built == []
 
 
 def test_check_map_corrupted_fails_with_monomial(capsys):
@@ -450,7 +454,9 @@ def test_reflect_writes_its_artifacts_as_one_set(tmp_path, capsys, monkeypatch, 
     monkeypatch.setattr(crkit.documents, "open", failing_open, raising=False)
     extra = ("--force",) if existing else ()
     code, out, err, out_dir = reflect_into(capsys, tmp_path, "exp_shear.crkit", *extra)
-    assert (code, out, err) == (2, "", "error: [Errno 28] No space left on device\n")
+    # the error names the artifact whose write failed
+    message = f"error: [Errno 28] No space left on device: '{out_dir / 'gf.crkit'}'\n"
+    assert (code, out, err) == (2, "", message)
     assert len(staged) == 3
     # no artifact replaced and no temporary file left
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == old
@@ -463,6 +469,20 @@ def test_reflect_refuses_an_output_path_that_is_a_regular_file(tmp_path, capsys)
     assert (code, out, err) == (2, "", f"error: {afile}: exists and is not a directory\n")
     assert afile.read_text(encoding="ascii") == "occupied\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def test_reflect_reports_a_modulus_past_float_range_as_inf(tmp_path, capsys):
+    # a sphere self-map whose coefficients no float holds: the exact layer
+    # is unaffected, and the growth diagnostic reads r0 inf
+    scaled = SeriesMap([TruncatedSeries.variable(2, 8, 0).scale(10**1500),
+                        TruncatedSeries.variable(2, 8, 1).scale(10**3000)])
+    write_document(tmp_path / "huge.crkit", scaled, (("z", 2),))
+    sphere = CORPUS / "sphere.crkit"
+    code, out, err = run(capsys, "reflect", "-s", sphere, "-t", sphere, "-f",
+                         tmp_path / "huge.crkit", "-o", tmp_path / "out", "--format", "doc")
+    assert (code, err) == (0, "")
+    assert "r0 inf\n" in out
+    assert "r0 inf\n" in (tmp_path / "out" / "report.crkit").read_text(encoding="ascii")
 
 
 def test_reflect_refuses_failing_map(tmp_path, capsys):

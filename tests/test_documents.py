@@ -357,6 +357,8 @@ TERM_CASES = [
     ("1 0 1/2 " + "7" * 5000 + "/3", ["line 6: imaginary part numerator has 5000 digits, too many to read"]),
     ("1 0 -" + "7" * 5000 + "/3 0/1", ["line 6: real part numerator has 5000 digits, too many to read"]),
     ("1 0 1/" + "3" * 5000 + " 0/1", ["line 6: real part denominator has 5000 digits, too many to read"]),
+    # beside a part that is not plain digits too
+    ("1 0 a/" + "3" * 5000 + " 0/1", ["line 6: real part denominator has 5000 digits, too many to read"]),
     ("7" * 5000 + " 0 1/2 0/1", ["line 6: exponent has 5000 digits, too many to read"]),
     ("1 0 1/2 1", ["line 6: imaginary part '1' must be written p/q"]),
     ("01 0 1/2 0/1", ["line 6: exponent '01' is not a canonical integer"]),

@@ -14,15 +14,16 @@ from crkit import corpus
 from crkit.documents import FORMAT_VERSION, parse_document, serialize
 from crkit.errors import GeometryError, PrerequisiteError
 from crkit.hypersurface import (
-    DegeneracyResult, _axis_graph, _is_normal, degeneracy, from_defining, graph_residual,
-    normalize, normalizing_change, phi_family, reality_defect, segre_maps,
+    DegeneracyResult, MinimalityVerdict, _axis_graph, _is_normal, degeneracy, from_defining,
+    graph_residual, is_minimal, normalize, normalizing_change, phi_family, reality_defect,
+    segre_maps,
 )
 from crkit.linalg import determinant
 from crkit.parser import parse_expr
 from crkit.rank import CERTIFIED, generic_rank, matrix_generic_rank
 from crkit.rational import GaussRational, I, ONE, ZERO
 from crkit.reflection import (
-    FormalMap, MapVerdict, _minimal_source_v2, check_maps_into, convergence_evidence, exp_of,
+    FormalMap, MapVerdict, _minimal_source, check_maps_into, convergence_evidence, exp_of,
     partial_convergence, reflection_at_lambda_zero, reflection_function,
     segre_reflection_identity, u_family,
 )
@@ -1167,6 +1168,55 @@ def test_segre_steps_match_the_hand_written_maps(case):
         assert ours.components == theirs.components
 
 
+# is_minimal reads its verdict from phi's rows. The reference is the
+# general route: the minor climb over the Jacobian of the second Segre map.
+
+
+def ref_minimality(H):
+    result = generic_rank(segre_maps(H).v2)
+    return MinimalityVerdict(
+        minimal=result.rank == H.n,
+        rank=result.rank,
+        n=H.n,
+        order=H.order,
+        certificate=result.certificate,
+    )
+
+
+def assert_same_minimality(H):
+    ours, theirs = is_minimal(H), ref_minimality(H)
+    for field in MinimalityVerdict._fields:
+        assert getattr(ours, field) == getattr(theirs, field), field
+    return ours
+
+
+@settings(max_examples=80, deadline=None)
+@given(real_germs(straight_axis=True))
+@example((corpus.levi_flat().rho, 2))
+@example((corpus.degenerate_quadric().rho, 3))
+@example((corpus.perturbed_sphere().rho, 2))
+def test_minimality_from_phi_rows_matches_the_climb(case):
+    rho, n = case
+    verdict = assert_same_minimality(normalize(from_defining(rho, n)))
+    event("minimal" if verdict.minimal else "not minimal")
+
+
+# ROADMAP's nondegenerate (ND) and degenerate (DG) n = 3 germs
+DEEP_GERMS = {
+    "ND": "-(i/2)*(z3-w3) - z1*w1 - z2*w2 - (z3+w3)*(z1*w2 + z2*w1) + z3*w3*z1*w1"
+          " - (z3+w3)^2*z2*w2 + (i/3)*(z3^2-w3^2)*z1*w1",
+    "DG": "-(i/2)*(z3-w3) - (z1+z2)*(w1+w2) - (z3+w3)*(z1+z2)*(w1+w2)"
+          " - (z1+z2)^2*(w1+w2)^2 + z3*w3*(z1+z2)*(w1+w2)",
+}
+
+
+@pytest.mark.parametrize("order", [12, 16])
+@pytest.mark.parametrize("name", sorted(DEEP_GERMS))
+def test_minimality_from_phi_rows_matches_the_climb_at_depth(name, order):
+    H = from_defining(parse_expr(DEEP_GERMS[name], "z:3,w:3", order), 3)
+    assert assert_same_minimality(H).minimal
+
+
 # reality_defect reads the integer form: each row against the row at its
 # mirrored key. The reference is the term-by-term loop on the view.
 
@@ -1948,7 +1998,7 @@ def test_a_passing_mapping_check_makes_the_segre_identity_pass(fm):
     verdict = check_maps_into(fm)
     assert verdict.passed
     try:
-        _minimal_source_v2(fm.source)
+        _minimal_source(fm.source)
     except PrerequisiteError as exc:
         event("source refused")
         with pytest.raises(PrerequisiteError, match=str(exc)):
