@@ -179,34 +179,30 @@ def from_defining(rho: TruncatedSeries, n: int, provenance=("defining series",))
 
 
 def _is_normal(phi: TruncatedSeries, n: int) -> bool:
-    """phi(w', w_n, 0) = w_n and phi(0, w_n, z') = w_n, exactly at order.
-
-    One scan of the integer form, with no series built. At base
-    b = order + 2, w_n's key is b^(n-1); a row has z' = 0 exactly when its
-    key is a multiple of b^(n-1), and w' = 0 exactly when its key is below
-    b^n. Both identities hold exactly when the only row in either set is
-    w_n with coefficient 1.
-    """
-    den, rows, _ = phi._form
-    base = phi.order + 2
-    axis, split = base ** (n - 1), base ** n
-    on_axes = [row for row in rows if row[1] % axis == 0 or row[1] < split]
-    return on_axes == [(1, axis, den, 0)]
+    """phi(w', w_n, 0) = w_n and phi(0, w_n, z') = w_n, exactly at order."""
+    return _only_w_n(phi, n, any)
 
 
 def _straight_axis(phi: TruncatedSeries, n: int) -> bool:
     """phi(0, w_n, 0) = w_n exactly at order: the curve M ∩ {z' = 0} is
-    the real axis.
+    the real axis."""
+    return _only_w_n(phi, n, all)
 
-    The same scan as ``_is_normal``, over the rows on both axes at once:
-    those with key below b^n and a multiple of b^(n-1), which are the
-    powers of w_n alone.
+
+def _only_w_n(phi: TruncatedSeries, n: int, join) -> bool:
+    """Is w_n, with coefficient 1, phi's only row on the axes? A row is on
+    them when ``join`` (``any`` or ``all``) holds of z' = 0 and w' = 0.
+
+    One scan of the integer form, with no series built. At base
+    b = order + 2, w_n's key is b^(n-1); a row has z' = 0 exactly when its
+    key is a multiple of b^(n-1), and w' = 0 exactly when its key is below
+    b^n.
     """
     den, rows, _ = phi._form
     base = phi.order + 2
     axis, split = base ** (n - 1), base ** n
-    on_axis = [row for row in rows if row[1] < split and row[1] % axis == 0]
-    return on_axis == [(1, axis, den, 0)]
+    on_axes = [row for row in rows if join((row[1] % axis == 0, row[1] < split))]
+    return on_axes == [(1, axis, den, 0)]
 
 
 def graph_residual(phi: TruncatedSeries, n: int) -> TruncatedSeries:
@@ -230,16 +226,10 @@ def graph_residual(phi: TruncatedSeries, n: int) -> TruncatedSeries:
 
 
 def _axis_graph(H: Hypersurface) -> TruncatedSeries:
-    """p = phi(0, z_n, z') over (z, w), once its z_n coefficient
-    c = dphi/dw_n(0) is checked nonzero and the axis curve is checked
+    """p = phi(0, z_n, z') over (z, w), once the axis curve is checked
     straight; ``normalize`` proves that one substitution reaches normal
-    coordinates exactly for the germs that pass both checks."""
+    coordinates exactly for the germs that pass this check."""
     n = H.n
-    if H.phi.coefficient(unit_exponent(2 * n - 1, n - 1)).is_zero():
-        raise GeometryError(
-            "cannot establish normal coordinates: graph series has a "
-            "degenerate linear part in the graph variable"
-        )
     if not _straight_axis(H.phi, n):
         raise GeometryError(
             "the graph substitution did not yield normal coordinates for "
@@ -302,8 +292,9 @@ def normalizing_change(H: Hypersurface) -> SeriesMap:
     is refused here with the same error.
 
     The substitution is invertible: its linear part fixes z' and is
-    triangular with determinant c = dphi/dw_n(0), which ``_axis_graph``
-    checks nonzero, so the change has determinant 1/c.
+    triangular with determinant c = dphi/dw_n(0), and the straight axis
+    that ``_axis_graph`` checks makes c = 1, so the change has
+    determinant 1.
     """
     n, order = H.n, H.order
     p = compose(_axis_graph(H), SeriesMap.from_slots(n, order, [*range(n), *[None] * n]))

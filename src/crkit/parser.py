@@ -97,7 +97,12 @@ def normalize_declaration(decl: Declaration) -> tuple[tuple[str, int], ...]:
 # ---------------------------------------------------------------------------
 # tokenizer
 
-_TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z_0-9]*|[-+*/^()]")
+# one alternative for each token kind, unnamed for the blanks it skips, and
+# ``bad`` for any other character, so that one scan covers the text
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|[ \t\r]+|(?P<number>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>[-+*/^()])|(?P<bad>.)"
+)
 
 
 class _Token(NamedTuple):
@@ -111,35 +116,17 @@ def _tokenize(text: str) -> list[_Token]:
     tokens = []
     line = 1
     start = 0  # index where the current line begins
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch == "\n":
+    for match in _TOKEN.finditer(text):
+        kind, piece = match.lastgroup, match.group()
+        column = match.start() - start + 1
+        if kind == "newline":
             line += 1
-            pos += 1
-            start = pos
-            continue
-        if ch in " \t\r":
-            pos += 1
-            continue
-        if not ch.isascii():
-            raise ParseError(
-                f"non-ASCII character {ch!r}", line, pos - start + 1
-            )
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            raise ParseError(
-                f"unexpected character {ch!r}", line, pos - start + 1
-            )
-        piece = match.group()
-        if piece[0].isdigit():
-            kind = "number"
-        elif piece[0].isalpha() or piece[0] == "_":
-            kind = "name"
-        else:
-            kind = "op"
-        tokens.append(_Token(kind, piece, line, pos - start + 1))
-        pos = match.end()
+            start = match.end()
+        elif kind == "bad":
+            what = "unexpected" if piece.isascii() else "non-ASCII"
+            raise ParseError(f"{what} character {piece!r}", line, column)
+        elif kind is not None:
+            tokens.append(_Token(kind, piece, line, column))
     tokens.append(_Token("end", "", line, len(text) - start + 1))
     return tokens
 

@@ -49,13 +49,15 @@ def exp_of(series: TruncatedSeries) -> TruncatedSeries:
 class FormalMap:
     """An origin-preserving formal map between two hypersurface germs.
 
-    Instances are immutable, so three derived objects are computed once,
-    on first request, and kept: the mapping check,
-    the reflection series, and the lifted map, f read over the 2n - 1
-    variables (z, w') that both of those substitute it into.
+    Both the mapping check and the reflection series substitute f read
+    over the 2n - 1 variables (z, w'), so ``__init__`` makes that relabel
+    once, at f's order, and keeps its components. Of the derived results
+    only the reflection series is kept, on first request, because
+    ``reflect`` reads it twice: in ``build_reflection_report`` and again
+    through ``u_family``. Instances are immutable, so it stays valid.
     """
 
-    __slots__ = ("f", "source", "target", "_verdict", "_reflection", "_lifted")
+    __slots__ = ("f", "source", "target", "_lifted", "_reflection")
 
     def __init__(self, f: SeriesMap, source: Hypersurface, target: Hypersurface):
         if source.n != target.n:
@@ -67,12 +69,12 @@ class FormalMap:
             )
         if not f.is_origin_preserving():
             raise ValueError("map must preserve the origin")
+        relabel = SeriesMap.from_slots(2 * source.n - 1, f.order, range(source.n))
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "_verdict", None)
+        object.__setattr__(self, "_lifted", f.compose(relabel).components)
         object.__setattr__(self, "_reflection", None)
-        object.__setattr__(self, "_lifted", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FormalMap is immutable")
@@ -92,17 +94,6 @@ class FormalMap:
 
     def guaranteed_order(self) -> int:
         return min(self.f.order, self.source.order, self.target.order)
-
-    def _lift(self, order: int) -> SeriesMap:
-        """f over (z_1..z_n, w'_1..w'_{n-1}), truncated to ``order``.
-
-        The relabel is composed once, at f's own order, and kept; a
-        truncation to f's order returns the kept map itself.
-        """
-        if self._lifted is None:
-            relabel = SeriesMap.from_slots(2 * self.n - 1, self.f.order, range(self.n))
-            object.__setattr__(self, "_lifted", self.f.compose(relabel))
-        return self._lifted.truncate(order)
 
     def __repr__(self):
         return f"FormalMap(n={self.n}, order={self.f.order})"
@@ -130,30 +121,26 @@ def check_maps_into(fm: FormalMap) -> MapVerdict:
     """Does f send the source into the target, through the largest order
     the inputs guarantee?
 
-    The verdict is computed once per map and then reused. For a check at
-    a lower order k, build the map from f, the source and the target each
-    truncated to k: truncation commutes with origin-preserving
-    composition, so that verdict is this one's through order k.
+    For a check at a lower order k, build the map from f, the source and
+    the target each truncated to k: truncation commutes with
+    origin-preserving composition, so that verdict is this one's through
+    order k.
     """
-    if fm._verdict is None:
-        n = fm.n
-        m = 2 * n - 1
-        order = fm.guaranteed_order()
-        common = min(fm.f.order, fm.source.order)
-        # w_n := source graph, substituted into the conjugated map components
-        wmap = SeriesMap.from_slots(m, fm.source.order, [*range(n, m), fm.source.phibar])
-        head = fm._lift(common).components
-        tail = fm.f.conjugate().compose(wmap).components
-        substitution = SeriesMap(head + tail)
-        residual = compose(fm.target.rho, substitution).truncate(order)
-        verdict = MapVerdict(
-            passed=residual.is_zero(),
-            order_checked=order,
-            residual=residual,
-            offending=residual.least_term(),
-        )
-        object.__setattr__(fm, "_verdict", verdict)
-    return fm._verdict
+    n = fm.n
+    m = 2 * n - 1
+    common = min(fm.f.order, fm.source.order)
+    # w_n := source graph, substituted into the conjugated map components
+    wmap = SeriesMap.from_slots(m, fm.source.order, [*range(n, m), fm.source.phibar])
+    tail = fm.f.conjugate().compose(wmap).components
+    substitution = SeriesMap.from_slots(m, common, [*fm._lifted, *tail])
+    # compose's order, min(rho'.order, common), is the guaranteed order
+    residual = compose(fm.target.rho, substitution)
+    return MapVerdict(
+        passed=residual.is_zero(),
+        order_checked=residual.order,
+        residual=residual,
+        offending=residual.least_term(),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +159,7 @@ def reflection_function(fm: FormalMap) -> TruncatedSeries:
         n = fm.n
         m = 2 * n - 1
         common = min(fm.f.order, fm.target.order)
-        lifted = fm._lift(common).components
-        substitution = SeriesMap.from_slots(m, common, [*lifted, *range(n, m)])
+        substitution = SeriesMap.from_slots(m, common, [*fm._lifted, *range(n, m)])
         object.__setattr__(fm, "_reflection", compose(fm.target.phibar, substitution))
     return fm._reflection
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import crkit.cli
 import crkit.documents
 import crkit.hypersurface
 import crkit.rank
@@ -305,6 +306,34 @@ def test_no_command_builds_a_segre_map(monkeypatch, capsys, tmp_path):
     assert "segre reflection identity: pass" in out
     assert reflect_into(capsys, tmp_path, "exp_shear.crkit")[0] == 0
     assert built == []
+
+
+@pytest.mark.parametrize("command", ["check-map", "reflect"])
+@pytest.mark.parametrize("name", sorted(corpus.MAPS))
+def test_a_command_checks_the_one_map_it_builds_once(monkeypatch, capsys, tmp_path, command, name):
+    # nothing keeps the mapping verdict, so no command may ask for it twice
+    built, checked = [], []
+    build, check = crkit.cli.FormalMap, crkit.reflection.check_maps_into
+
+    def building(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    def checking(fm):
+        checked.append(fm)
+        return check(fm)
+
+    monkeypatch.setattr(crkit.cli, "FormalMap", building)
+    for module in (crkit.cli, crkit.reflection):
+        monkeypatch.setattr(module, "check_maps_into", checking)
+    _, source, target = corpus.MAPS[name]
+    argv = [command, "-s", CORPUS / f"{source}.crkit", "-t", CORPUS / f"{target}.crkit"]
+    argv += ["-f", CORPUS / f"{name}.crkit"]
+    if command == "reflect":
+        argv += ["-o", tmp_path / "out"]
+    run(capsys, *argv)
+    assert len(built) == 1
+    assert checked == built
 
 
 def test_check_map_corrupted_fails_with_monomial(capsys):

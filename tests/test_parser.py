@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crkit.errors import ParseError
-from crkit.parser import TruncationWarning, normalize_declaration, parse_expr
+from crkit.parser import TruncationWarning, _tokenize, normalize_declaration, parse_expr
 from crkit.rational import GaussRational, I, ONE
 from crkit.series import TruncatedSeries
 
@@ -135,6 +135,34 @@ def test_syntax_errors():
 def test_non_ascii_rejected():
     with pytest.raises(ParseError, match="non-ASCII"):
         parse_expr("z1 + α", "z:2,w:2", 4)
+
+
+def test_tokens_carry_their_line_and_column():
+    # CR and tab are blanks and LF ends a line; the end token stands just
+    # past the text
+    assert _tokenize("z1 +\r\n  w2\r\n") == [
+        ("name", "z1", 1, 1), ("op", "+", 1, 4), ("name", "w2", 2, 3), ("end", "", 3, 1),
+    ]
+    assert _tokenize("a\n\n\t(c*12)^3") == [
+        ("name", "a", 1, 1), ("op", "(", 3, 2), ("name", "c", 3, 3), ("op", "*", 3, 4),
+        ("number", "12", 3, 5), ("op", ")", 3, 7), ("op", "^", 3, 8), ("number", "3", 3, 9),
+        ("end", "", 3, 10),
+    ]
+    assert _tokenize("") == [("end", "", 1, 1)]
+    assert _tokenize(" \t") == [("end", "", 1, 3)]
+
+
+@pytest.mark.parametrize("text, message, line, column", [
+    ("z1\x0c+ z2", "unexpected character '\\x0c'", 1, 3),
+    ("z1 é", "non-ASCII character 'é'", 1, 4),
+    ("z1é", "non-ASCII character 'é'", 1, 3),
+    ("z1 +\r\n  z2 @", "unexpected character '@'", 2, 6),
+])
+def test_a_bad_character_is_reported_where_it_stands(text, message, line, column):
+    with pytest.raises(ParseError) as info:
+        parse_expr(text, "z:2", 4)
+    assert message in str(info.value)
+    assert (info.value.line, info.value.column) == (line, column)
 
 
 def test_multi_letter_groups_and_indices():

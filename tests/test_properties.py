@@ -14,9 +14,9 @@ from crkit import corpus
 from crkit.documents import FORMAT_VERSION, parse_document, serialize
 from crkit.errors import GeometryError, PrerequisiteError
 from crkit.hypersurface import (
-    DegeneracyResult, MinimalityVerdict, _axis_graph, _is_normal, degeneracy, from_defining,
-    graph_residual, is_minimal, normalize, normalizing_change, phi_family, reality_defect,
-    segre_maps,
+    DegeneracyResult, MinimalityVerdict, _axis_graph, _is_normal, _straight_axis, degeneracy,
+    from_defining, graph_residual, is_minimal, normalize, normalizing_change, phi_family,
+    reality_defect, segre_maps,
 )
 from crkit.linalg import determinant
 from crkit.parser import parse_expr
@@ -912,6 +912,10 @@ def test_accepted_germs_satisfy_the_graph_identity(case):
     rho, n = case
     surface = from_defining(rho, n)
     assert graph_residual(surface.phi, n).is_zero()
+    # reality makes w_n's coefficient in rho the conjugate of z_n's, c, so
+    # phi's slope dphi/dw_n(0) is -cbar/c, never zero
+    c = rho.coefficient(unit_exponent(2 * n, n - 1))
+    assert surface.phi.coefficient(unit_exponent(2 * n - 1, n - 1)) == -c.conjugate() / c
 
 
 # implicit_solve writes its result over the remaining variables in the
@@ -949,8 +953,9 @@ def test_implicit_solve_refuses_a_bad_rest(rest):
         implicit_solve(corpus.sphere().rho, 1, rest=rest)
 
 
-# _is_normal scans phi's rows; the reference restricts phi to z' = 0 and to
-# w' = 0 by composition and compares each with w_n
+# _is_normal and _straight_axis scan phi's rows; the references restrict
+# phi by composition, to z' = 0 and to w' = 0 or to both at once, and
+# compare each restriction with w_n
 
 
 def ref_is_normal(phi, n):
@@ -959,6 +964,13 @@ def ref_is_normal(phi, n):
     zp_zero = SeriesMap.from_slots(m, order, [*range(n), *[None] * (n - 1)])
     wp_zero = SeriesMap.from_slots(m, order, [*[None] * (n - 1), *range(n - 1, m)])
     return compose(phi, zp_zero) == axis and compose(phi, wp_zero) == axis
+
+
+def ref_straight_axis(phi, n):
+    m, order = 2 * n - 1, phi.order
+    axis = TruncatedSeries.monomial(m, order, unit_exponent(m, n - 1))
+    both_zero = SeriesMap.from_slots(m, order, [*[None] * (n - 1), n - 1, *[None] * (n - 1)])
+    return compose(phi, both_zero) == axis
 
 
 @st.composite
@@ -992,6 +1004,7 @@ def graphs_near_normal(draw):
 def test_is_normal_scan_matches_the_restrictions(case):
     phi, n = case
     assert _is_normal(phi, n) == ref_is_normal(phi, n)
+    assert _straight_axis(phi, n) == ref_straight_axis(phi, n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1009,8 +1022,9 @@ def test_truncation_matches_solving_again(case):
 
 
 # normalize does not take the determinant of its change: t solves
-# phi(0, t, z') = z_n with c = dphi/dw_n(0) nonzero, so the linear part is
-# triangular with determinant 1/c (see the normalizing_change docstring)
+# phi(0, t, z') = z_n with c = dphi/dw_n(0), so the linear part is
+# triangular with determinant 1/c, which is 1 for every germ with a straight
+# axis (see the normalizing_change docstring)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1368,10 +1382,15 @@ def ref_check_maps_into(fm, order):
 
 
 def assert_lower_orders_match_the_reference(f, source, target):
+    # the check on the map itself, whose orders may differ, is the reference
+    # at the guaranteed order, which its residual reaches untruncated
     fm = FormalMap(f, source, target)
-    for k in range(2, fm.guaranteed_order() + 1):
-        verdict = check_maps_into(FormalMap(f.truncate(k), source.truncate(k), target.truncate(k)))
-        reference = ref_check_maps_into(fm, k)
+    cases = [(fm.guaranteed_order(), fm)] + [
+        (k, FormalMap(f.truncate(k), source.truncate(k), target.truncate(k)))
+        for k in range(2, fm.guaranteed_order() + 1)
+    ]
+    for k, truncated in cases:
+        verdict, reference = check_maps_into(truncated), ref_check_maps_into(fm, k)
         for field in MapVerdict._fields:
             assert getattr(verdict, field) == getattr(reference, field), (k, field)
 

@@ -219,10 +219,8 @@ def test_reflection_identical_across_shears(shear_map, shear_map_double):
     assert reflection_function(shear_map) == reflection_function(shear_map_double)
 
 
-def test_default_check_and_reflection_series_are_kept_on_the_map(shear, quadric):
+def test_reflection_series_is_kept_on_the_map(shear, quadric):
     fm = FormalMap(shear, quadric, quadric)
-    verdict = check_maps_into(fm)
-    assert check_maps_into(fm) is verdict
     series = reflection_function(fm)
     assert reflection_function(fm) is series
     assert build_reflection_report(fm).reflection is series
@@ -520,10 +518,11 @@ def test_partial_convergence_reads_the_family_degeneracy_built(monkeypatch, surf
 
 def test_check_and_reflect_lift_the_map_once(monkeypatch):
     # the mapping check and the reflection series both read f over (z, w');
-    # the relabel is composed once, with the whole of f, at f's order
+    # the relabel is composed once, with the whole of f, at f's order,
+    # when the map is built
     quadric = corpus.degenerate_quadric()
-    fm = FormalMap(corpus.exp_shear(), quadric, quadric)
-    n, m = fm.n, 2 * fm.n - 1
+    f = corpus.exp_shear()
+    n, m = f.source_nvars, 2 * f.source_nvars - 1
     lifts = []
     original = crkit.series.compose
 
@@ -534,6 +533,7 @@ def test_check_and_reflect_lift_the_map_once(monkeypatch):
 
     for module in (crkit.series, crkit.reflection):
         monkeypatch.setattr(module, "compose", counting)
+    fm = FormalMap(f, quadric, quadric)
     assert check_maps_into(fm).passed
     build_reflection_report(fm)
     partial_convergence(fm)
