@@ -51,13 +51,11 @@ class FormalMap:
 
     Both the mapping check and the reflection series substitute f read
     over the 2n - 1 variables (z, w'), so ``__init__`` makes that relabel
-    once, at f's order, and keeps its components. Of the derived results
-    only the reflection series is kept, on first request, because
-    ``reflect`` reads it twice: in ``build_reflection_report`` and again
-    through ``u_family``. Instances are immutable, so it stays valid.
+    once, at f's order, and keeps its components. No derived result is
+    kept on the map: a caller that reads one twice holds on to it.
     """
 
-    __slots__ = ("f", "source", "target", "_lifted", "_reflection")
+    __slots__ = ("f", "source", "target", "_lifted")
 
     def __init__(self, f: SeriesMap, source: Hypersurface, target: Hypersurface):
         if source.n != target.n:
@@ -74,7 +72,6 @@ class FormalMap:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "_lifted", f.compose(relabel).components)
-        object.__setattr__(self, "_reflection", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FormalMap is immutable")
@@ -152,16 +149,13 @@ def reflection_function(fm: FormalMap) -> TruncatedSeries:
 
     A series over (z_1..z_n, lambda_1..lambda_{n-1}); its coefficients in
     lambda are the composed family whose growth is studied below. Two maps
-    that agree as maps give byte-identical reflection series. The series is
-    computed once per map and then reused.
+    that agree as maps give byte-identical reflection series.
     """
-    if fm._reflection is None:
-        n = fm.n
-        m = 2 * n - 1
-        common = min(fm.f.order, fm.target.order)
-        substitution = SeriesMap.from_slots(m, common, [*fm._lifted, *range(n, m)])
-        object.__setattr__(fm, "_reflection", compose(fm.target.phibar, substitution))
-    return fm._reflection
+    n = fm.n
+    m = 2 * n - 1
+    common = min(fm.f.order, fm.target.order)
+    substitution = SeriesMap.from_slots(m, common, [*fm._lifted, *range(n, m)])
+    return compose(fm.target.phibar, substitution)
 
 
 def reflection_at_lambda_zero(fm: FormalMap) -> TruncatedSeries:
@@ -186,12 +180,16 @@ def reflection_on_segre(
     the order), graded-lex ascending, zero entries included. Entry alpha
     is exact only to order - |alpha|.
     """
+    return _segre_family(fm, reflection_function(fm), cutoff)
+
+
+def _segre_family(fm: FormalMap, r: TruncatedSeries, cutoff: int | None):
+    """``reflection_on_segre`` on the map's reflection series r."""
     n = fm.n
     if not fm.source.normal:
         raise PrerequisiteError(
             "the Segre restriction needs the source in normal coordinates"
         )
-    r = reflection_function(fm)
     # restrict z := (zp, 0), keep lambda
     src = 2 * (n - 1)
     restriction = SeriesMap.from_slots(src, r.order, [*range(n - 1), None, *range(n - 1, src)])
@@ -210,9 +208,14 @@ def u_family(
     graph coefficient along the map, which is the identity the acceptance
     tests verify by computing both routes.
     """
+    return _factorial_scaled(reflection_on_segre(fm, cutoff))
+
+
+def _factorial_scaled(family):
+    """Each (alpha, series) entry with its series scaled by alpha!."""
     return [
         (alpha, series if series.is_zero() else series.scale(multi_factorial(alpha)))
-        for alpha, series in reflection_on_segre(fm, cutoff)
+        for alpha, series in family
     ]
 
 
@@ -382,9 +385,14 @@ def partial_convergence(
     if deg.certificate.status != CERTIFIED:
         raise PrerequisiteError("target degeneracy rank is not certified")
     if not deg.stabilized:
+        top = fm.target.order - 1  # the largest cutoff that adds rows
+        advice = (
+            f"raise the cutoff (at most {top}) or the truncation order"
+            if deg.cutoff_effective < top
+            else "raise the truncation order"
+        )
         raise PrerequisiteError(
-            "target degeneracy has not stabilized at cutoff "
-            f"{deg.cutoff_effective}; raise the truncation order"
+            f"target degeneracy has not stabilized at cutoff {deg.cutoff_effective}; {advice}"
         )
     n = fm.n
     picked, cols = deg.certificate.rows, deg.certificate.cols
@@ -475,7 +483,7 @@ def build_reflection_report(fm: FormalMap, cutoff: int | None = None) -> Reflect
     """The reflection series, its u family through the cutoff (default:
     the order), and the growth diagnostic on the polydisc of radius 1/2."""
     r = reflection_function(fm)
-    family = u_family(fm, cutoff)
+    family = _factorial_scaled(_segre_family(fm, r, cutoff))
     top = max(sum(alpha) for alpha, _ in family)
     return ReflectionReport(
         n=fm.n,

@@ -311,9 +311,11 @@ def test_no_command_builds_a_segre_map(monkeypatch, capsys, tmp_path):
 @pytest.mark.parametrize("command", ["check-map", "reflect"])
 @pytest.mark.parametrize("name", sorted(corpus.MAPS))
 def test_a_command_checks_the_one_map_it_builds_once(monkeypatch, capsys, tmp_path, command, name):
-    # nothing keeps the mapping verdict, so no command may ask for it twice
-    built, checked = [], []
+    # nothing keeps the mapping verdict or the reflection series, so no
+    # command may ask for either twice
+    built, checked, verdicts, reflected = [], [], [], []
     build, check = crkit.cli.FormalMap, crkit.reflection.check_maps_into
+    reflection = crkit.reflection.reflection_function
 
     def building(*args):
         built.append(build(*args))
@@ -321,11 +323,17 @@ def test_a_command_checks_the_one_map_it_builds_once(monkeypatch, capsys, tmp_pa
 
     def checking(fm):
         checked.append(fm)
-        return check(fm)
+        verdicts.append(check(fm))
+        return verdicts[-1]
+
+    def reflecting(fm):
+        reflected.append(fm)
+        return reflection(fm)
 
     monkeypatch.setattr(crkit.cli, "FormalMap", building)
     for module in (crkit.cli, crkit.reflection):
         monkeypatch.setattr(module, "check_maps_into", checking)
+    monkeypatch.setattr(crkit.reflection, "reflection_function", reflecting)
     _, source, target = corpus.MAPS[name]
     argv = [command, "-s", CORPUS / f"{source}.crkit", "-t", CORPUS / f"{target}.crkit"]
     argv += ["-f", CORPUS / f"{name}.crkit"]
@@ -334,6 +342,10 @@ def test_a_command_checks_the_one_map_it_builds_once(monkeypatch, capsys, tmp_pa
     run(capsys, *argv)
     assert len(built) == 1
     assert checked == built
+    # reflect reaches the report only past a passing check; check-map
+    # reads the Segre identity from that check and builds no series
+    reaches_report = command == "reflect" and verdicts[0].passed
+    assert reflected == (built if reaches_report else [])
 
 
 def test_check_map_corrupted_fails_with_monomial(capsys):
@@ -531,6 +543,26 @@ def test_reflect_refuses_failing_map(tmp_path, capsys):
     assert code == 1
     assert "refus" in err.lower()
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("cutoff, code", [("1", 1), ("2", 0)])
+def test_reflect_names_the_cutoff_when_it_keeps_the_degeneracy_unstable(tmp_path, capsys, cutoff, code):
+    # the sphere's rank 2 first shows at cutoff 2, below the order-8
+    # ceiling of 7: the refusal advises the cutoff, and writes nothing
+    sphere = CORPUS / "sphere.crkit"
+    out_dir = tmp_path / "out"
+    result = run(capsys, "reflect", "-s", sphere, "-t", sphere, "-f",
+                 CORPUS / "sphere_dilation.crkit", "--cutoff", cutoff, "-o", out_dir)
+    if code:
+        message = (
+            "refusing to reflect: target degeneracy has not stabilized at cutoff 1; "
+            "raise the cutoff (at most 7) or the truncation order\n"
+        )
+        assert result == (1, "", message)
+        assert not out_dir.exists()
+    else:
+        assert (result[0], result[2]) == (0, "")
+        assert (out_dir / "report.crkit").exists()
 
 
 def test_reflect_cutoff_above_order_is_input_error(tmp_path, capsys):

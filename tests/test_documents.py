@@ -618,6 +618,20 @@ def test_serialize_refuses_an_empty_declaration_over_no_variables():
         serialize(TruncatedSeries.constant(3, 0, 2), ())
 
 
+def test_serialize_refuses_what_it_cannot_write(sphere):
+    with pytest.raises(TypeError, match="^cannot serialize object$"):
+        serialize(object())
+    with pytest.raises(ValueError, match="^hypersurface documents fix their variable names$"):
+        serialize(sphere, (("z", 2), ("w", 2)))
+
+
+def test_serialize_report_refuses_an_entry_off_the_zp_slots(sphere):
+    report = build_reflection_report(FormalMap(sphere_dilation(), sphere, sphere))
+    bad = report._replace(family=(((0,), TruncatedSeries.variable(2, 8, 0)),))
+    with pytest.raises(ValueError, match="^variable groups declare 1 slots, series has 2$"):
+        serialize_report(bad)
+
+
 GROUP_NAMES = ["z", "w", "zp", "lambda", "_q", "Z", "i", "z1", "x y", ""]
 # small parts, and parts with multi-digit numerators and denominators
 parts = st.fractions(min_value=-3, max_value=3, max_denominator=5) | st.fractions(

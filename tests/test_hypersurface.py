@@ -182,6 +182,12 @@ def test_order_floor():
         from_defining(rho, 2)
 
 
+def test_defining_series_must_fit_the_dimension():
+    rho = parse_expr("-(i/2)*(z2 - w2)", "z:2,w:2", 4)
+    with pytest.raises(GeometryError, match="^defining series must have 6 variables, got 4$"):
+        from_defining(rho, 3)
+
+
 def test_graph_residual_vanishes(sphere, quadric, perturbed_sphere):
     for H in (sphere, quadric, perturbed_sphere):
         assert graph_residual(H.phi, H.n).is_zero()
@@ -315,6 +321,11 @@ def test_segre_needs_normal_coordinates(perturbed_sphere):
         segre_maps(perturbed_sphere)
 
 
+def test_minimality_needs_normal_coordinates(perturbed_sphere):
+    with pytest.raises(PrerequisiteError, match="^Segre maps need normal coordinates"):
+        is_minimal(perturbed_sphere)
+
+
 # ---------------------------------------------------------------------------
 # minimality
 
@@ -344,6 +355,12 @@ def test_minimality_table(sphere, levi_flat, quadric):
 
 # ---------------------------------------------------------------------------
 # degeneracy
+
+
+@pytest.mark.parametrize("cutoff", [-1, 9])
+def test_phi_family_cutoff_must_lie_in_range(sphere, cutoff):
+    with pytest.raises(ValueError, match=r"^cutoff must lie in \[0, 8\]$"):
+        phi_family(sphere, cutoff)
 
 
 def test_phi_family_sphere(sphere):

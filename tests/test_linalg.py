@@ -145,6 +145,16 @@ def test_int_and_fraction_entries_read_as_gaussian_rationals():
     assert repr(inverse(mixed)) == repr(inverse(typed))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: determinant([[1, 2]]), "determinant needs a square matrix"),
+    (lambda: inverse([[1], [2]]), "inverse needs a square matrix"),
+    (lambda: _series_det([]), "empty matrix"),
+])
+def test_matrix_shape_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_float_entries_are_refused():
     with pytest.raises(TypeError):
         determinant([[0.5]])

@@ -126,6 +126,20 @@ def test_imaginary_unit():
     assert parse_expr("2*i", "z:1", 2).constant_term() == GaussRational(0, 2)
 
 
+@pytest.mark.parametrize("decl, message", [
+    ("z:two", "arity 'two' is not an integer"),
+    ([], "at least one variable group is required"),
+])
+def test_declaration_refusals(decl, message):
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        normalize_declaration(decl)
+
+
+def test_negative_order_is_refused():
+    with pytest.raises(ValueError, match="^order must be nonnegative$"):
+        parse_expr("z1", "z:1", -1)
+
+
 def test_syntax_errors():
     for text in ["", "z1 +", "(z1", "z1)", "*z1", "z1 ** z2", "z1 @ z2"]:
         with pytest.raises(ParseError):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import crkit.hypersurface
+import crkit.rank
 import crkit.reflection
 import crkit.series
 from crkit import corpus
@@ -167,6 +168,8 @@ def test_formal_map_validation(sphere, quadric):
 def test_formal_map_immutable(dil, sphere):
     with pytest.raises(AttributeError):
         dil.source = sphere
+    # the map holds its inputs and f's lift, and no derived result
+    assert FormalMap.__slots__ == ("f", "source", "target", "_lifted")
 
 
 # ---------------------------------------------------------------------------
@@ -219,15 +222,13 @@ def test_reflection_identical_across_shears(shear_map, shear_map_double):
     assert reflection_function(shear_map) == reflection_function(shear_map_double)
 
 
-def test_reflection_series_is_kept_on_the_map(shear, quadric):
+def test_reflection_series_is_a_function_of_the_map_data(shear, quadric):
     fm = FormalMap(shear, quadric, quadric)
     series = reflection_function(fm)
-    assert reflection_function(fm) is series
-    assert build_reflection_report(fm).reflection is series
-    # a new map over the same data computes its own, equal, results
-    other = FormalMap(shear, quadric, quadric)
-    assert reflection_function(other) is not series
-    assert reflection_function(other) == series
+    assert build_reflection_report(fm).reflection == series
+    # nothing is kept on the map: a new map over the same data gives an
+    # equal series
+    assert reflection_function(FormalMap(shear, quadric, quadric)) == series
 
 
 def test_lambda_zero_slice_recovers_last_component(dil, rot, shear_map):
@@ -430,6 +431,19 @@ def test_containment_detects_failure(shear_map):
     assert dict(verdict.residuals[0].terms) == {(0, 0, 1): GaussRational(-1)}
 
 
+def test_containment_refuses_a_generator_off_the_graph_variables(shear_map):
+    with pytest.raises(ValueError, match="^generator must live over 6 variables, got 5$"):
+        formal_containment(shear_map.f, [TruncatedSeries.variable(5, 8, 0)])
+
+
+def test_partial_convergence_refuses_an_uncertified_degeneracy(dil, monkeypatch):
+    # with no minor budget the degeneracy rank stays probable; minimality
+    # is read from phi's rows and stays certified
+    monkeypatch.setitem(crkit.rank.matrix_generic_rank.__kwdefaults__, "minor_budget", 0)
+    with pytest.raises(PrerequisiteError, match="^target degeneracy rank is not certified$"):
+        partial_convergence(dil)
+
+
 def test_partial_convergence_prerequisites(
     sphere, perturbed_sphere, levi_flat, shear_map
 ):
@@ -449,8 +463,20 @@ def test_partial_convergence_prerequisites(
         partial_convergence(
             FormalMap(SeriesMap.identity(2, 8), levi_flat, levi_flat)
         )
-    with pytest.raises(PrerequisiteError, match="stabilized"):
+    # below the largest cutoff that adds rows, order - 1, the cutoff is
+    # what to raise; at it, only the order is
+    with pytest.raises(
+        PrerequisiteError,
+        match=r"^target degeneracy has not stabilized at cutoff 2; "
+        r"raise the cutoff \(at most 7\) or the truncation order$",
+    ):
         partial_convergence(shear_map, cutoff=2)
+    sphere2 = sphere.truncate(2)
+    with pytest.raises(
+        PrerequisiteError,
+        match=r"^target degeneracy has not stabilized at cutoff 1; raise the truncation order$",
+    ):
+        partial_convergence(FormalMap(SeriesMap.identity(2, 2), sphere2, sphere2))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -412,6 +413,19 @@ def test_compose_worked_example():
         (3,): ONE,
         (4,): GaussRational(2),
     }
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: unit_exponent(2, 2), "variable index 2 out of range for 2 variables"),
+    (lambda: S(-1, 2), "nvars must be nonnegative"),
+    (lambda: V(2, 3, 0).coefficient_family([1, 1]), "group indices must be distinct"),
+    (lambda: SeriesMap.identity(2, 0).linear_matrix(), "order 0 does not determine the linear part"),
+    (lambda: compose(V(2, 3, 0), SeriesMap.identity(3, 3)), "map produces 3 values, series expects 2"),
+], ids=["unit_exponent", "negative nvars", "repeated group index", "linear part at order 0",
+        "compose arity"])
+def test_refusals_name_the_input_at_fault(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_compose_requires_origin_preserving():
